@@ -10,6 +10,7 @@ planner reply triggers exactly one re-prompt before PlanParseError.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -119,6 +120,12 @@ def load_planner_prompt(path: str | Path | None = None) -> str:
     return path.read_text(encoding="utf-8")
 
 
+@functools.cache
+def _packaged_planner_prompt() -> str:
+    """The packaged prompt, read from disk once per process."""
+    return load_planner_prompt()
+
+
 def plan(query: str, planner: Backend, prompt_template: str | None = None) -> Plan:
     """Ask the planner backend for a plan; one re-prompt, then PlanParseError.
 
@@ -127,7 +134,7 @@ def plan(query: str, planner: Backend, prompt_template: str | None = None) -> Pl
     """
     if not query.strip():
         raise ValueError("query must be non-empty")
-    template = prompt_template if prompt_template is not None else load_planner_prompt()
+    template = prompt_template if prompt_template is not None else _packaged_planner_prompt()
     prompt = template.replace("{query}", query)
     reply = planner.complete(prompt)
     try:

@@ -175,7 +175,7 @@ def run_query(image: str | None, query: str, config: AgentConfig) -> dict[str, A
     }
     try:
         the_plan = build_plan(query, config.planner, config.prompt_template)
-    except (PlanParseError, UnknownWorkflow) as exc:
+    except (PlanParseError, UnknownWorkflow, ValueError) as exc:  # ValueError: blank query
         trace["answer"] = f"error: planning failed: {exc}"
         return {"answer": trace["answer"], "trace": trace}
 

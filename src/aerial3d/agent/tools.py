@@ -22,9 +22,7 @@ from typing import Any, Callable
 from ..boxes import Box3D, HorizontalBox2D, extract_location, serialize_location
 from ..errors import EmptyTable, NotFound
 from ..vehicles import VehicleTable, lookup, match_dimensions
-from .backends import Backend
-
-_FLOAT = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
+from .backends import Backend, _floats
 
 BackendCallRecorder = list  # list of {"backend","prompt","image","response"} dicts
 
@@ -93,7 +91,7 @@ class Toolbox:
                 "height in meters."
             )
             answer = self._ask(self.vlm, "vlm", prompt, image, recorder)
-            values = [float(v) for v in _FLOAT.findall(answer)]
+            values = _floats(answer)
             if len(values) < 3:
                 raise ValueError(f"could not read three dimensions from {answer!r}")
             return {

@@ -30,8 +30,6 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
-import numpy as np
-
 from .camera import (
     CameraModel,
     CameraPoint,
@@ -43,6 +41,9 @@ from .errors import DegenerateYaw, ParseError
 
 # Yaw probes closer together than this (meters) cannot define a direction.
 _YAW_BASELINE_EPS = 1e-12
+
+# A 2D polygon as a sequence of (x, y) vertices.
+Polygon = Sequence[tuple[float, float]]
 
 
 def wrap_angle_half_pi(angle: float) -> float:
@@ -86,20 +87,18 @@ class OrientedBox2D:
             angle += math.pi / 2.0
         return cls(cx, cy, width, height, wrap_angle_half_pi(angle))
 
-    def corners(self) -> np.ndarray:
-        """4x2 pixel corners in counter-clockwise order (y-down frame)."""
+    def corners(self) -> Polygon:
+        """Four (x, y) pixel corners in counter-clockwise order (y-down frame)."""
         ca, sa = math.cos(self.angle), math.sin(self.angle)
-        long_axis = np.array([ca, sa])
-        short_axis = np.array([-sa, ca])
-        center = np.array([self.cx, self.cy])
         hw, hh = self.width / 2.0, self.height / 2.0
-        return np.array(
-            [
-                center + hw * long_axis + hh * short_axis,
-                center - hw * long_axis + hh * short_axis,
-                center - hw * long_axis - hh * short_axis,
-                center + hw * long_axis - hh * short_axis,
-            ]
+        lx, ly = hw * ca, hw * sa  # half the long axis
+        sx, sy = -hh * sa, hh * ca  # half the short axis
+        cx, cy = self.cx, self.cy
+        return (
+            (cx + lx + sx, cy + ly + sy),
+            (cx - lx + sx, cy - ly + sy),
+            (cx - lx - sx, cy - ly - sy),
+            (cx + lx - sx, cy + ly - sy),
         )
 
 
@@ -168,32 +167,26 @@ class GroundBasis(NamedTuple):
 
 
 def ground_basis(cam: CameraModel) -> GroundBasis:
-    """Orthonormal (lateral, longitudinal, normal) frame of the ground plane."""
+    """Orthonormal (lateral, longitudinal, normal) frame of the ground plane.
+
+    The closed form of the frame in the module docstring, with
+    e_lon = n x e_lat = (0, -sin p, cos p); it is right-handed
+    (e_lat x e_lon = n) at every pitch.
+    """
     c, s = math.cos(cam.pitch), math.sin(cam.pitch)
-    normal = np.array([0.0, -c, -s])
-    normal /= np.linalg.norm(normal)
-    # Toward-camera normals point into the z<0 hemisphere for any pitch in
-    # (0, pi/2]; flip defensively if a sign convention ever changes upstream.
-    if normal[2] > 0:
-        normal = -normal
-    e_lat = np.array([1.0, 0.0, 0.0])
-    e_lon = np.cross(normal, e_lat)
-    e_lon /= np.linalg.norm(e_lon)
     return GroundBasis(
-        CameraPoint(*e_lat), CameraPoint(*e_lon), CameraPoint(*normal)
+        CameraPoint(1.0, 0.0, 0.0), CameraPoint(0.0, -s, c), CameraPoint(0.0, -c, -s)
     )
 
 
-def _basis_arrays(cam: CameraModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    basis = ground_basis(cam)
-    return np.array(basis.e_lat), np.array(basis.e_lon), np.array(basis.normal)
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def ground_uv(pt: CameraPoint, cam: CameraModel) -> tuple[float, float]:
     """In-plane (lateral, longitudinal) coordinates of a camera-frame point."""
-    e_lat, e_lon, _ = _basis_arrays(cam)
-    p = np.array(pt)
-    return float(p @ e_lat), float(p @ e_lon)
+    e_lat, e_lon, _ = ground_basis(cam)
+    return _dot(pt, e_lat), _dot(pt, e_lon)
 
 
 def derive_box3d(
@@ -214,9 +207,9 @@ def derive_box3d(
     """
     if inflation <= 0:
         raise ValueError(f"inflation must be positive, got {inflation}")
-    e_lat, e_lon, normal = _basis_arrays(cam)
+    e_lat, e_lon, normal = ground_basis(cam)
 
-    center_ground = np.array(backproject_to_ground(PixelPoint(obb.cx, obb.cy), cam))
+    center_ground = backproject_to_ground(PixelPoint(obb.cx, obb.cy), cam)
 
     delta = obb.height / 4.0
     ca, sa = math.cos(obb.angle), math.sin(obb.angle)
@@ -226,8 +219,8 @@ def derive_box3d(
     probe_back = backproject_to_ground(
         PixelPoint(obb.cx - delta * ca, obb.cy - delta * sa), cam
     )
-    displacement = np.array(probe_fwd) - np.array(probe_back)
-    u, v = float(displacement @ e_lat), float(displacement @ e_lon)
+    displacement = tuple(f - b for f, b in zip(probe_fwd, probe_back))
+    u, v = _dot(displacement, e_lat), _dot(displacement, e_lon)
     if math.hypot(u, v) < _YAW_BASELINE_EPS:
         raise DegenerateYaw(
             f"yaw probes around ({obb.cx}, {obb.cy}) back-project to coincident points"
@@ -237,8 +230,9 @@ def derive_box3d(
     length = dims.length * inflation
     width = dims.width * inflation
     height = dims.height * inflation
-    center = center_ground + (height / 2.0) * normal
-    return Box3D(CameraPoint(*center), length, width, height, yaw)
+    lift = height / 2.0
+    center = CameraPoint(*(g + lift * n for g, n in zip(center_ground, normal)))
+    return Box3D(center, length, width, height, yaw)
 
 
 def box3d_corners(box: Box3D, cam: CameraModel) -> tuple[CameraPoint, ...]:
@@ -247,18 +241,22 @@ def box3d_corners(box: Box3D, cam: CameraModel) -> tuple[CameraPoint, ...]:
     Within each face the order is (+L,+W), (-L,+W), (-L,-W), (+L,-W) in the
     yaw-aligned in-plane frame; corner i+4 sits directly above corner i.
     """
-    e_lat, e_lon, normal = _basis_arrays(cam)
-    d_yaw = math.cos(box.yaw) * e_lat + math.sin(box.yaw) * e_lon
-    d_perp = -math.sin(box.yaw) * e_lat + math.cos(box.yaw) * e_lon
-    center = np.array(box.center)
+    e_lat, e_lon, normal = ground_basis(cam)
+    ca, sa = math.cos(box.yaw), math.sin(box.yaw)
+    d_yaw = [ca * a + sa * b for a, b in zip(e_lat, e_lon)]
+    d_perp = [-sa * a + ca * b for a, b in zip(e_lat, e_lon)]
     hl, hw, hh = box.length / 2.0, box.width / 2.0, box.height / 2.0
 
     corners = []
     for sign_h in (-1.0, 1.0):  # bottom face (away from camera) first
         for sign_l, sign_w in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
+            dl, dw, dh = sign_l * hl, sign_w * hw, sign_h * hh
             corners.append(
                 CameraPoint(
-                    *(center + sign_l * hl * d_yaw + sign_w * hw * d_perp + sign_h * hh * normal)
+                    *(
+                        c + dl * a + dw * b + dh * n
+                        for c, a, b, n in zip(box.center, d_yaw, d_perp, normal)
+                    )
                 )
             )
     return tuple(corners)
@@ -285,47 +283,48 @@ def project_box3d(box: Box3D, cam: CameraModel) -> ProjectedBox3D:
 # --------------------------------------------------------------------------
 
 
-def bev_footprint(box: Box3D, cam: CameraModel) -> np.ndarray:
-    """4x2 counter-clockwise footprint rectangle in ground (u, v) coordinates."""
-    e_lat, e_lon, _ = _basis_arrays(cam)
-    center = np.array(box.center)
-    cu, cv = float(center @ e_lat), float(center @ e_lon)
+def bev_footprint(box: Box3D, cam: CameraModel) -> Polygon:
+    """Counter-clockwise footprint rectangle in ground (u, v) coordinates."""
+    cu, cv = ground_uv(box.center, cam)
     ca, sa = math.cos(box.yaw), math.sin(box.yaw)
-    rot = np.array([[ca, -sa], [sa, ca]])
     hl, hw = box.length / 2.0, box.width / 2.0
-    local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
-    return ensure_ccw(local @ rot.T + np.array([cu, cv]))
+    local = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
+    corners = tuple((x * ca - y * sa + cu, x * sa + y * ca + cv) for x, y in local)
+    return ensure_ccw(corners)
 
 
-def polygon_area(poly: np.ndarray) -> float:
+def polygon_area(poly: Polygon) -> float:
     """Signed shoelace area; positive for counter-clockwise vertex order."""
     if len(poly) < 3:
         return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    fwd = back = 0.0
+    for (x0, y0), (x1, y1) in zip(poly, (*poly[1:], poly[0])):
+        fwd += x0 * y1
+        back += y0 * x1
+    return 0.5 * (fwd - back)
 
 
-def ensure_ccw(poly: np.ndarray) -> np.ndarray:
+def ensure_ccw(poly: Polygon) -> Polygon:
     """Return the polygon with counter-clockwise orientation."""
     return poly if polygon_area(poly) >= 0 else poly[::-1]
 
 
-def clip_convex(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
+def clip_convex(subject: Polygon, clipper: Polygon) -> Polygon:
     """Sutherland-Hodgman clip of a convex subject by a CCW convex clipper."""
     output = list(subject)
     for i in range(len(clipper)):
         if not output:
             break
-        a, b = clipper[i], clipper[(i + 1) % len(clipper)]
-        edge = b - a
+        (ax, ay), (bx, by) = clipper[i], clipper[(i + 1) % len(clipper)]
+        ex, ey = bx - ax, by - ay
         points, output = output, []
         for j in range(len(points)):
-            p, q = points[j], points[(j + 1) % len(points)]
+            (px, py), (qx, qy) = points[j], points[(j + 1) % len(points)]
             # Interior of a CCW clipper lies left of each edge: cross >= 0.
-            p_in = edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) >= 0
-            q_in = edge[0] * (q[1] - a[1]) - edge[1] * (q[0] - a[0]) >= 0
+            p_in = ex * (py - ay) - ey * (px - ax) >= 0
+            q_in = ex * (qy - ay) - ey * (qx - ax) >= 0
             if p_in:
-                output.append(p)
+                output.append((px, py))
             if p_in != q_in:
                 # Crossing point of segment pq with the infinite edge line.
                 # A segment collinear with the edge can still land here when
@@ -333,12 +332,12 @@ def clip_convex(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
                 # its denominator is ~0 and the "crossing" is anywhere along
                 # the shared line, so skip it (the endpoints are within
                 # ~1e-12*|pq| of the line and already handled above).
-                d = q - p
-                denom = edge[0] * d[1] - edge[1] * d[0]
-                if abs(denom) > 1e-12 * math.hypot(*edge) * math.hypot(*d):
-                    t = (edge[0] * (a[1] - p[1]) - edge[1] * (a[0] - p[0])) / denom
-                    output.append(p + t * d)
-    return np.array(output) if output else np.empty((0, 2))
+                dx, dy = qx - px, qy - py
+                denom = ex * dy - ey * dx
+                if abs(denom) > 1e-12 * math.hypot(ex, ey) * math.hypot(dx, dy):
+                    t = (ex * (ay - py) - ey * (ax - px)) / denom
+                    output.append((px + t * dx, py + t * dy))
+    return output
 
 
 def bev_iou(a: Box3D, b: Box3D, cam: CameraModel) -> float:
@@ -366,13 +365,8 @@ def hbb_iou(a: HorizontalBox2D, b: HorizontalBox2D) -> float:
 
 def obb_to_hbb(obb: OrientedBox2D) -> HorizontalBox2D:
     """Axis-aligned hull of the OBB's corners."""
-    corners = obb.corners()
-    return HorizontalBox2D(
-        float(corners[:, 0].min()),
-        float(corners[:, 1].min()),
-        float(corners[:, 0].max()),
-        float(corners[:, 1].max()),
-    )
+    xs, ys = zip(*obb.corners())
+    return HorizontalBox2D(min(xs), min(ys), max(xs), max(ys))
 
 
 def fit_min_area_obb(points: Sequence[Sequence[float]]) -> OrientedBox2D:
@@ -382,57 +376,56 @@ def fit_min_area_obb(points: Sequence[Sequence[float]]) -> OrientedBox2D:
     side collinear with a hull edge, so trying every hull-edge direction is
     exact. Raises ValueError on degenerate (collinear) input.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
+    try:
+        pts = [(float(x), float(y)) for x, y in points]
+    except (TypeError, ValueError):
+        pts = []
+    if len(pts) < 3:
         raise ValueError("need at least 3 points of shape (n, 2)")
     hull = _convex_hull(pts)
     if len(hull) < 3:
         raise ValueError("points are collinear; no area-minimal rectangle exists")
 
     best = None
-    for i in range(len(hull)):
-        edge = hull[(i + 1) % len(hull)] - hull[i]
-        angle = math.atan2(edge[1], edge[0])
+    for (x0, y0), (x1, y1) in zip(hull, (*hull[1:], hull[0])):
+        angle = math.atan2(y1 - y0, x1 - x0)
         ca, sa = math.cos(-angle), math.sin(-angle)
-        rot = np.array([[ca, -sa], [sa, ca]])
-        local = hull @ rot.T
-        lo, hi = local.min(axis=0), local.max(axis=0)
-        w, h = float(hi[0] - lo[0]), float(hi[1] - lo[1])
+        # Hull in the frame rotated by -angle: this edge lies along +x.
+        us = [x * ca - y * sa for x, y in hull]
+        vs = [x * sa + y * ca for x, y in hull]
+        lo_u, hi_u, lo_v, hi_v = min(us), max(us), min(vs), max(vs)
+        w, h = hi_u - lo_u, hi_v - lo_v
         area = w * h
         if best is None or area < best[0] - 1e-12:
-            center_local = (lo + hi) / 2.0
-            center = rot.T @ center_local
-            best = (area, float(center[0]), float(center[1]), w, h, angle)
+            mu, mv = (lo_u + hi_u) / 2.0, (lo_v + hi_v) / 2.0
+            best = (area, ca * mu + sa * mv, -sa * mu + ca * mv, w, h, angle)
 
     _, cx, cy, w, h, angle = best
     return OrientedBox2D.normalized(cx, cy, w, h, angle)
 
 
-def _convex_hull(pts: np.ndarray) -> np.ndarray:
+def _convex_hull(pts: Polygon) -> list[tuple[float, float]]:
     """Andrew's monotone chain; returns hull vertices in CCW order."""
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    # Drop exact duplicates to keep the cross-product tests meaningful.
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.any(np.diff(pts, axis=0) != 0, axis=1)
-    pts = pts[keep]
+    # Sorted by x then y, with exact duplicates dropped to keep the
+    # cross-product tests meaningful.
+    pts = sorted(set(pts))
     if len(pts) < 3:
         return pts
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[np.ndarray] = []
+    lower: list[tuple[float, float]] = []
     for p in pts:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
+    upper: list[tuple[float, float]] = []
+    for p in reversed(pts):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+    return lower[:-1] + upper[:-1]
 
 
 # --------------------------------------------------------------------------
@@ -482,9 +475,12 @@ def _parse_fields(body: str, where: str) -> list[float]:
     if any(not p for p in parts):
         raise ParseError(f"empty field in location {where!r}")
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError as exc:
         raise ParseError(f"non-numeric field in location {where!r}: {exc}") from None
+    if not all(map(math.isfinite, vals)):
+        raise ParseError(f"non-finite field in location {where!r}")
+    return vals
 
 
 def parse_location(text: str) -> Location:

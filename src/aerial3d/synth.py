@@ -33,6 +33,7 @@ from .boxes import (
     box3d_corners,
     derive_box3d,
     fit_min_area_obb,
+    ground_basis,
     ground_uv,
     wrap_angle_half_pi,
 )
@@ -120,9 +121,7 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
         pitch=pitch,
         agl=agl,
     )
-    basis_n = np.array(
-        [0.0, -math.cos(pitch), -math.sin(pitch)]
-    )  # ground normal toward camera
+    normal = ground_basis(cam).normal
 
     replace = cfg.n_vehicles > len(table)
     indices = rng.choice(len(table), size=cfg.n_vehicles, replace=replace)
@@ -155,10 +154,9 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
                 half = cfg.ground_extent / 2.0
                 if abs(gu - pu) > half or abs(gv - pv) > half:
                     continue
-            center = np.array(ground) + (dims.height / 2.0) * basis_n
-            candidate = Box3D(
-                CameraPoint(*center), dims.length, dims.width, dims.height, yaw
-            )
+            lift = dims.height / 2.0
+            center = CameraPoint(*(g + lift * n for g, n in zip(ground, normal)))
+            candidate = Box3D(center, dims.length, dims.width, dims.height, yaw)
             try:
                 corners_px = [
                     project_to_pixel(c, cam) for c in box3d_corners(candidate, cam)

@@ -15,11 +15,13 @@ from aerial3d.agent import (
     MockVLMBackend,
     Toolbox,
     execute,
+    load_planner_prompt,
     parse_plan_text,
     plan,
     run_query,
     validate_bindings,
 )
+from aerial3d.agent import planning
 from aerial3d.boxes import Box3D, extract_location
 from aerial3d.errors import BindingMissing, PlanParseError, UnknownWorkflow
 from aerial3d.evaluation import annotation_from_dict
@@ -304,6 +306,29 @@ class TestRunQuery:
         result = run_query("scene.png", "Write me a poem.", mock_config(ann, table))
         assert result["answer"].startswith("error: planning failed")
         assert result["trace"]["plan"] is None
+
+    def test_blank_query_is_structured(self, ann, table):
+        result = run_query("scene.png", "   ", mock_config(ann, table))
+        assert result["answer"] == "error: planning failed: query must be non-empty"
+        assert result["trace"]["plan"] is None
+        assert result["trace"]["answer"] == result["answer"]
+
+    def test_packaged_prompt_read_once(self, ann, table, monkeypatch):
+        reads = []
+
+        def counting_load(path=None):
+            reads.append(path)
+            return load_planner_prompt(path)
+
+        monkeypatch.setattr(planning, "load_planner_prompt", counting_load)
+        planning._packaged_planner_prompt.cache_clear()
+        query = f"What color is the vehicle at {CAR0_REGION}?"
+        answers = [
+            run_query("scene.png", query, mock_config(ann, table))["answer"]
+            for _ in range(3)
+        ]
+        assert answers == ["color: white"] * 3
+        assert reads == [None]
 
     def test_traces_are_byte_identical(self, ann, table):
         query = f"What are the brand and model of the vehicle at {CAR0_REGION}?"

@@ -82,7 +82,25 @@ class TestOrientedBox2D:
         assert (hbb.x1, hbb.y1, hbb.x2, hbb.y2) == (80, 90, 120, 110)
 
 
+# The whole pitch range CameraModel accepts, from near-horizontal to nadir.
+PITCHES_DEG = (1.0, 10.0, 30.0, 45.0, 60.0, 89.0, 90.0)
+
+
+def cam_at(pitch_deg: float) -> CameraModel:
+    return CameraModel(0.01, 1e-5, 1000, 1000, math.radians(pitch_deg), 50.0)
+
+
 class TestGroundBasis:
+    @pytest.mark.parametrize("pitch_deg", PITCHES_DEG)
+    def test_orthonormal_and_right_handed(self, pitch_deg):
+        basis = ground_basis(cam_at(pitch_deg))
+        frame = np.array(basis)
+        np.testing.assert_allclose(frame @ frame.T, np.eye(3), atol=1e-15)
+        # np.cross is an independent oracle for the closed-form frame.
+        np.testing.assert_allclose(
+            np.cross(basis.e_lat, basis.e_lon), basis.normal, atol=1e-15
+        )
+
     def test_nadir(self, cam_nadir):
         basis = ground_basis(cam_nadir)
         np.testing.assert_allclose(basis.e_lat, (1, 0, 0), atol=1e-15)
@@ -129,17 +147,22 @@ class TestDeriveBox3D:
         # Lifted by the inflated half height.
         np.testing.assert_allclose(box.center.z, 50.0 - 0.825, atol=1e-9)
 
-    def test_bottom_face_rests_on_ground(self, cam_oblique):
+    @pytest.mark.parametrize("pitch_deg", PITCHES_DEG)
+    def test_bottom_face_rests_on_ground(self, pitch_deg):
+        # Pixel row 700 lies below the principal point, so it sees the
+        # ground at every pitch, even 1 degree where the top half is sky.
+        cam = cam_at(pitch_deg)
         obb = OrientedBox2D(520.0, 700.0, 80.0, 30.0, math.radians(12.0))
-        box = derive_box3d(obb, CAR, cam_oblique)
-        corners = box3d_corners(box, cam_oblique)
+        box = derive_box3d(obb, CAR, cam)
+        corners = box3d_corners(box, cam)
+        # Rounding grows with the corners' distance: hundreds of meters at
+        # 1 degree.
+        tol = 1e-12 * max(math.dist((0.0, 0.0, 0.0), c) for c in corners)
         for corner in corners[:4]:
-            assert abs(ground_plane_residual(corner, cam_oblique)) < 1e-6 * 50.0
+            assert abs(ground_plane_residual(corner, cam)) < tol
         # Top face floats one height above, along the plane normal.
         for corner in corners[4:]:
-            np.testing.assert_allclose(
-                ground_plane_residual(corner, cam_oblique), 1.5, atol=1e-9
-            )
+            np.testing.assert_allclose(ground_plane_residual(corner, cam), 1.5, atol=tol)
 
     def test_yaw_zero_points_along_lateral_axis(self, cam_nadir):
         obb = OrientedBox2D(500.0, 500.0, 90.0, 36.0, 0.0)
@@ -232,7 +255,7 @@ class TestBevIoU:
         np.testing.assert_allclose(bev_iou(a, b, cam_oblique), 1.0 / 3.0, rtol=1e-9)
 
     def test_footprint_is_ccw_with_correct_area(self, cam_nadir):
-        footprint = bev_footprint(nadir_box(1.0, 2.0, 4.5, 1.8, 0.7), cam_nadir)
+        footprint = np.asarray(bev_footprint(nadir_box(1.0, 2.0, 4.5, 1.8, 0.7), cam_nadir))
         x, y = footprint[:, 0], footprint[:, 1]
         area2 = np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))
         np.testing.assert_allclose(area2 / 2.0, 4.5 * 1.8, rtol=1e-12)
@@ -306,7 +329,10 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "text",
-        ["[1,2,3]", "<1,2,3,4,5,6>", "[1,2,3,4,5,6]", "no box here", "[1,,3,4]", "[a,b,c,d]"],
+        [
+            "[1,2,3]", "<1,2,3,4,5,6>", "[1,2,3,4,5,6]", "no box here", "[1,,3,4]", "[a,b,c,d]",
+            "<nan,0,50,4,2,1.5,0>", "[0,0,inf,10]",
+        ],
     )
     def test_bad_inputs_raise(self, text):
         with pytest.raises(ParseError):
