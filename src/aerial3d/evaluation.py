@@ -37,11 +37,11 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
 
-import jsonschema
 import numpy as np
 
 from .boxes import (
@@ -73,78 +73,76 @@ NUMERIC_ATTRIBUTES = frozenset({"price", "doors", "seats"})
 # Annotation schema and loading
 # --------------------------------------------------------------------------
 
-ANNOTATION_SCHEMA: dict[str, Any] = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["image", "image_width", "image_height", "camera", "objects"],
-    "properties": {
-        "image": {"type": "string"},
-        "image_width": {"type": "integer", "minimum": 1},
-        "image_height": {"type": "integer", "minimum": 1},
-        "camera": {
-            "type": "object",
-            "required": ["focal_length_m", "pixel_size_m", "pitch_deg", "agl_m"],
-            "properties": {
-                "focal_length_m": {"type": "number", "exclusiveMinimum": 0},
-                "pixel_size_m": {"type": "number", "exclusiveMinimum": 0},
-                "pitch_deg": {"type": "number", "exclusiveMinimum": 0, "maximum": 90},
-                "agl_m": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "objects": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "obb", "dims_mm"],
-                "properties": {
-                    "id": {"type": "string", "minLength": 1},
-                    "obb": {
-                        "type": "object",
-                        "required": ["cx", "cy", "w", "h", "angle_deg"],
-                        "properties": {
-                            "cx": {"type": "number"},
-                            "cy": {"type": "number"},
-                            "w": {"type": "number", "exclusiveMinimum": 0},
-                            "h": {"type": "number", "exclusiveMinimum": 0},
-                            "angle_deg": {"type": "number"},
-                        },
-                    },
-                    "dims_mm": {
-                        "type": "object",
-                        "required": ["length", "width", "height"],
-                        "properties": {
-                            "length": {"type": "number", "exclusiveMinimum": 0},
-                            "width": {"type": "number", "exclusiveMinimum": 0},
-                            "height": {"type": "number", "exclusiveMinimum": 0},
-                        },
-                    },
-                    "attributes": {"type": "object"},
-                },
-            },
-        },
-    },
-}
-
 # Annotated boxes may spill past the frame by at most this fraction of the
 # image size (e.g. a vehicle half out of shot).
 _BOUNDS_MARGIN = 0.10
 
+_TYPES = {
+    "string": str, "object": dict, "array": list, "number": (int, float), "integer": (int, float)
+}
 
-def _pointer(err: jsonschema.ValidationError) -> str:
-    path = list(err.absolute_path)
-    if err.validator == "required":
-        # Point at the missing property itself, not its parent object.
-        path.append(err.message.split("'")[1])
-    return "/" + "/".join(str(p) for p in path)
+
+def _check(value: Any, pointer: str, kind: str) -> Any:
+    """`value` if it has JSON type `kind` (a number is finite, never a bool)."""
+    if (
+        not isinstance(value, _TYPES[kind])
+        or isinstance(value, bool)
+        or (kind == "integer" and isinstance(value, float) and not value.is_integer())
+    ):
+        raise SchemaError(pointer or "/", f"{value!r} is not of type {kind!r}")
+    # nan fails every comparison; ints can exceed the float range.
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        raise SchemaError(pointer, "not a finite number")
+    return value
+
+
+def _field(
+    parent: dict, path: str, name: str, kind: str = "number",
+    minimum: float | None = None, maximum: float | None = None,
+) -> Any:
+    """parent[name], required, of type `kind`, > minimum and <= maximum."""
+    pointer = f"{path}/{name}"
+    if name not in parent:
+        raise SchemaError(pointer, f"{name!r} is a required property")
+    value = _check(parent[name], pointer, kind)
+    if minimum is not None and value <= minimum:
+        raise SchemaError(pointer, f"{value!r} is not greater than {minimum}")
+    if maximum is not None and value > maximum:
+        raise SchemaError(pointer, f"{value!r} is greater than the maximum of {maximum}")
+    return value
 
 
 def validate_annotation(data: dict) -> None:
-    """Validate a raw annotation dict; SchemaError carries a JSON pointer."""
-    validator = jsonschema.Draft202012Validator(ANNOTATION_SCHEMA)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        raise SchemaError(_pointer(err), err.message)
+    """Validate a raw annotation dict; SchemaError carries a JSON pointer.
+
+    Every field of the format above is required except `attributes`, which
+    must be an object when present; other keys are ignored. Numbers must be
+    finite (nan and inf are rejected) and bools are not numbers. When a
+    document has several violations, the pointer names the first one in
+    document order: fields in the order the format lists them, objects by
+    index. Object ids must be non-empty and unique, and each box must lie
+    within the image bounds plus a margin.
+    """
+    _check(data, "", "object")
+    _field(data, "", "image", "string")
+    _field(data, "", "image_width", "integer", minimum=0)
+    _field(data, "", "image_height", "integer", minimum=0)
+    camera = _field(data, "", "camera", "object")
+    for name in ("focal_length_m", "pixel_size_m", "pitch_deg", "agl_m"):
+        _field(camera, "/camera", name, minimum=0, maximum=90 if name == "pitch_deg" else None)
+    for i, obj in enumerate(_field(data, "", "objects", "array")):
+        path = f"/objects/{i}"
+        _check(obj, path, "object")
+        if not _field(obj, path, "id", "string"):
+            raise SchemaError(f"{path}/id", "'' should be non-empty")
+        obb = _field(obj, path, "obb", "object")
+        for name in ("cx", "cy", "w", "h", "angle_deg"):
+            _field(obb, f"{path}/obb", name, minimum=0 if name in ("w", "h") else None)
+        dims = _field(obj, path, "dims_mm", "object")
+        for name in ("length", "width", "height"):
+            _field(dims, f"{path}/dims_mm", name, minimum=0)
+        if "attributes" in obj:
+            _check(obj["attributes"], f"{path}/attributes", "object")
 
     width, height = data["image_width"], data["image_height"]
     mx, my = _BOUNDS_MARGIN * width, _BOUNDS_MARGIN * height
@@ -237,8 +235,6 @@ def load_annotations(path: str | Path) -> AnnotationFile:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise SchemaError("/", "annotation root must be a JSON object")
     return annotation_from_dict(data)
 
 
@@ -273,6 +269,11 @@ def load_predictions(path: str | Path) -> dict[str, dict]:
 
 _THOUSANDS = re.compile(r"(?<=\d),(?=\d)")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_SUBUNIT = re.compile(r"\s*(mm|millimet(?:er|re)s?|cm|centimet(?:er|re)s?)\b", re.IGNORECASE)
+
+
+def _first_number(answer: str | None) -> re.Match[str] | None:
+    return None if answer is None else _NUMBER.search(_THOUSANDS.sub("", answer))
 
 
 def extract_numeric(answer: str | None) -> float | None:
@@ -281,27 +282,25 @@ def extract_numeric(answer: str | None) -> float | None:
     Returns None when the text contains no digits; callers score that as a
     parse failure (and incorrect).
     """
-    if answer is None:
-        return None
-    match = _NUMBER.search(_THOUSANDS.sub("", answer))
+    match = _first_number(answer)
     return float(match.group()) if match else None
 
 
 def numeric_in_meters(answer: str | None) -> float | None:
     """extract_numeric plus unit normalization to meters.
 
-    Answers are assumed meter-denominated unless the text mentions
-    millimeters or centimeters.
+    Answers are meter-denominated unless the word right after the number is
+    a millimeter or centimeter unit ("4690 mm", "150cm"); units elsewhere in
+    the text do not apply to it.
     """
-    value = extract_numeric(answer)
-    if value is None or answer is None:
+    match = _first_number(answer)
+    if match is None:
+        return None
+    value = float(match.group())
+    unit = _SUBUNIT.match(match.string, match.end())
+    if unit is None:
         return value
-    lowered = answer.lower()
-    if "millimeter" in lowered or "millimetre" in lowered or "mm" in lowered:
-        return value / 1000.0
-    if "centimeter" in lowered or "centimetre" in lowered or "cm" in lowered:
-        return value / 100.0
-    return value
+    return value / (1000.0 if unit.group(1)[0] in "mM" else 100.0)
 
 
 # --------------------------------------------------------------------------

@@ -127,7 +127,8 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
     indices = rng.choice(len(table), size=cfg.n_vehicles, replace=replace)
     records = [table.records[int(i)] for i in indices]
 
-    placed_boxes: list[Box3D] = []
+    # Each placed box with its ground bounding circle (u, v, radius).
+    placed: list[tuple[Box3D, float, float, float]] = []
     ann_objects: list[dict[str, Any]] = []
     gt_objects: list[dict[str, Any]] = []
     principal_ground = None
@@ -165,7 +166,15 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
                 continue
             if not _in_frame(corners_px, cfg.image_width, cfg.image_height):
                 continue
-            if any(bev_iou(candidate, other, cam) > 0.0 for other in placed_boxes):
+            # A footprint lies inside its bounding circle, so two circles that
+            # are strictly apart cannot overlap and bev_iou would return 0.0.
+            cu, cv = ground_uv(center, cam)
+            radius = math.hypot(candidate.length, candidate.width) / 2.0
+            if any(
+                math.hypot(cu - u, cv - v) <= radius + r
+                and bev_iou(candidate, other, cam) > 0.0
+                for other, u, v, r in placed
+            ):
                 continue
             box = candidate
             break
@@ -174,7 +183,7 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
                 f"could not place vehicle {i} ({record.brand} {record.model}) "
                 f"after {cfg.max_rejections} attempts"
             )
-        placed_boxes.append(box)
+        placed.append((box, cu, cv, radius))
 
         bottom_px = [project_to_pixel(c, cam) for c in box3d_corners(box, cam)[:4]]
         obb = fit_min_area_obb([(p.x, p.y) for p in bottom_px])

@@ -1,8 +1,9 @@
-"""Independent numeric oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
 These deliberately avoid the closed forms under test: the ray-ground oracle
 finds the intersection by sign-change bracketing plus bisection along the
-ray, and the IoU oracle estimates overlap by Monte-Carlo point membership.
+ray, the IoU oracle estimates overlap by Monte-Carlo point membership, and
+the annotation oracle runs the format's JSON Schema through `jsonschema`.
 Agreement between a closed form and its oracle is evidence both are right;
 sharing code between them would prove nothing.
 """
@@ -10,6 +11,7 @@ sharing code between them would prove nothing.
 from __future__ import annotations
 
 import math
+from typing import Any
 
 import numpy as np
 
@@ -95,3 +97,81 @@ def monte_carlo_iou(
     if union == 0:
         return 0.0
     return np.count_nonzero(in_a & in_b) / union
+
+
+ANNOTATION_SCHEMA: dict[str, Any] = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["image", "image_width", "image_height", "camera", "objects"],
+    "properties": {
+        "image": {"type": "string"},
+        "image_width": {"type": "integer", "minimum": 1},
+        "image_height": {"type": "integer", "minimum": 1},
+        "camera": {
+            "type": "object",
+            "required": ["focal_length_m", "pixel_size_m", "pitch_deg", "agl_m"],
+            "properties": {
+                "focal_length_m": {"type": "number", "exclusiveMinimum": 0},
+                "pixel_size_m": {"type": "number", "exclusiveMinimum": 0},
+                "pitch_deg": {"type": "number", "exclusiveMinimum": 0, "maximum": 90},
+                "agl_m": {"type": "number", "exclusiveMinimum": 0},
+            },
+        },
+        "objects": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["id", "obb", "dims_mm"],
+                "properties": {
+                    "id": {"type": "string", "minLength": 1},
+                    "obb": {
+                        "type": "object",
+                        "required": ["cx", "cy", "w", "h", "angle_deg"],
+                        "properties": {
+                            "cx": {"type": "number"},
+                            "cy": {"type": "number"},
+                            "w": {"type": "number", "exclusiveMinimum": 0},
+                            "h": {"type": "number", "exclusiveMinimum": 0},
+                            "angle_deg": {"type": "number"},
+                        },
+                    },
+                    "dims_mm": {
+                        "type": "object",
+                        "required": ["length", "width", "height"],
+                        "properties": {
+                            "length": {"type": "number", "exclusiveMinimum": 0},
+                            "width": {"type": "number", "exclusiveMinimum": 0},
+                            "height": {"type": "number", "exclusiveMinimum": 0},
+                        },
+                    },
+                    "attributes": {"type": "object"},
+                },
+            },
+        },
+    },
+}
+
+
+def _pointer(err) -> str:
+    path = list(err.absolute_path)
+    if err.validator == "required":
+        # Point at the missing property itself, not its parent object.
+        path.append(err.message.split("'")[1])
+    return "/" + "/".join(str(p) for p in path)
+
+
+def jsonschema_pointers(doc: Any) -> tuple[str | None, set[str]]:
+    """Schema check of an annotation document by `jsonschema`.
+
+    Returns the pointer of jsonschema's best match (None for a valid
+    document) and the pointers of all its errors. Only the schema: the
+    duplicate-id and image-bounds checks are not part of it.
+    """
+    import jsonschema
+
+    validator = jsonschema.Draft202012Validator(ANNOTATION_SCHEMA)
+    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None, set()
+    best = jsonschema.exceptions.best_match(errors)
+    return _pointer(best), {_pointer(e) for e in errors}

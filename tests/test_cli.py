@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aerial3d
 from aerial3d.boxes import Box3D, parse_location
 from aerial3d.cli import main
 from aerial3d.evaluation import (
@@ -22,6 +27,20 @@ def ann_path(tmp_path, annotation_dict):
 
 def run(args):
     return main(args)
+
+
+def test_import_does_not_load_jsonschema():
+    # jsonschema is a test-only dependency: the package must not import it.
+    code = "import sys, aerial3d, aerial3d.cli; print('jsonschema' in sys.modules)"
+    src = str(Path(aerial3d.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestUsageErrors:

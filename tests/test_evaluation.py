@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from aerial3d.evaluation import (
     evaluate_sqa_file,
     extract_numeric,
     grounding_ground_truth,
+    load_annotations,
     load_predictions,
     numeric_in_meters,
     render_report_table,
@@ -35,6 +38,7 @@ from aerial3d.evaluation import (
     validate_annotation,
     within_5pct,
 )
+from oracles import jsonschema_pointers
 
 
 class TestExtractNumeric:
@@ -63,6 +67,14 @@ class TestExtractNumeric:
             ("12.5 m", 12.5),
             ("12.5", 12.5),
             ("no number", None),
+            # The unit is the word right after the number, not any in the text.
+            ("hmm, 3 m", 3.0),
+            ("4.69 m, i.e. 4690 mm", 4.69),
+            ("5 m (500 cm)", 5.0),
+            ("4690 mm", 4.69),
+            ("1.234 m", 1.234),
+            ("It is about 1.23 meters.", 1.23),
+            ("1.23m", 1.23),
         ],
     )
     def test_unit_normalization(self, text, expected):
@@ -213,6 +225,138 @@ class TestAnnotationValidation:
         annotation_dict["camera"]["pitch_deg"] = 95.0
         with pytest.raises(SchemaError):
             validate_annotation(annotation_dict)
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("camera", "agl_m"), math.inf),
+            (("camera", "pitch_deg"), math.nan),
+            (("objects", 0, "dims_mm", "length"), math.inf),
+            (("objects", 1, "obb", "angle_deg"), -math.inf),
+            (("objects", 0, "obb", "cx"), math.nan),
+            (("objects", 1, "obb", "w"), math.nan),
+            (("image_width",), 10**400),  # beyond the float range
+        ],
+        ids=lambda x: (
+            "/".join(map(str, x)) if isinstance(x, tuple)
+            else repr(x) if isinstance(x, float) else f"{len(str(x))}-digit"
+        ),
+    )
+    def test_non_finite_number_rejected(self, annotation_dict, path, value):
+        *parents, key = path
+        node = annotation_dict
+        for p in parents:
+            node = node[p]
+        node[key] = value
+        with pytest.raises(SchemaError) as info:
+            annotation_from_dict(annotation_dict)
+        assert info.value.pointer == "/" + "/".join(map(str, path))
+
+    def test_json_infinity_rejected_on_load(self, tmp_path, annotation_dict):
+        annotation_dict["camera"]["agl_m"] = math.inf
+        path = tmp_path / "annotation.json"
+        path.write_text(json.dumps(annotation_dict))  # writes a bare Infinity
+        with pytest.raises(SchemaError) as info:
+            load_annotations(path)
+        assert info.value.pointer == "/camera/agl_m"
+
+    def test_json_types_follow_json_schema(self, annotation_dict):
+        annotation_dict["image_width"] = 1000.0  # an integer-valued number
+        annotation_dict["objects"][0]["extra"] = "ignored"
+        annotation_dict["objects"][1]["attributes"] = {}
+        validate_annotation(annotation_dict)
+        annotation_dict["objects"][0]["obb"]["h"] = True
+        with pytest.raises(SchemaError) as info:
+            validate_annotation(annotation_dict)
+        assert info.value.pointer == "/objects/0/obb/h"
+
+    def test_non_object_root_pointer(self, tmp_path):
+        with pytest.raises(SchemaError) as info:
+            validate_annotation([])
+        assert info.value.pointer == "/"
+        path = tmp_path / "annotation.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(SchemaError) as info:
+            load_annotations(path)
+        assert info.value.pointer == "/"
+
+
+_DELETE = object()
+_MUTATIONS = (_DELETE, None, "x", "", True, -1, 0, 95.0, [], {}, 1.5)
+
+
+def _node_paths(node, prefix=()):
+    """Paths of every node below the root, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _node_paths(child, prefix + (key,))
+
+
+def _mutate(doc, path, value) -> None:
+    """Set (or delete) the node at path in place; skip a path that is gone."""
+    *parents, key = path
+    try:
+        node = doc
+        for p in parents:
+            node = node[p]
+        if value is _DELETE:
+            del node[key]
+        else:
+            node[key] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+def _outcome(doc):
+    try:
+        validate_annotation(doc)
+    except SchemaError as exc:
+        return exc.pointer, str(exc)
+    return None, None
+
+
+def _check_against_oracle(doc, exact: bool):
+    best, pointers = jsonschema_pointers(doc)
+    pointer, message = _outcome(doc)
+    if best is None:
+        # Schema-valid: only the duplicate-id and bounds checks may reject it.
+        assert pointer is None or "duplicate" in message or "bounds" in message, message
+    elif exact:
+        assert pointer == best, (pointer, best)
+    else:
+        assert pointer in pointers, (pointer, pointers)
+
+
+class TestValidatorAgainstJsonschema:
+    """The validator reports the pointer the format's JSON Schema does."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_jsonschema(self):
+        pytest.importorskip("jsonschema")
+
+    def test_single_faults_match_best_match(self, annotation_dict):
+        checked = 0
+        for path in _node_paths(annotation_dict):
+            for value in _MUTATIONS:
+                doc = copy.deepcopy(annotation_dict)
+                _mutate(doc, path, copy.deepcopy(value))
+                _check_against_oracle(doc, exact=True)
+                checked += 1
+        assert checked >= 400
+
+    def test_several_faults_name_one_of_the_errors(self, annotation_dict):
+        rng = random.Random(0)
+        paths = list(_node_paths(annotation_dict))
+        several = 0
+        for _ in range(400):
+            doc = copy.deepcopy(annotation_dict)
+            for path in rng.sample(paths, rng.randint(2, 4)):
+                _mutate(doc, path, copy.deepcopy(rng.choice(_MUTATIONS)))
+            several += len(jsonschema_pointers(doc)[1]) > 1
+            _check_against_oracle(doc, exact=False)
+        assert several >= 100
 
 
 class TestLoadPredictions:

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from aerial3d.boxes import bev_iou, derive_box3d, project_box3d
-from aerial3d.camera import CameraModel
+from aerial3d.boxes import Box3D, bev_iou, derive_box3d, ground_basis, ground_uv, project_box3d
+from aerial3d.camera import CameraModel, CameraPoint
 from aerial3d.errors import IdMismatch, PlacementExhausted
 from aerial3d.evaluation import annotation_from_dict, load_annotations, validate_annotation
 from aerial3d.synth import (
@@ -97,6 +97,50 @@ class TestGenerateScene:
         )
         with pytest.raises(PlacementExhausted):
             generate_scene(cfg, table)
+
+    @pytest.mark.parametrize("pitch_deg", [10.0, 30.0, 45.0, 60.0, 75.0, 90.0])
+    def test_apart_bounding_circles_mean_zero_iou(self, pitch_deg):
+        # generate_scene skips bev_iou for pairs whose ground bounding
+        # circles are strictly apart; that is exact only if such a pair's
+        # IoU is exactly 0.0. The hardest pairs face corner to corner, each
+        # corner on its circle, with the circles 1e-12 to 1 m apart or
+        # overlapping.
+        cam = CameraModel(0.01, 1e-5, 1000, 1000, math.radians(pitch_deg), 60.0)
+        e_lat, e_lon, normal = ground_basis(cam)
+        rng = np.random.default_rng(int(pitch_deg))
+
+        def box_at(u, v, length, width, yaw):
+            height = 1.5
+            center = CameraPoint(
+                *(u * a + v * b - (cam.agl - height / 2) * n
+                  for a, b, n in zip(e_lat, e_lon, normal))
+            )
+            return Box3D(center, length, width, height, yaw)
+
+        def radius(box):
+            return math.hypot(box.length, box.width) / 2.0
+
+        def facing(dims, phi):
+            """A yaw that turns the (+L, +W) footprint corner to direction phi."""
+            return phi - math.atan2(dims[1], dims[0]) + rng.normal(0.0, 1e-3)
+
+        apart = 0
+        for _ in range(2000):
+            dims_a, dims_b = rng.uniform((3.0, 1.4), (6.0, 2.2), size=(2, 2))
+            theta = rng.uniform(-math.pi, math.pi)
+            a = box_at(*rng.uniform(-8.0, 8.0, size=2), *dims_a, facing(dims_a, theta))
+            ua, va = ground_uv(a.center, cam)
+            gap = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 0.0)
+            dist = radius(a) + math.hypot(*dims_b) / 2.0 + gap
+            b = box_at(
+                ua + dist * math.cos(theta), va + dist * math.sin(theta),
+                *dims_b, facing(dims_b, theta + math.pi),
+            )
+            ub, vb = ground_uv(b.center, cam)
+            if math.hypot(ua - ub, va - vb) > radius(a) + radius(b):
+                assert bev_iou(a, b, cam) == 0.0
+                apart += 1
+        assert 800 < apart < 1200
 
     def test_oblique_scene_generates(self, table):
         cfg = SceneConfig(
