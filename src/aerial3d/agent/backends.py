@@ -4,8 +4,14 @@ Every backend exposes `complete(prompt, image=None) -> str`. The mock
 family answers from an annotation file with optional seeded Gaussian
 noise, so agent logic is testable without any model: a noiseless mock is
 an oracle, a noisy one emulates imperfect perception. The HTTP backends
-speak a minimal JSON contract (POST {prompt, image} -> answer text) so any
-served model can drop in.
+speak a minimal contract so any served model can drop in: `HTTPBackend`
+POSTs JSON {prompt, image} and `HTTPSearchBackend` GETs ?q=<query>; the
+reply body is the answer text.
+
+Both HTTP backends share one standard-library transport (`_fetch`): one
+attempt plus one retry on any connection, timeout or HTTP-status failure,
+then a BackendError naming the backend. The reply is decoded with the
+charset the response declares, UTF-8 when it declares none.
 
 Mock backends hold RNG state and are single-flight; create one per
 concurrent query (they are cheap). HTTP backends are stateless and safe
@@ -14,13 +20,16 @@ to share.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import re
+import urllib.error
+import urllib.parse
+import urllib.request
 from typing import Protocol
 
 import numpy as np
-import requests
 
 from ..boxes import (
     Box3D,
@@ -32,11 +41,9 @@ from ..boxes import (
     obb_to_hbb,
     serialize_location,
 )
-from ..errors import UnknownWorkflow
-from ..evaluation import AnnotatedObject, AnnotationFile, extract_numeric
+from ..errors import BackendError, UnknownWorkflow
+from ..evaluation import _NUMBER, AnnotatedObject, AnnotationFile, extract_numeric
 from ..vehicles import VehicleTable
-
-_FLOAT = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
 
 
 class Backend(Protocol):
@@ -49,7 +56,7 @@ class Backend(Protocol):
 
 
 def _floats(text: str) -> list[float]:
-    return [float(m) for m in _FLOAT.findall(text)]
+    return [float(m) for m in _NUMBER.findall(text)]
 
 
 class MockVLMBackend:
@@ -320,34 +327,47 @@ class MockSummarizerBackend:
         return parsed if isinstance(parsed, dict) else {}
 
 
+def _fetch(request: urllib.request.Request, name: str, timeout: float) -> str:
+    """Send `request`: one attempt plus one retry, then BackendError."""
+    last_error: Exception | None = None
+    for _ in range(2):
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                body = response.read()
+                charset = response.headers.get_content_charset() or "utf-8"
+            break
+        except urllib.error.HTTPError as exc:
+            exc.close()  # an error status: release the connection, drop the body
+            last_error = exc
+        except (OSError, http.client.HTTPException) as exc:  # URLError, timeouts
+            last_error = exc
+    else:
+        raise BackendError(f"{name} backend failed after retries: {last_error}")
+    try:
+        return body.decode(charset, errors="replace")
+    except LookupError:  # a charset Python does not know
+        return body.decode("utf-8", errors="replace")
+
+
 class HTTPBackend:
     """Generic served-model backend: POST {prompt, image} -> answer text."""
 
-    def __init__(
-        self,
-        url: str,
-        name: str = "http",
-        timeout: float = 30.0,
-        retries: int = 1,
-    ):
+    def __init__(self, url: str, name: str = "http", timeout: float = 30.0):
+        urllib.request.Request(url)  # a malformed URL raises ValueError here
         self.url = url
         self.name = name
         self.timeout = timeout
-        self.retries = retries
 
     def complete(self, prompt: str, image: str | None = None) -> str:
         payload: dict = {"prompt": prompt}
         if image is not None:
             payload["image"] = image
-        last_error: Exception | None = None
-        for _ in range(self.retries + 1):
-            try:
-                response = requests.post(self.url, json=payload, timeout=self.timeout)
-                response.raise_for_status()
-                return response.text
-            except requests.RequestException as exc:
-                last_error = exc
-        raise RuntimeError(f"{self.name} backend failed after retries: {last_error}")
+        request = urllib.request.Request(
+            self.url,
+            data=json.dumps(payload, allow_nan=False).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        return _fetch(request, self.name, self.timeout)
 
 
 class FixtureSearchBackend:
@@ -371,10 +391,13 @@ class HTTPSearchBackend:
     name = "http-search"
 
     def __init__(self, url: str, timeout: float = 30.0):
+        urllib.request.Request(url)  # a malformed URL raises ValueError here
         self.url = url
         self.timeout = timeout
 
     def complete(self, prompt: str, image: str | None = None) -> str:
-        response = requests.get(self.url, params={"q": prompt}, timeout=self.timeout)
-        response.raise_for_status()
-        return response.text
+        parts = urllib.parse.urlsplit(self.url)
+        q = urllib.parse.urlencode({"q": prompt})
+        query = f"{parts.query}&{q}" if parts.query else q
+        url = urllib.parse.urlunsplit(parts._replace(query=query))
+        return _fetch(urllib.request.Request(url), self.name, self.timeout)

@@ -20,7 +20,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..errors import BindingMissing, PlanParseError, ToolError, UnknownWorkflow
+from ..errors import (
+    BackendError,
+    BindingMissing,
+    PlanParseError,
+    ToolError,
+    UnknownWorkflow,
+)
 from ..vehicles import VehicleTable
 from .backends import Backend
 from .planning import Plan, ToolCall, iter_refs, plan as build_plan, REF_PATTERN
@@ -141,9 +147,10 @@ def summarize(
         f"Tool outputs (JSON):\n{view}\n"
         "Provide the final answer to the query."
     )
-    answer = summarizer.complete(prompt)
     if trace_sink is not None:
         trace_sink["prompt"] = prompt
+    answer = summarizer.complete(prompt)
+    if trace_sink is not None:
         trace_sink["response"] = answer
     return answer
 
@@ -173,9 +180,9 @@ def run_query(image: str | None, query: str, config: AgentConfig) -> dict[str, A
         "summary": None,
         "answer": None,
     }
-    try:
+    try:  # build_plan raises ValueError on a blank query
         the_plan = build_plan(query, config.planner, config.prompt_template)
-    except (PlanParseError, UnknownWorkflow, ValueError) as exc:  # ValueError: blank query
+    except (PlanParseError, UnknownWorkflow, BackendError, ValueError) as exc:
         trace["answer"] = f"error: planning failed: {exc}"
         return {"answer": trace["answer"], "trace": trace}
 
@@ -193,7 +200,10 @@ def run_query(image: str | None, query: str, config: AgentConfig) -> dict[str, A
 
     if result.outputs:
         summary_sink: dict[str, Any] = {}
-        answer = summarize(query, result.outputs, config.summarizer, summary_sink)
+        try:
+            answer = summarize(query, result.outputs, config.summarizer, summary_sink)
+        except BackendError as exc:
+            answer = f"error: summarization failed: {exc}"
         trace["summary"] = summary_sink
     else:
         failures = "; ".join(s.error for s in result.failed_steps) or "no steps ran"

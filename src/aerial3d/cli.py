@@ -55,13 +55,7 @@ from .evaluation import (
     load_predictions,
     render_report_table,
 )
-from .instructions import (
-    build_grounding_samples,
-    build_phase2_samples,
-    build_sqa_samples,
-    load_templates,
-    write_samples,
-)
+from .instructions import STAGES, build_all, load_templates, write_samples
 from .synth import SceneConfig, generate_scene, write_scene
 from .vehicles import load_table, match_dimensions, packaged_table_path
 
@@ -149,22 +143,14 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 def _cmd_build_instr(args: argparse.Namespace) -> int:
     templates = load_templates(args.templates)
+    stages = STAGES if args.stage == "all" else (args.stage,)
     samples: list = []
     skipped = 0
     for path in args.annotations:
         ann = load_annotations(path)
-        if args.stage in ("all", "grounding"):
-            result = build_grounding_samples(ann, templates, args.inflation)
-            samples.extend(result.samples)
-            skipped += result.n_skipped
-        if args.stage in ("all", "sqa"):
-            result = build_sqa_samples(ann, templates)
-            samples.extend(result.samples)
-            skipped += result.n_skipped
-        if args.stage in ("all", "phase2"):
-            result = build_phase2_samples(ann, templates, args.aux_format, args.inflation)
-            samples.extend(result.samples)
-            skipped += result.n_skipped
+        result = build_all(ann, templates, args.aux_format, args.inflation, stages)
+        samples.extend(result.samples)
+        skipped += result.n_skipped
     written = write_samples(samples, args.out)
     print(json.dumps({"written": written, "objects_skipped": skipped, "out": args.out}))
     return 0
@@ -322,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--templates", help="template JSON (packaged set when omitted)")
     p.add_argument(
         "--stage",
-        choices=("all", "grounding", "sqa", "phase2"),
+        choices=("all", *STAGES),
         default="all",
         help="which sample stages to emit",
     )

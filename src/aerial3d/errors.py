@@ -89,6 +89,10 @@ class BindingMissing(Aerial3DError):
     """A plan step references an output name not produced earlier."""
 
 
+class BackendError(Aerial3DError, RuntimeError):
+    """A model backend could not be reached or answered with an error status."""
+
+
 # -- synthetic scenes --------------------------------------------------------
 
 class PlacementExhausted(Aerial3DError):

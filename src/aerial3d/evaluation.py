@@ -38,7 +38,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
 
@@ -233,7 +233,7 @@ def load_annotations(path: str | Path) -> AnnotationFile:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
     return annotation_from_dict(data)
 
@@ -252,7 +252,7 @@ def load_predictions(path: str | Path) -> dict[str, dict]:
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
                 raise ParseError(f"{path}: line {line_num}: {exc}") from None
             if not isinstance(row, dict) or "id" not in row:
                 raise ParseError(f"{path}: line {line_num}: missing 'id' field")
@@ -507,18 +507,7 @@ class EvalReport:
     accuracy: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "task": self.task,
-            "n_evaluated": self.n_evaluated,
-            "n_parse_failures": self.n_parse_failures,
-            "acc_at_05": self.acc_at_05,
-            "acc_at_bev_025": self.acc_at_bev_025,
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "r_squared": self.r_squared,
-            "acc_5pct": self.acc_5pct,
-            "accuracy": self.accuracy,
-        }
+        return asdict(self)
 
 
 def _pred_text(pred: dict | None, *keys: str) -> str | None:

@@ -39,6 +39,7 @@ from .evaluation import SQA_TASKS, AnnotatedObject, AnnotationFile
 GROUNDING_FORMATS = ("hbb", "obb", "box3d")
 PHASE2_KINDS = ("ground_2d", "ground_3d", "asl", "gml")
 KINDS = ("GROUND_2D", "GROUND_3D", "ASL", "GML", "SQA")
+STAGES = ("grounding", "sqa", "phase2")
 
 _TEMPLATES_PER_FORMAT = 5
 
@@ -96,7 +97,7 @@ def load_templates(path: str | Path | None = None) -> TemplateSet:
     path = Path(path) if path is not None else packaged_templates_path()
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
 
     def _require(section: str, keys: Sequence[str]) -> dict:
@@ -286,13 +287,17 @@ def build_all(
     templates: TemplateSet,
     aux_format: str = "hbb",
     inflation: float = 1.0,
+    stages: Sequence[str] = STAGES,
 ) -> BuildResult:
-    """All three stages for one record, in stage order."""
-    return (
-        build_grounding_samples(ann, templates, inflation)
-        + build_sqa_samples(ann, templates)
-        + build_phase2_samples(ann, templates, aux_format, inflation)
-    )
+    """The given stages (all three by default) for one record, in stage order."""
+    result = BuildResult((), 0)
+    if "grounding" in stages:
+        result += build_grounding_samples(ann, templates, inflation)
+    if "sqa" in stages:
+        result += build_sqa_samples(ann, templates)
+    if "phase2" in stages:
+        result += build_phase2_samples(ann, templates, aux_format, inflation)
+    return result
 
 
 def write_samples(samples: Iterable[InstructionSample], path: str | Path) -> int:
@@ -322,6 +327,6 @@ def read_samples(path: str | Path) -> list[InstructionSample]:
                         task=row["task"],
                     )
                 )
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
                 raise ParseError(f"{path}: line {line_num}: {exc}") from None
     return samples

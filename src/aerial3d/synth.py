@@ -185,8 +185,9 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
             )
         placed.append((box, cu, cv, radius))
 
-        bottom_px = [project_to_pixel(c, cam) for c in box3d_corners(box, cam)[:4]]
-        obb = fit_min_area_obb([(p.x, p.y) for p in bottom_px])
+        # corners_px still holds the accepted candidate's projected corners;
+        # the first four are the bottom face.
+        obb = fit_min_area_obb([(p.x, p.y) for p in corners_px[:4]])
         ann_objects.append(
             {
                 "id": f"veh{i}",

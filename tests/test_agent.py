@@ -23,7 +23,7 @@ from aerial3d.agent import (
 )
 from aerial3d.agent import planning
 from aerial3d.boxes import Box3D, extract_location
-from aerial3d.errors import BindingMissing, PlanParseError, UnknownWorkflow
+from aerial3d.errors import BackendError, BindingMissing, PlanParseError, UnknownWorkflow
 from aerial3d.evaluation import annotation_from_dict
 from aerial3d.vehicles import load_table, packaged_table_path
 
@@ -231,6 +231,11 @@ class TestExecution:
         assert "halted" in errors["dependent"]
         assert result.outputs["visual"]["value"] == "white"
 
+    def test_dims_reply_reads_exponent_numbers(self):
+        toolbox = Toolbox(vlm=ScriptedBackend(["4.5e3 1.8 1.5"]))
+        out = toolbox.invoke("spatial_understanding", {"mode": "dims"}, None, [])
+        assert out == {"length_m": 4500.0, "width_m": 1.8, "height_m": 1.5}
+
 
 class TestMockVLM:
     def test_measure_reports_dims_in_meters(self, ann):
@@ -353,33 +358,46 @@ class TestRunQuery:
         assert trace["answer"] == result["answer"]
 
 
+DEAD_URL = "http://127.0.0.1:9/unreachable"  # discard port: nothing listens
+# Request path -> (charset the reply declares, charset it is encoded in).
+_CHARSETS = {
+    "/latin1": ("iso-8859-1", "iso-8859-1"),
+    "/unknown-charset": ("x-no-such-charset", "utf-8"),
+}
+
+
 class _Handler(BaseHTTPRequestHandler):
     fail_first = False
     seen: list[dict] = []
+    posted: list[tuple[bytes, str]] = []  # raw body and Content-Type per POST
 
-    def do_POST(self):
-        body = self.rfile.read(int(self.headers["Content-Length"]))
-        type(self).seen.append(json.loads(body))
+    def _reply(self, text: str) -> None:
         if type(self).fail_first:
             type(self).fail_first = False
             self.send_response(500)
             self.end_headers()
             return
-        reply = b"pong: " + json.loads(body)["prompt"].encode()
+        declared, actual = _CHARSETS.get(self.path, (None, "utf-8"))
+        reply = text.encode(actual)
         self.send_response(200)
+        if declared:
+            self.send_header("Content-Type", f"text/plain; charset={declared}")
         self.send_header("Content-Length", str(len(reply)))
         self.end_headers()
         self.wfile.write(reply)
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        type(self).posted.append((body, self.headers["Content-Type"]))
+        type(self).seen.append(json.loads(body))
+        self._reply("pong: " + json.loads(body)["prompt"])
 
     def do_GET(self):
         from urllib.parse import parse_qs, urlparse
 
-        q = parse_qs(urlparse(self.path).query).get("q", [""])[0]
-        reply = f"results for {q}".encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(reply)))
-        self.end_headers()
-        self.wfile.write(reply)
+        query = parse_qs(urlparse(self.path).query)
+        type(self).seen.append(query)
+        self._reply(f"results for {query.get('q', [''])[0]}")
 
     def log_message(self, *args):
         pass
@@ -391,9 +409,11 @@ def http_url():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _Handler.seen = []
+    _Handler.posted = []
     _Handler.fail_first = False
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 class TestHTTPBackends:
@@ -403,17 +423,79 @@ class TestHTTPBackends:
         assert reply == "pong: hello"
         assert _Handler.seen[-1] == {"prompt": "hello", "image": "img.png"}
 
+    def test_post_body_is_json_bytes(self, http_url):
+        HTTPBackend(http_url).complete("hello", image="img.png")
+        payload = {"prompt": "hello", "image": "img.png"}
+        assert _Handler.posted == [(json.dumps(payload).encode(), "application/json")]
+
     def test_retries_one_failure(self, http_url):
         _Handler.fail_first = True
-        backend = HTTPBackend(http_url, retries=1)
+        backend = HTTPBackend(http_url)
         assert backend.complete("again") == "pong: again"
         assert len(_Handler.seen) == 2
 
     def test_raises_after_retries_exhausted(self):
-        backend = HTTPBackend("http://127.0.0.1:9/unreachable", retries=0, timeout=0.2)
+        backend = HTTPBackend(DEAD_URL, timeout=0.2)
         with pytest.raises(RuntimeError):
             backend.complete("nope")
+
+    @pytest.mark.parametrize(
+        "path, prompt",
+        [
+            ("", "Größe 4,69 m — 車"),
+            ("/latin1", "Größe 4,69 m"),
+            ("/unknown-charset", "Größe 4,69 m — 車"),
+        ],
+        ids=["utf8-undeclared", "latin1-declared", "unknown-declared"],
+    )
+    def test_non_ascii_reply_round_trips(self, http_url, path, prompt):
+        assert HTTPBackend(http_url + path).complete(prompt) == "pong: " + prompt
 
     def test_search_get(self, http_url):
         backend = HTTPSearchBackend(http_url)
         assert backend.complete("camry price") == "results for camry price"
+
+    def test_search_keeps_existing_query(self, http_url):
+        backend = HTTPSearchBackend(http_url + "/search?k=v")
+        assert backend.complete("camry price") == "results for camry price"
+        assert _Handler.seen == [{"k": ["v"], "q": ["camry price"]}]
+
+    def test_search_retries_one_failure(self, http_url):
+        _Handler.fail_first = True
+        backend = HTTPSearchBackend(http_url)
+        assert backend.complete("camry price") == "results for camry price"
+        assert len(_Handler.seen) == 2
+
+    def test_unreachable_search_raises_backend_error(self):
+        with pytest.raises(BackendError, match="http-search backend failed"):
+            HTTPSearchBackend(DEAD_URL, timeout=0.2).complete("camry price")
+
+    @pytest.mark.parametrize("backend_type", [HTTPBackend, HTTPSearchBackend])
+    def test_malformed_url_rejected_up_front(self, backend_type):
+        with pytest.raises(ValueError, match="unknown url type"):
+            backend_type("no-scheme")
+
+
+class TestBackendFailures:
+    def test_planner_failure_is_structured(self, ann, table):
+        config = mock_config(ann, table)
+        config.planner = HTTPBackend(DEAD_URL, name="http-planner", timeout=0.2)
+        result = run_query("scene.png", f"What color is the vehicle at {CAR0_REGION}?", config)
+        assert result["answer"].startswith(
+            "error: planning failed: http-planner backend failed after retries"
+        )
+        assert result["trace"]["plan"] is None
+        assert result["trace"]["answer"] == result["answer"]
+
+    def test_summarizer_failure_keeps_steps(self, ann, table):
+        config = mock_config(ann, table)
+        config.summarizer = HTTPBackend(DEAD_URL, name="http-summarizer", timeout=0.2)
+        result = run_query("scene.png", f"What color is the vehicle at {CAR0_REGION}?", config)
+        assert result["answer"].startswith(
+            "error: summarization failed: http-summarizer backend failed after retries"
+        )
+        trace = result["trace"]
+        assert [s["tool"] for s in trace["steps"]] == ["image_understanding"]
+        assert trace["steps"][0]["output"] == {"attribute": "color", "value": "white"}
+        assert "Tool outputs (JSON)" in trace["summary"]["prompt"]
+        assert "response" not in trace["summary"]

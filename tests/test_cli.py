@@ -30,8 +30,12 @@ def run(args):
 
 
 def test_import_does_not_load_jsonschema():
-    # jsonschema is a test-only dependency: the package must not import it.
-    code = "import sys, aerial3d, aerial3d.cli; print('jsonschema' in sys.modules)"
+    # jsonschema is a test-only dependency and requests is no dependency at
+    # all: the package must import neither.
+    code = (
+        "import sys, aerial3d, aerial3d.cli; "
+        "print('jsonschema' in sys.modules, 'requests' in sys.modules)"
+    )
     src = str(Path(aerial3d.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -40,7 +44,7 @@ def test_import_does_not_load_jsonschema():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
 
 
 class TestUsageErrors:
@@ -155,6 +159,21 @@ class TestBuildInstrCli:
         assert summary["written"] == 80  # 2 objects x (15 + 5 + 20)
         assert len(out.read_text().splitlines()) == 80
 
+    def test_stage_files_concatenate_to_all(self, tmp_path, ann_path):
+        texts = {}
+        for stage in ("all", "grounding", "sqa", "phase2"):
+            out = tmp_path / f"{stage}.jsonl"
+            assert run(["build-instr", "--annotations", ann_path, ann_path,
+                        "--out", str(out), "--stage", stage]) == 0
+            texts[stage] = out.read_text().splitlines()
+        # Per file, the stages run in order; the second file follows the first.
+        half = {stage: len(lines) // 2 for stage, lines in texts.items()}
+        one_file = [
+            line for stage in ("grounding", "sqa", "phase2")
+            for line in texts[stage][: half[stage]]
+        ]
+        assert texts["all"] == one_file * 2
+
     def test_single_stage(self, tmp_path, ann_path, capsys):
         out = tmp_path / "sqa.jsonl"
         run(["build-instr", "--annotations", ann_path, "--out", str(out),
@@ -221,6 +240,18 @@ class TestAgentCli:
         assert [s["tool"] for s in trace["plan"]] == [
             "spatial_understanding", "query_table", "summarize",
         ]
+
+    def test_dead_planner_exits_1_with_trace(self, tmp_path, capsys):
+        dead = "http://127.0.0.1:9/unreachable"  # discard port: nothing listens
+        trace_path = tmp_path / "trace.json"
+        code = run(["agent", "run", "--query", "What color is it?",
+                    "--backend", "http", "--planner-url", dead, "--vlm-url", dead,
+                    "--summarizer-url", dead, "--timeout", "0.2",
+                    "--trace", str(trace_path)])
+        assert code == 1
+        answer = capsys.readouterr().out.strip()
+        assert answer.startswith("error: planning failed: http-planner backend failed")
+        assert json.loads(trace_path.read_text())["answer"] == answer
 
     def test_unplannable_query_exits_1(self, tmp_path, capsys, ann_path):
         code = run(["agent", "run", "--query", "Sing a song.",

@@ -2,6 +2,8 @@ import copy
 import json
 import math
 import random
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from aerial3d.evaluation import (
     validate_annotation,
     within_5pct,
 )
+from aerial3d.instructions import load_templates, read_samples
 from oracles import jsonschema_pointers
 
 
@@ -386,6 +389,30 @@ class TestLoadPredictions:
         path.write_text('{"answer": "x"}\n')
         with pytest.raises(ParseError):
             load_predictions(path)
+
+
+_HUGE_INT = "1" + "0" * 5000  # past Python's 4300-digit int conversion limit
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter has no int digit limit",
+)
+@pytest.mark.parametrize(
+    "loader, text, where",
+    [
+        (load_annotations, '{"image": "a", "image_width": %s}', ""),
+        (load_predictions, '{"id": "a"}\n{"id": "b", "answer": %s}\n', ": line 2"),
+        (load_templates, '{"grounding": %s}', ""),
+        (read_samples, '{"image": %s}\n', ": line 1"),
+    ],
+    ids=["load_annotations", "load_predictions", "load_templates", "read_samples"],
+)
+def test_oversized_json_integer_is_parse_error(tmp_path, loader, text, where):
+    path = tmp_path / "huge.json"
+    path.write_text(text % _HUGE_INT)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path) + where)}: "):
+        loader(path)
 
 
 class TestFileLevelEvaluation:

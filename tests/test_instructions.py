@@ -181,6 +181,22 @@ class TestSkipPolicy:
         assert result.n_skipped == 3  # once per stage
 
 
+class TestBuildAllStages:
+    @pytest.mark.parametrize(
+        "stages", [("grounding",), ("sqa",), ("phase2",), ("phase2", "grounding")]
+    )
+    def test_stages_in_stage_order(self, ann, templates, stages):
+        parts = {
+            "grounding": build_grounding_samples(ann, templates),
+            "sqa": build_sqa_samples(ann, templates),
+            "phase2": build_phase2_samples(ann, templates),
+        }
+        expected = [
+            s for name, part in parts.items() if name in stages for s in part.samples
+        ]
+        assert list(build_all(ann, templates, stages=stages).samples) == expected
+
+
 class TestJsonl:
     def test_write_read_roundtrip_and_key_order(self, ann, templates, tmp_path):
         samples = build_all(ann, templates).samples
