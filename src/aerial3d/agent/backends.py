@@ -3,7 +3,8 @@
 Every backend exposes `complete(prompt, image=None) -> str`. The mock
 family answers from an annotation file with optional seeded Gaussian
 noise, so agent logic is testable without any model: a noiseless mock is
-an oracle, a noisy one emulates imperfect perception. The HTTP backends
+an oracle, a noisy one emulates imperfect perception. The noise comes
+from the standard library's `random.Random(seed).gauss`. The HTTP backends
 speak a minimal contract so any served model can drop in: `HTTPBackend`
 POSTs JSON {prompt, image} and `HTTPSearchBackend` GETs ?q=<query>; the
 reply body is the answer text.
@@ -11,7 +12,9 @@ reply body is the answer text.
 Both HTTP backends share one standard-library transport (`_fetch`): one
 attempt plus one retry on any connection, timeout or HTTP-status failure,
 then a BackendError naming the backend. The reply is decoded with the
-charset the response declares, UTF-8 when it declares none.
+charset the response declares, UTF-8 when it declares none. The HTTP
+stack (`urllib.request`, which loads `http.client`, `ssl` and `email`) is
+imported on first use, so the mock path never loads it.
 
 Mock backends hold RNG state and are single-flight; create one per
 concurrent query (they are cheap). HTTP backends are stateless and safe
@@ -20,16 +23,11 @@ to share.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
+import random
 import re
-import urllib.error
-import urllib.parse
-import urllib.request
-from typing import Protocol
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol
 
 from ..boxes import (
     Box3D,
@@ -44,6 +42,9 @@ from ..boxes import (
 from ..errors import BackendError, UnknownWorkflow
 from ..evaluation import _NUMBER, AnnotatedObject, AnnotationFile, extract_numeric
 from ..vehicles import VehicleTable
+
+if TYPE_CHECKING:
+    import urllib.request
 
 
 class Backend(Protocol):
@@ -88,7 +89,7 @@ class MockVLMBackend:
         self.annotation = annotation
         self.noise_sigma_mm = noise_sigma_mm
         self.noise_sigma_px = noise_sigma_px
-        self._rng = np.random.default_rng(seed)
+        self._rng = random.Random(seed)
 
     def _resolve(self, prompt: str) -> AnnotatedObject | None:
         region = extract_location(prompt)
@@ -108,10 +109,10 @@ class MockVLMBackend:
         return best
 
     def _noisy_dims_mm(self, obj: AnnotatedObject) -> tuple[float, float, float]:
-        dims = np.array(obj.dims_mm, dtype=float)
         if self.noise_sigma_mm > 0:
-            dims = np.maximum(dims + self._rng.normal(0.0, self.noise_sigma_mm, 3), 1.0)
-        return tuple(float(v) for v in dims)
+            sigma = self.noise_sigma_mm
+            return tuple(max(v + self._rng.gauss(0.0, sigma), 1.0) for v in obj.dims_mm)
+        return tuple(float(v) for v in obj.dims_mm)
 
     def complete(self, prompt: str, image: str | None = None) -> str:
         lowered = prompt.lower()
@@ -128,18 +129,18 @@ class MockVLMBackend:
             values = _floats(prompt)
             if len(values) < 3 or not self.annotation.objects:
                 return "I cannot locate that vehicle."
-            target_mm = np.array(values[:3]) * 1000.0
-            obj = min(
-                self.annotation.objects,
-                key=lambda o: float(np.sum((np.array(o.dims_mm) - target_mm) ** 2)),
-            )
+            tl, tw, th = (v * 1000.0 for v in values[:3])
+
+            def gap(o: AnnotatedObject) -> float:  # squared distance, mm^2
+                dl, dw, dh = o.dims_mm[0] - tl, o.dims_mm[1] - tw, o.dims_mm[2] - th
+                return dl * dl + dw * dw + dh * dh
+
+            obj = min(self.annotation.objects, key=gap)
             obb = obj.obb
             if self.noise_sigma_px > 0:
-                dx, dy = self._rng.normal(0.0, self.noise_sigma_px, 2)
-                obb = OrientedBox2D(
-                    obb.cx + float(dx), obb.cy + float(dy),
-                    obb.width, obb.height, obb.angle,
-                )
+                dx = self._rng.gauss(0.0, self.noise_sigma_px)
+                dy = self._rng.gauss(0.0, self.noise_sigma_px)
+                obb = OrientedBox2D(obb.cx + dx, obb.cy + dy, obb.width, obb.height, obb.angle)
             box3d = derive_box3d(obb, obj.dims_m, self.annotation.camera)
             return (
                 f"Found it at {serialize_location(box3d)}; "
@@ -329,6 +330,10 @@ class MockSummarizerBackend:
 
 def _fetch(request: urllib.request.Request, name: str, timeout: float) -> str:
     """Send `request`: one attempt plus one retry, then BackendError."""
+    import http.client
+    import urllib.error
+    import urllib.request
+
     last_error: Exception | None = None
     for _ in range(2):
         try:
@@ -353,12 +358,16 @@ class HTTPBackend:
     """Generic served-model backend: POST {prompt, image} -> answer text."""
 
     def __init__(self, url: str, name: str = "http", timeout: float = 30.0):
+        import urllib.request
+
         urllib.request.Request(url)  # a malformed URL raises ValueError here
         self.url = url
         self.name = name
         self.timeout = timeout
 
     def complete(self, prompt: str, image: str | None = None) -> str:
+        import urllib.request
+
         payload: dict = {"prompt": prompt}
         if image is not None:
             payload["image"] = image
@@ -391,11 +400,16 @@ class HTTPSearchBackend:
     name = "http-search"
 
     def __init__(self, url: str, timeout: float = 30.0):
+        import urllib.request
+
         urllib.request.Request(url)  # a malformed URL raises ValueError here
         self.url = url
         self.timeout = timeout
 
     def complete(self, prompt: str, image: str | None = None) -> str:
+        import urllib.parse
+        import urllib.request
+
         parts = urllib.parse.urlsplit(self.url)
         q = urllib.parse.urlencode({"q": prompt})
         query = f"{parts.query}&{q}" if parts.query else q

@@ -42,8 +42,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
 
-import numpy as np
-
 from .boxes import (
     Box3D,
     BoxDims,
@@ -241,25 +239,26 @@ def load_annotations(path: str | Path) -> AnnotationFile:
 def load_predictions(path: str | Path) -> dict[str, dict]:
     """Load a JSONL prediction file into an id-keyed dict.
 
-    Raises ParseError (with the line number) on malformed lines, missing
-    ids, or duplicate ids.
+    Raises ParseError (with the line number) on lines that are not UTF-8
+    or not JSON, missing ids, or duplicate ids.
     """
     path = Path(path)
     preds: dict[str, dict] = {}
-    with path.open(encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
+    # bytes.splitlines breaks at \n, \r\n and \r, as text-mode reading does.
+    for line_num, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            try:
-                row = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-                raise ParseError(f"{path}: line {line_num}: {exc}") from None
-            if not isinstance(row, dict) or "id" not in row:
-                raise ParseError(f"{path}: line {line_num}: missing 'id' field")
-            key = str(row["id"])
-            if key in preds:
-                raise ParseError(f"{path}: line {line_num}: duplicate id {key!r}")
-            preds[key] = row
+            row = json.loads(line)
+        except ValueError as exc:  # bad UTF-8, JSONDecodeError, an int past the digit limit
+            raise ParseError(f"{path}: line {line_num}: {exc}") from None
+        if not isinstance(row, dict) or "id" not in row:
+            raise ParseError(f"{path}: line {line_num}: missing 'id' field")
+        key = str(row["id"])
+        if key in preds:
+            raise ParseError(f"{path}: line {line_num}: duplicate id {key!r}")
+        preds[key] = row
     return preds
 
 
@@ -320,6 +319,37 @@ def within_5pct(pred: float, gt: float) -> bool:
     return abs(pred - gt) <= 0.05 * abs(gt)
 
 
+def _float64_sum(values: Sequence[float]) -> float:
+    """Sum rounded exactly as NumPy's float64 `sum` rounds it.
+
+    NumPy adds a pairwise sum to its identity 0.0: a plain loop below 8
+    terms, 8 interleaved accumulators up to 128, and above that a split at
+    n/2 rounded down to a multiple of 8. Report bytes follow this rounding.
+    """
+
+    def pairwise(lo: int, n: int) -> float:
+        if n < 8:
+            total = 0.0
+            for v in values[lo : lo + n]:
+                total += v
+            return total
+        if n <= 128:
+            acc = list(values[lo : lo + 8])
+            end = lo + n - n % 8
+            for i in range(lo + 8, end, 8):
+                for k in range(8):
+                    acc[k] += values[i + k]
+            total = (acc[0] + acc[1]) + (acc[2] + acc[3])
+            total += (acc[4] + acc[5]) + (acc[6] + acc[7])
+            for v in values[end : lo + n]:
+                total += v
+            return total
+        half = n // 2 - n // 2 % 8
+        return pairwise(lo, half) + pairwise(lo + half, n - half)
+
+    return 0.0 + pairwise(0, len(values))
+
+
 def eval_regression(
     preds: Sequence[float], gts: Sequence[float], strict_r2: bool = False
 ) -> RegressionMetrics:
@@ -334,20 +364,22 @@ def eval_regression(
         raise LengthMismatch(f"{len(preds)} predictions vs {len(gts)} ground truths")
     if not gts:
         raise LengthMismatch("cannot evaluate empty prediction/ground-truth lists")
-    p = np.asarray(preds, dtype=float)
-    g = np.asarray(gts, dtype=float)
-    residuals = p - g
-    mae = float(np.mean(np.abs(residuals)))
-    rmse = float(math.sqrt(np.mean(residuals**2)))
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((g - g.mean()) ** 2))
+    p = [float(v) for v in preds]
+    g = [float(v) for v in gts]
+    n = len(g)
+    residuals = [pi - gi for pi, gi in zip(p, g)]
+    mae = _float64_sum([abs(r) for r in residuals]) / n
+    ss_res = _float64_sum([r * r for r in residuals])
+    rmse = math.sqrt(ss_res / n)
+    g_mean = _float64_sum(g) / n
+    ss_tot = _float64_sum([(gi - g_mean) * (gi - g_mean) for gi in g])
     if ss_tot == 0.0:
         if strict_r2:
             raise DegenerateVariance("all ground-truth values are equal")
         r_squared = None
     else:
         r_squared = 1.0 - ss_res / ss_tot
-    acc = float(np.mean([within_5pct(pi, gi) for pi, gi in zip(p, g)]))
+    acc = sum(1 for pi, gi in zip(p, g) if within_5pct(pi, gi)) / n
     return RegressionMetrics(mae, rmse, r_squared, acc)
 
 

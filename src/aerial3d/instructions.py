@@ -311,22 +311,25 @@ def read_samples(path: str | Path) -> list[InstructionSample]:
     """Read a JSONL instruction file back into samples."""
     path = Path(path)
     samples = []
-    with path.open(encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
+    # bytes.splitlines breaks at \n, \r\n and \r, as text-mode reading does.
+    for line_num, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            try:
-                row = json.loads(line)
-                samples.append(
-                    InstructionSample(
-                        image=row["image"],
-                        query=row["query"],
-                        aux=row["aux"],
-                        target=row["target"],
-                        kind=row["kind"],
-                        task=row["task"],
-                    )
+            row = json.loads(line)
+            samples.append(
+                InstructionSample(
+                    image=row["image"],
+                    query=row["query"],
+                    aux=row["aux"],
+                    target=row["target"],
+                    kind=row["kind"],
+                    task=row["task"],
                 )
-            except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
-                raise ParseError(f"{path}: line {line_num}: {exc}") from None
+            )
+        # Bad UTF-8 and JSONDecodeError are ValueErrors; TypeError is a line
+        # that is JSON but not an object.
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"{path}: line {line_num}: {exc}") from None
     return samples

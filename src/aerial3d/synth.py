@@ -12,8 +12,9 @@ precision. At oblique pitch the map is a proper homography, the fitted
 rectangle is only an approximation of the projected footprint, and
 verify_roundtrip reports the resulting consistency error instead.
 
-All randomness flows from one seeded generator, so a fixed config yields
-byte-identical output files.
+All randomness flows from one seeded generator (`_rng`, which draws the
+stream of NumPy's `default_rng`), so a fixed config yields byte-identical
+output files.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from ._fsio import write_text_atomic
+from ._rng import Generator
 from .boxes import (
     Box3D,
     bev_iou,
@@ -110,9 +110,9 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
     uniform in-frame pixel, and a candidate is rejected when any projected
     corner leaves the frame or its footprint overlaps an accepted one.
     """
-    rng = np.random.default_rng(cfg.seed)
-    pitch = float(rng.uniform(*cfg.pitch_range))
-    agl = float(rng.uniform(*cfg.agl_range))
+    rng = Generator(cfg.seed)
+    pitch = rng.uniform(*cfg.pitch_range)
+    agl = rng.uniform(*cfg.agl_range)
     cam = CameraModel(
         focal_length=cfg.focal_length,
         pixel_size=cfg.pixel_size,
@@ -125,7 +125,7 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
 
     replace = cfg.n_vehicles > len(table)
     indices = rng.choice(len(table), size=cfg.n_vehicles, replace=replace)
-    records = [table.records[int(i)] for i in indices]
+    records = [table.records[i] for i in indices]
 
     # Each placed box with its ground bounding circle (u, v, radius).
     placed: list[tuple[Box3D, float, float, float]] = []
@@ -142,9 +142,9 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
         dims = record.dims_m
         box: Box3D | None = None
         for _ in range(cfg.max_rejections):
-            px = float(rng.uniform(x_lo, x_hi))
-            py = float(rng.uniform(y_lo, y_hi))
-            yaw = float(rng.uniform(-math.pi / 2, math.pi / 2))
+            px = rng.uniform(x_lo, x_hi)
+            py = rng.uniform(y_lo, y_hi)
+            yaw = rng.uniform(-math.pi / 2, math.pi / 2)
             try:
                 ground = backproject_to_ground(PixelPoint(px, py), cam)
             except RayMissesGround:
@@ -206,7 +206,7 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
                 "attributes": {
                     "brand": record.brand,
                     "model": record.model,
-                    "color": str(rng.choice(COLORS)),
+                    "color": rng.choice(COLORS),
                     "type": _vehicle_type(record),
                     "powertrain": record.powertrain,
                     "price": record.price,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -261,6 +262,29 @@ class TestMockVLM:
         vlm = MockVLMBackend(ann)
         reply = vlm.complete("Measure the vehicle at [0,0,5,5]: length, width, height.")
         assert "cannot" in reply
+
+    def test_noise_is_seeded_and_near_the_annotation(self, ann):
+        measure = f"Measure the vehicle at {CAR0_REGION}: length, width, height."
+        locate = "Locate the vehicle with length 4.694 m, width 1.850 m, height 1.443 m."
+
+        def replies(seed):
+            vlm = MockVLMBackend(ann, noise_sigma_mm=5.0, noise_sigma_px=2.0, seed=seed)
+            return vlm.complete(measure), vlm.complete(locate)
+
+        assert replies(3) == replies(3)
+        assert replies(3) != replies(4)
+
+        def numbers(text):
+            return [float(v) for v in re.findall(r"-?\d+\.?\d*", text)]
+
+        clean = MockVLMBackend(ann)
+        # Each bound is 5 sigma: 25 mm on a dimension, 10 px on a box edge.
+        for noisy, exact, bound in zip(
+            replies(3), (clean.complete(measure), clean.complete(locate)), (0.025, 10.0)
+        ):
+            assert numbers(noisy) != numbers(exact)
+            assert len(numbers(noisy)) == len(numbers(exact))
+            assert all(abs(a - b) <= bound for a, b in zip(numbers(noisy), numbers(exact)))
 
 
 class TestRunQuery:

@@ -29,22 +29,58 @@ def run(args):
     return main(args)
 
 
-def test_import_does_not_load_jsonschema():
-    # jsonschema is a test-only dependency and requests is no dependency at
-    # all: the package must import neither.
-    code = (
-        "import sys, aerial3d, aerial3d.cli; "
-        "print('jsonschema' in sys.modules, 'requests' in sys.modules)"
-    )
-    src = str(Path(aerial3d.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
+_SRC = str(Path(aerial3d.__file__).resolve().parents[1])
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this checkout's package."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=_SRC),
         capture_output=True,
         text=True,
-        check=True,
     )
-    assert done.stdout.strip() == "False False"
+
+
+def test_import_does_not_load_jsonschema():
+    # jsonschema and numpy are test-only oracles and requests is no
+    # dependency at all: the package must import none of them. The HTTP
+    # stack loads on first use, so the mock agent path never pays for it.
+    code = (
+        "import sys, aerial3d, aerial3d.agent, aerial3d.cli; "
+        "print(*(m in sys.modules for m in "
+        "('jsonschema', 'requests', 'numpy', 'http.client', 'urllib.request')))"
+    )
+    done = _python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"] * 5
+
+
+def test_cli_runs_with_numpy_unimportable(tmp_path):
+    # sys.modules["numpy"] = None makes every `import numpy` raise.
+    code = """
+import json, sys
+sys.modules["numpy"] = None
+from aerial3d.cli import main
+
+d = sys.argv[1]
+ann = d + "/scene/annotation.json"
+with open(d + "/preds.jsonl", "w") as fh:
+    for i, answer in enumerate(["4.1 m", "4.6 m", "3.9 m"]):
+        fh.write(json.dumps({"id": f"veh{i}:length", "answer": answer}) + "\\n")
+codes = [
+    main(["synth", "--n", "6", "--seed", "7", "--out", d + "/scene"]),
+    main(["build-instr", "--annotations", ann, "--out", d + "/instr.jsonl"]),
+    main(["eval", "--task", "sqa", "--pred", d + "/preds.jsonl", "--gt", ann]),
+    main(["agent", "run", "--backend", "mock", "--annotations", ann,
+          "--noise-sigma-mm", "20", "--noise-sigma-px", "1",
+          "--query", "What are the brand and model of the vehicle at [0,0,1000,1000]?"]),
+]
+print("exit codes", *codes, file=sys.stderr)
+"""
+    done = _python(code, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip() == "exit codes 0 0 0 0"
 
 
 class TestUsageErrors:

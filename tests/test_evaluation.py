@@ -415,6 +415,38 @@ def test_oversized_json_integer_is_parse_error(tmp_path, loader, text, where):
         loader(path)
 
 
+_SAMPLE_LINE = json.dumps(
+    {"image": "a", "query": "q", "aux": None, "target": "t", "kind": "k", "task": "x"}
+)
+
+
+@pytest.mark.parametrize(
+    "loader, first_line",
+    [(load_predictions, '{"id": "a"}'), (read_samples, _SAMPLE_LINE)],
+    ids=["load_predictions", "read_samples"],
+)
+def test_invalid_utf8_is_parse_error_with_line(tmp_path, loader, first_line):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(first_line.encode() + b"\n\xff\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: .*utf-8"):
+        loader(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_jsonl_line_numbers_count_every_newline_style(tmp_path, newline):
+    path = tmp_path / "preds.jsonl"
+    path.write_bytes(newline.join(['{"id": "a"}', "", '{"id": "b"}', "nope", ""]).encode())
+    with pytest.raises(ParseError, match="line 4"):
+        load_predictions(path)
+
+
+def test_read_samples_rejects_a_line_that_is_not_an_object(tmp_path):
+    path = tmp_path / "samples.jsonl"
+    path.write_text("[1]\n")
+    with pytest.raises(ParseError, match=": line 1: "):
+        read_samples(path)
+
+
 class TestFileLevelEvaluation:
     @pytest.fixture
     def ann(self, annotation_dict):
