@@ -90,6 +90,8 @@ class MockVLMBackend:
         self.noise_sigma_mm = noise_sigma_mm
         self.noise_sigma_px = noise_sigma_px
         self._rng = random.Random(seed)
+        # The annotation is frozen, so each object's HBB is computed once.
+        self._hbbs = [(obj, obb_to_hbb(obj.obb)) for obj in annotation.objects]
 
     def _resolve(self, prompt: str) -> AnnotatedObject | None:
         region = extract_location(prompt)
@@ -102,8 +104,8 @@ class MockVLMBackend:
         if not isinstance(region, HorizontalBox2D):
             return None
         best, best_iou = None, 0.0
-        for obj in self.annotation.objects:
-            iou = hbb_iou(region, obb_to_hbb(obj.obb))
+        for obj, hbb in self._hbbs:
+            iou = hbb_iou(region, hbb)
             if iou > best_iou:
                 best, best_iou = obj, iou
         return best

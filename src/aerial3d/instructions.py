@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ._fsio import write_text_atomic
-from .boxes import Box3D, derive_box3d, obb_to_hbb, serialize_location
+from .boxes import derive_box3d, obb_to_hbb, serialize_location
 from .camera import PixelPoint, backproject_to_ground, spatial_measures
 from .errors import DegenerateYaw, ParseError, RayMissesGround
 from .evaluation import SQA_TASKS, AnnotatedObject, AnnotationFile
@@ -42,6 +42,15 @@ KINDS = ("GROUND_2D", "GROUND_3D", "ASL", "GML", "SQA")
 STAGES = ("grounding", "sqa", "phase2")
 
 _TEMPLATES_PER_FORMAT = 5
+
+# The string escaper `json.dumps(..., ensure_ascii=False)` itself applies
+# (the C one when the interpreter has it): quotes the string and escapes
+# '"', '\\' and control characters, leaving other text as is.
+_encode_str = json.encoder.encode_basestring
+
+# Wire order of the JSONL fields; `None` is allowed in the nullable ones.
+_SAMPLE_FIELDS = ("image", "query", "aux", "target", "kind", "task")
+_NULLABLE_FIELDS = frozenset({"image", "aux", "task"})
 
 
 @dataclass(frozen=True)
@@ -54,16 +63,17 @@ class InstructionSample:
     task: str | None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "image": self.image,
-                "query": self.query,
-                "aux": self.aux,
-                "target": self.target,
-                "kind": self.kind,
-                "task": self.task,
-            },
-            ensure_ascii=False,
+        """The sample as one JSON object, byte for byte what
+        `json.dumps(dataclasses.asdict(self), ensure_ascii=False)` gives for
+        the annotated field types, without building an encoder per call."""
+        image, aux, task = self.image, self.aux, self.task
+        return (
+            f'{{"image": {"null" if image is None else _encode_str(image)}, '
+            f'"query": {_encode_str(self.query)}, '
+            f'"aux": {"null" if aux is None else _encode_str(aux)}, '
+            f'"target": {_encode_str(self.target)}, '
+            f'"kind": {_encode_str(self.kind)}, '
+            f'"task": {"null" if task is None else _encode_str(task)}}}'
         )
 
 
@@ -99,6 +109,8 @@ def load_templates(path: str | Path | None = None) -> TemplateSet:
         data = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: top level must be a JSON object, got {type(data).__name__}")
 
     def _require(section: str, keys: Sequence[str]) -> dict:
         block = data.get(section)
@@ -150,47 +162,53 @@ def describe_object(obj: AnnotatedObject) -> str:
     return f"object {obj.id}"
 
 
-def _object_box3d(
-    obj: AnnotatedObject, ann: AnnotationFile, inflation: float
-) -> Box3D | None:
-    """3D box for an object, or None when it has no ground intersection."""
-    try:
-        return derive_box3d(obj.obb, obj.dims_m, ann.camera, inflation)
-    except (RayMissesGround, DegenerateYaw):
-        return None
+def _object_locations(
+    ann: AnnotationFile, inflation: float
+) -> list[tuple[str, str, str] | None]:
+    """Per object, its HBB, OBB and 3D-box location strings (in
+    GROUNDING_FORMATS order), or None when it has no ground intersection."""
+    locations: list[tuple[str, str, str] | None] = []
+    for obj in ann.objects:
+        try:
+            box3d = derive_box3d(obj.obb, obj.dims_m, ann.camera, inflation)
+        except (RayMissesGround, DegenerateYaw):
+            locations.append(None)
+            continue
+        locations.append((
+            serialize_location(obb_to_hbb(obj.obb)),
+            serialize_location(obj.obb),
+            serialize_location(box3d),
+        ))
+    return locations
+
+
+def _grounding_samples(
+    ann: AnnotationFile,
+    templates: TemplateSet,
+    locations: Sequence[tuple[str, str, str] | None],
+) -> BuildResult:
+    samples: list[InstructionSample] = []
+    skipped = 0
+    image = ann.image
+    for obj, targets in zip(ann.objects, locations):
+        if targets is None:
+            skipped += 1
+            continue
+        desc = describe_object(obj)
+        for fmt, target in zip(GROUNDING_FORMATS, targets):
+            kind = "GROUND_3D" if fmt == "box3d" else "GROUND_2D"
+            for template in templates.grounding[fmt]:
+                samples.append(InstructionSample(
+                    image, template.format(target=desc), None, target, kind, None
+                ))
+    return BuildResult(tuple(samples), skipped)
 
 
 def build_grounding_samples(
     ann: AnnotationFile, templates: TemplateSet, inflation: float = 1.0
 ) -> BuildResult:
     """15 samples per object: {HBB, OBB, 3D} x 5 templates."""
-    samples: list[InstructionSample] = []
-    skipped = 0
-    for obj in ann.objects:
-        box3d = _object_box3d(obj, ann, inflation)
-        if box3d is None:
-            skipped += 1
-            continue
-        target_by_format = {
-            "hbb": serialize_location(obb_to_hbb(obj.obb)),
-            "obb": serialize_location(obj.obb),
-            "box3d": serialize_location(box3d),
-        }
-        desc = describe_object(obj)
-        for fmt in GROUNDING_FORMATS:
-            kind = "GROUND_3D" if fmt == "box3d" else "GROUND_2D"
-            for template in templates.grounding[fmt]:
-                samples.append(
-                    InstructionSample(
-                        image=ann.image,
-                        query=template.format(target=desc),
-                        aux=None,
-                        target=target_by_format[fmt],
-                        kind=kind,
-                        task=None,
-                    )
-                )
-    return BuildResult(tuple(samples), skipped)
+    return _grounding_samples(ann, templates, _object_locations(ann, inflation))
 
 
 def build_sqa_samples(ann: AnnotationFile, templates: TemplateSet) -> BuildResult:
@@ -229,6 +247,44 @@ def build_sqa_samples(ann: AnnotationFile, templates: TemplateSet) -> BuildResul
     return BuildResult(tuple(samples), skipped)
 
 
+def _phase2_samples(
+    ann: AnnotationFile,
+    templates: TemplateSet,
+    aux_format: str,
+    locations: Sequence[tuple[str, str, str] | None],
+) -> BuildResult:
+    if aux_format not in ("hbb", "obb"):
+        raise ValueError(f"aux_format must be 'hbb' or 'obb', got {aux_format!r}")
+    samples: list[InstructionSample] = []
+    skipped = 0
+    image = ann.image
+    phase2 = templates.phase2
+    for obj, targets in zip(ann.objects, locations):
+        if targets is None:
+            skipped += 1
+            continue
+        hbb, obb, loc3d = targets
+        loc2d = hbb if aux_format == "hbb" else obb
+        desc = describe_object(obj)
+        for template in phase2["ground_2d"]:
+            samples.append(InstructionSample(
+                image, template.format(target=desc), None, loc2d, "GROUND_2D", None
+            ))
+        for template in phase2["ground_3d"]:
+            samples.append(InstructionSample(
+                image, template.format(target=desc), None, loc3d, "GROUND_3D", None
+            ))
+        for template in phase2["asl"]:
+            samples.append(InstructionSample(
+                image, template.format(target=desc), loc2d, loc3d, "ASL", None
+            ))
+        for template in phase2["gml"]:  # text-only geometric mapping, no image
+            samples.append(InstructionSample(
+                None, template.format(target=desc, loc3d=loc3d), None, loc2d, "GML", None
+            ))
+    return BuildResult(tuple(samples), skipped)
+
+
 def build_phase2_samples(
     ann: AnnotationFile,
     templates: TemplateSet,
@@ -242,44 +298,7 @@ def build_phase2_samples(
     so the auxiliary and mapped locations are the exact same strings the
     model is trained to emit.
     """
-    if aux_format not in ("hbb", "obb"):
-        raise ValueError(f"aux_format must be 'hbb' or 'obb', got {aux_format!r}")
-    samples: list[InstructionSample] = []
-    skipped = 0
-    for obj in ann.objects:
-        box3d = _object_box3d(obj, ann, inflation)
-        if box3d is None:
-            skipped += 1
-            continue
-        loc2d = serialize_location(
-            obb_to_hbb(obj.obb) if aux_format == "hbb" else obj.obb
-        )
-        loc3d = serialize_location(box3d)
-        desc = describe_object(obj)
-        for kind_key in PHASE2_KINDS:
-            for template in templates.phase2[kind_key]:
-                if kind_key == "ground_2d":
-                    sample = InstructionSample(
-                        ann.image, template.format(target=desc), None, loc2d,
-                        "GROUND_2D", None,
-                    )
-                elif kind_key == "ground_3d":
-                    sample = InstructionSample(
-                        ann.image, template.format(target=desc), None, loc3d,
-                        "GROUND_3D", None,
-                    )
-                elif kind_key == "asl":
-                    sample = InstructionSample(
-                        ann.image, template.format(target=desc), loc2d, loc3d,
-                        "ASL", None,
-                    )
-                else:  # gml: text-only geometric mapping, no image
-                    sample = InstructionSample(
-                        None, template.format(target=desc, loc3d=loc3d), None,
-                        loc2d, "GML", None,
-                    )
-                samples.append(sample)
-    return BuildResult(tuple(samples), skipped)
+    return _phase2_samples(ann, templates, aux_format, _object_locations(ann, inflation))
 
 
 def build_all(
@@ -289,14 +308,22 @@ def build_all(
     inflation: float = 1.0,
     stages: Sequence[str] = STAGES,
 ) -> BuildResult:
-    """The given stages (all three by default) for one record, in stage order."""
+    """The given stages (all three by default) for one record, in stage order.
+
+    Equal to concatenating the per-stage builders, but each object's 3D box
+    is derived, and its location strings serialized, once for both the
+    grounding and the phase-2 stage.
+    """
+    locations = None
+    if "grounding" in stages or "phase2" in stages:
+        locations = _object_locations(ann, inflation)
     result = BuildResult((), 0)
     if "grounding" in stages:
-        result += build_grounding_samples(ann, templates, inflation)
+        result += _grounding_samples(ann, templates, locations)
     if "sqa" in stages:
         result += build_sqa_samples(ann, templates)
     if "phase2" in stages:
-        result += build_phase2_samples(ann, templates, aux_format, inflation)
+        result += _phase2_samples(ann, templates, aux_format, locations)
     return result
 
 
@@ -318,18 +345,14 @@ def read_samples(path: str | Path) -> list[InstructionSample]:
             if not line.strip():
                 continue
             row = json.loads(line)
-            samples.append(
-                InstructionSample(
-                    image=row["image"],
-                    query=row["query"],
-                    aux=row["aux"],
-                    target=row["target"],
-                    kind=row["kind"],
-                    task=row["task"],
-                )
-            )
+            values = [row[key] for key in _SAMPLE_FIELDS]
+            for key, value in zip(_SAMPLE_FIELDS, values):
+                if not (isinstance(value, str) or (value is None and key in _NULLABLE_FIELDS)):
+                    wanted = "a string or null" if key in _NULLABLE_FIELDS else "a string"
+                    raise TypeError(f"field {key!r} must be {wanted}, got {type(value).__name__}")
+            samples.append(InstructionSample(*values))
         # Bad UTF-8 and JSONDecodeError are ValueErrors; TypeError is a line
-        # that is JSON but not an object.
+        # that is JSON but not an object, or a field of the wrong type.
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"{path}: line {line_num}: {exc}") from None
     return samples

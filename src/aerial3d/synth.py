@@ -74,8 +74,8 @@ class SceneConfig:
         if not (0 < lo <= hi <= math.pi / 2):
             raise ValueError(f"pitch_range must lie in (0, pi/2], got {self.pitch_range}")
         lo, hi = self.agl_range
-        if not (0 < lo <= hi):
-            raise ValueError(f"agl_range must be positive, got {self.agl_range}")
+        if not (0 < lo <= hi < math.inf):
+            raise ValueError(f"agl_range must be positive and finite, got {self.agl_range}")
         if not 0 <= self.frame_margin < 0.5:
             raise ValueError(f"frame_margin must be in [0, 0.5), got {self.frame_margin}")
 

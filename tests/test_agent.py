@@ -22,11 +22,13 @@ from aerial3d.agent import (
     run_query,
     validate_bindings,
 )
-from aerial3d.agent import planning
-from aerial3d.boxes import Box3D, extract_location
+from aerial3d.agent import backends, planning
+from aerial3d.boxes import Box3D, extract_location, obb_to_hbb, serialize_location
 from aerial3d.errors import BackendError, BindingMissing, PlanParseError, UnknownWorkflow
 from aerial3d.evaluation import annotation_from_dict
 from aerial3d.vehicles import load_table, packaged_table_path
+
+from conftest import make_annotation_dict
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +287,32 @@ class TestMockVLM:
             assert numbers(noisy) != numbers(exact)
             assert len(numbers(noisy)) == len(numbers(exact))
             assert all(abs(a - b) <= bound for a, b in zip(numbers(noisy), numbers(exact)))
+
+
+    def test_session_converts_each_annotated_obb_once(self, monkeypatch):
+        # 30 cars on a 6x5 grid, each with its own color; before the fix,
+        # every query converted every annotated OBB (n * queries calls).
+        data = make_annotation_dict()
+        car = data["objects"][0]
+        data["objects"] = [
+            dict(car, id=f"car{i}", attributes={"color": f"color{i}"},
+                 obb=dict(car["obb"], cx=100.0 + 150.0 * (i % 6), cy=100.0 + 150.0 * (i // 6)))
+            for i in range(30)
+        ]
+        ann = annotation_from_dict(data)
+        calls = []
+
+        def counting(obb):
+            calls.append(obb)
+            return obb_to_hbb(obb)
+
+        monkeypatch.setattr(backends, "obb_to_hbb", counting)
+        vlm = MockVLMBackend(ann)
+        for i, obj in enumerate(ann.objects):
+            region = serialize_location(obb_to_hbb(obj.obb))
+            reply = vlm.complete(f"What is the color of the vehicle at {region}?")
+            assert reply == f"The color of the vehicle is color{i}."
+        assert len(calls) == 30
 
 
 class TestRunQuery:

@@ -176,6 +176,15 @@ class TestSynthCli:
         ann = load_annotations(info["annotation"])
         assert len(ann.objects) == 4
 
+    def test_infinite_agl_is_domain_error(self, tmp_path):
+        done = _python(
+            "import sys; from aerial3d.cli import main; sys.exit(main(sys.argv[1:]))",
+            "synth", "--n", "3", "--agl", "inf", "--out", str(tmp_path / "d"),
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: agl_range must be positive and finite")
+        assert "Traceback" not in done.stderr
+
     def test_seed_reproducibility_bytes(self, tmp_path, capsys):
         payloads = []
         for name in ("a", "b"):
@@ -209,6 +218,14 @@ class TestBuildInstrCli:
             for line in texts[stage][: half[stage]]
         ]
         assert texts["all"] == one_file * 2
+
+    def test_non_object_templates_is_domain_error(self, tmp_path, ann_path, capsys):
+        templates = tmp_path / "t.json"
+        templates.write_text("[1]")
+        code = run(["build-instr", "--annotations", ann_path, "--templates", str(templates),
+                    "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        assert "t.json: top level must be a JSON object" in capsys.readouterr().err
 
     def test_single_stage(self, tmp_path, ann_path, capsys):
         out = tmp_path / "sqa.jsonl"

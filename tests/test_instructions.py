@@ -1,12 +1,17 @@
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from aerial3d.boxes import Box3D, HorizontalBox2D, OrientedBox2D, parse_location
+from aerial3d import instructions
+from aerial3d.boxes import Box3D, HorizontalBox2D, OrientedBox2D, derive_box3d, parse_location
 from aerial3d.errors import ParseError
 from aerial3d.evaluation import annotation_from_dict
 from aerial3d.instructions import (
+    InstructionSample,
     build_all,
     build_grounding_samples,
     build_phase2_samples,
@@ -27,6 +32,16 @@ def templates():
 @pytest.fixture
 def ann(annotation_dict):
     return annotation_from_dict(annotation_dict)
+
+
+def _above_horizon_record():
+    """10-degree pitch record: car0's OBB center lies above the horizon
+    (its ray misses the ground), car1 sits safely below it."""
+    data = make_annotation_dict(pitch_deg=10.0, agl=50.0)
+    data["objects"][0]["obb"]["cy"] = 30.0
+    data["objects"][0]["obb"]["cx"] = 500.0
+    data["objects"][1]["obb"]["cy"] = 900.0
+    return annotation_from_dict(data)
 
 
 class TestTemplates:
@@ -53,6 +68,13 @@ class TestTemplates:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(broken))
         with pytest.raises(ParseError):
+            load_templates(path)
+
+    @pytest.mark.parametrize("root", ["[1]", "1", '"grounding"', "null"])
+    def test_non_object_root_rejected(self, tmp_path, root):
+        path = tmp_path / "t.json"
+        path.write_text(root)
+        with pytest.raises(ParseError, match=r"t\.json: top level must be a JSON object"):
             load_templates(path)
 
     def test_unbalanced_braces_rejected(self, tmp_path, templates):
@@ -166,14 +188,9 @@ class TestSkipPolicy:
     def test_object_above_horizon_skipped_everywhere(self, templates):
         # At 10-degree pitch the horizon line sits near the frame top;
         # putting one OBB center above it kills the back-projection.
-        data = make_annotation_dict(pitch_deg=10.0, agl=50.0)
         denom_zero_y = 500.0 - 0.01 * math.tan(math.radians(80.0)) / 1e-5  # ~-5171
         assert denom_zero_y < 0  # sanity: horizon is above the frame top here
-        data["objects"][0]["obb"]["cy"] = 30.0
-        data["objects"][0]["obb"]["cx"] = 500.0
-        # Move the second object safely below the horizon.
-        data["objects"][1]["obb"]["cy"] = 900.0
-        ann = annotation_from_dict(data)
+        ann = _above_horizon_record()
         # 10-degree pitch: pixels above ~321 px point over the horizon.
         result = build_all(ann, templates)
         kept_each = 15 + 5 + 20
@@ -196,6 +213,32 @@ class TestBuildAllStages:
         ]
         assert list(build_all(ann, templates, stages=stages).samples) == expected
 
+    @pytest.mark.parametrize("aux_format", ["hbb", "obb"])
+    @pytest.mark.parametrize("record", ["nadir", "above_horizon"])
+    def test_equals_the_public_builders(self, ann, templates, aux_format, record):
+        if record == "above_horizon":
+            ann = _above_horizon_record()
+        parts = [
+            build_grounding_samples(ann, templates, 1.1),
+            build_sqa_samples(ann, templates),
+            build_phase2_samples(ann, templates, aux_format, 1.1),
+        ]
+        built = build_all(ann, templates, aux_format, 1.1)
+        assert built.samples == sum((p.samples for p in parts), ())
+        assert built.n_skipped == sum(p.n_skipped for p in parts)
+        assert built.n_skipped == (3 if record == "above_horizon" else 0)
+
+    def test_derives_each_box_once(self, ann, templates, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return derive_box3d(*args, **kwargs)
+
+        monkeypatch.setattr(instructions, "derive_box3d", counting)
+        build_all(ann, templates)
+        assert calls == [obj.obb for obj in ann.objects]
+
 
 class TestJsonl:
     def test_write_read_roundtrip_and_key_order(self, ann, templates, tmp_path):
@@ -215,3 +258,34 @@ class TestJsonl:
                 "task",
             ]
         assert read_samples(path) == list(samples)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            # Surrogates and control characters included.
+            st.text(st.characters(exclude_categories=())),
+            min_size=6,
+            max_size=6,
+        ),
+        st.sampled_from([(), ("image",), ("aux",), ("task",), ("image", "aux", "task")]),
+    )
+    @example(['a"b', "\\x\x00\x1f\x7f", "/<>", "é😀\ud800", "\n\u2028", ""], ("aux",))
+    def test_to_json_matches_json_dumps(self, values, nulls):
+        fields = dict(zip(("image", "query", "aux", "target", "kind", "task"), values))
+        fields.update(dict.fromkeys(nulls))
+        sample = InstructionSample(**fields)
+        assert sample.to_json() == json.dumps(dataclasses.asdict(sample), ensure_ascii=False)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("image", 1), ("query", None), ("query", ["q"]), ("aux", {}), ("target", 1.5),
+         ("kind", None), ("task", True)],
+    )
+    def test_read_rejects_wrongly_typed_field(self, tmp_path, field, value):
+        row = {"image": "a.png", "query": "q", "aux": None, "target": "[1,2,3,4]",
+               "kind": "GROUND_2D", "task": None}
+        row[field] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"bad\.jsonl: line 1: field '{field}'"):
+            read_samples(path)

@@ -32,6 +32,14 @@ def nadir_cfg(**kw):
     return SceneConfig(**defaults)
 
 
+class TestSceneConfig:
+    @pytest.mark.parametrize("agl_range", [(math.inf, math.inf), (50.0, math.inf),
+                                           (math.nan, math.nan), (0.0, 50.0)])
+    def test_agl_range_must_be_positive_and_finite(self, agl_range):
+        with pytest.raises(ValueError, match="agl_range"):
+            nadir_cfg(agl_range=agl_range)
+
+
 class TestGenerateScene:
     def test_empty_scene_is_valid(self, table):
         scene = generate_scene(nadir_cfg(n_vehicles=0), table)
