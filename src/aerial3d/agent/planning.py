@@ -126,16 +126,15 @@ def _packaged_planner_prompt() -> str:
     return load_planner_prompt()
 
 
-def plan(query: str, planner: Backend, prompt_template: str | None = None) -> Plan:
+def plan(query: str, planner: Backend) -> Plan:
     """Ask the planner backend for a plan; one re-prompt, then PlanParseError.
 
-    The template's literal "{query}" token is replaced with the query (no
-    str.format, so JSON braces in few-shot examples are safe).
+    The packaged prompt's literal "{query}" token is replaced with the query
+    (no str.format, so JSON braces in few-shot examples are safe).
     """
     if not query.strip():
         raise ValueError("query must be non-empty")
-    template = prompt_template if prompt_template is not None else _packaged_planner_prompt()
-    prompt = template.replace("{query}", query)
+    prompt = _packaged_planner_prompt().replace("{query}", query)
     reply = planner.complete(prompt)
     try:
         return parse_plan_text(reply)

@@ -162,7 +162,6 @@ class AgentConfig:
     summarizer: Backend
     search: Backend | None = None
     table: VehicleTable | None = None
-    prompt_template: str | None = None
 
 
 def run_query(image: str | None, query: str, config: AgentConfig) -> dict[str, Any]:
@@ -181,7 +180,7 @@ def run_query(image: str | None, query: str, config: AgentConfig) -> dict[str, A
         "answer": None,
     }
     try:  # build_plan raises ValueError on a blank query
-        the_plan = build_plan(query, config.planner, config.prompt_template)
+        the_plan = build_plan(query, config.planner)
     except (PlanParseError, UnknownWorkflow, BackendError, ValueError) as exc:
         trace["answer"] = f"error: planning failed: {exc}"
         return {"answer": trace["answer"], "trace": trace}

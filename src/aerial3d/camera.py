@@ -152,19 +152,18 @@ def ground_denominator(pt: Point2Like, cam: CameraModel) -> float:
     return image.y * math.cos(cam.pitch) + cam.focal_length * math.sin(cam.pitch)
 
 
-def backproject_to_ground(
-    pt: Point2Like, cam: CameraModel, eps: float = HORIZON_EPS
-) -> CameraPoint:
+def backproject_to_ground(pt: Point2Like, cam: CameraModel) -> CameraPoint:
     """Intersect the pixel's viewing ray with the ground plane.
 
     Returns the camera-frame ground point (x_i*t, y_i*t, f*t) with
     t = agl / (y_i*cos(pitch) + f*sin(pitch)). Raises RayMissesGround when
-    the denominator is <= eps, i.e. the pixel sits at or above the horizon.
+    the denominator is <= HORIZON_EPS, i.e. the pixel sits at or above the
+    horizon.
     """
     px, py = _xy(pt)
     image = pixel_to_image((px, py), cam)
     denom = image.y * math.cos(cam.pitch) + cam.focal_length * math.sin(cam.pitch)
-    if denom <= eps:
+    if denom <= HORIZON_EPS:
         raise RayMissesGround(
             f"pixel ({px}, {py}) is at or above the horizon (denominator {denom:.3e})"
         )

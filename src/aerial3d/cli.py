@@ -71,6 +71,17 @@ def _load_table_arg(path: str | None):
     return load_table(path if path else packaged_table_path())
 
 
+def _load_search_fixtures(path: str) -> dict[str, str]:
+    """A JSON object mapping each search query to its result text."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad UTF-8, JSONDecodeError, an int past the digit limit
+        raise ParseError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict) or not all(isinstance(v, str) for v in data.values()):
+        raise ParseError(f"{path}: search fixtures must be a JSON object of string to string")
+    return data
+
+
 # --------------------------------------------------------------------------
 # Handlers
 # --------------------------------------------------------------------------
@@ -225,8 +236,7 @@ def _cmd_agent_run(args: argparse.Namespace) -> int:
         summarizer = MockSummarizerBackend()
         search = None
         if args.search_fixtures:
-            fixtures = json.loads(Path(args.search_fixtures).read_text(encoding="utf-8"))
-            search = FixtureSearchBackend(fixtures)
+            search = FixtureSearchBackend(_load_search_fixtures(args.search_fixtures))
     else:
         missing = [
             flag

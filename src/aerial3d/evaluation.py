@@ -121,49 +121,7 @@ def validate_annotation(data: dict) -> None:
     index. Object ids must be non-empty and unique, and each box must lie
     within the image bounds plus a margin.
     """
-    _check(data, "", "object")
-    _field(data, "", "image", "string")
-    _field(data, "", "image_width", "integer", minimum=0)
-    _field(data, "", "image_height", "integer", minimum=0)
-    camera = _field(data, "", "camera", "object")
-    for name in ("focal_length_m", "pixel_size_m", "pitch_deg", "agl_m"):
-        _field(camera, "/camera", name, minimum=0, maximum=90 if name == "pitch_deg" else None)
-    for i, obj in enumerate(_field(data, "", "objects", "array")):
-        path = f"/objects/{i}"
-        _check(obj, path, "object")
-        if not _field(obj, path, "id", "string"):
-            raise SchemaError(f"{path}/id", "'' should be non-empty")
-        obb = _field(obj, path, "obb", "object")
-        for name in ("cx", "cy", "w", "h", "angle_deg"):
-            _field(obb, f"{path}/obb", name, minimum=0 if name in ("w", "h") else None)
-        dims = _field(obj, path, "dims_mm", "object")
-        for name in ("length", "width", "height"):
-            _field(dims, f"{path}/dims_mm", name, minimum=0)
-        if "attributes" in obj:
-            _check(obj["attributes"], f"{path}/attributes", "object")
-
-    width, height = data["image_width"], data["image_height"]
-    mx, my = _BOUNDS_MARGIN * width, _BOUNDS_MARGIN * height
-    seen_ids: set[str] = set()
-    for i, obj in enumerate(data["objects"]):
-        if obj["id"] in seen_ids:
-            raise SchemaError(f"/objects/{i}/id", f"duplicate object id {obj['id']!r}")
-        seen_ids.add(obj["id"])
-        raw = obj["obb"]
-        obb = OrientedBox2D.normalized(
-            raw["cx"], raw["cy"], raw["w"], raw["h"], math.radians(raw["angle_deg"])
-        )
-        hull = obb_to_hbb(obb)
-        if (
-            hull.x1 < -mx
-            or hull.y1 < -my
-            or hull.x2 > width + mx
-            or hull.y2 > height + my
-        ):
-            raise SchemaError(
-                f"/objects/{i}/obb",
-                f"box extends past the image bounds by more than {_BOUNDS_MARGIN:.0%}",
-            )
+    annotation_from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -188,42 +146,72 @@ class AnnotationFile:
 
 
 def annotation_from_dict(data: dict) -> AnnotationFile:
-    """Validate and convert a raw dict (degrees/mm) to typed form (radians/m)."""
-    validate_annotation(data)
-    cam_raw = data["camera"]
+    """Validate and convert a raw dict (degrees/mm) to typed form (radians/m).
+
+    Each field is read once and checked as `validate_annotation` documents;
+    the duplicate-id and bounds checks then run over the typed objects.
+    """
+    _check(data, "", "object")
+    image = _field(data, "", "image", "string")
+    width = _field(data, "", "image_width", "integer", minimum=0)
+    height = _field(data, "", "image_height", "integer", minimum=0)
+    cam_raw = _field(data, "", "camera", "object")
+    focal_length = _field(cam_raw, "/camera", "focal_length_m", minimum=0)
+    pixel_size = _field(cam_raw, "/camera", "pixel_size_m", minimum=0)
+    pitch = math.radians(_field(cam_raw, "/camera", "pitch_deg", minimum=0, maximum=90))
+    if pitch == 0.0:  # a subnormal pitch_deg rounds to 0 rad
+        raise SchemaError("/camera/pitch_deg", f"{cam_raw['pitch_deg']!r} rounds to 0 radians")
     camera = CameraModel(
-        focal_length=cam_raw["focal_length_m"],
-        pixel_size=cam_raw["pixel_size_m"],
-        image_width=data["image_width"],
-        image_height=data["image_height"],
-        pitch=math.radians(cam_raw["pitch_deg"]),
-        agl=cam_raw["agl_m"],
+        focal_length=focal_length,
+        pixel_size=pixel_size,
+        image_width=width,
+        image_height=height,
+        pitch=pitch,
+        agl=_field(cam_raw, "/camera", "agl_m", minimum=0),
     )
-    objects = []
-    for obj in data["objects"]:
-        raw = obj["obb"]
-        objects.append(
-            AnnotatedObject(
-                id=obj["id"],
-                obb=OrientedBox2D.normalized(
-                    raw["cx"], raw["cy"], raw["w"], raw["h"],
-                    math.radians(raw["angle_deg"]),
-                ),
-                dims_mm=(
-                    obj["dims_mm"]["length"],
-                    obj["dims_mm"]["width"],
-                    obj["dims_mm"]["height"],
-                ),
-                attributes=dict(obj.get("attributes", {})),
-            )
+    checked = []
+    for i, obj in enumerate(_field(data, "", "objects", "array")):
+        path = f"/objects/{i}"
+        _check(obj, path, "object")
+        obj_id = _field(obj, path, "id", "string")
+        if not obj_id:
+            raise SchemaError(f"{path}/id", "'' should be non-empty")
+        raw = _field(obj, path, "obb", "object")
+        cx, cy, w, h, angle_deg = (
+            _field(raw, f"{path}/obb", name, minimum=0 if name in ("w", "h") else None)
+            for name in ("cx", "cy", "w", "h", "angle_deg")
         )
-    return AnnotationFile(
-        image=data["image"],
-        image_width=data["image_width"],
-        image_height=data["image_height"],
-        camera=camera,
-        objects=tuple(objects),
-    )
+        dims = _field(obj, path, "dims_mm", "object")
+        dims_mm = tuple(
+            _field(dims, f"{path}/dims_mm", name, minimum=0)
+            for name in ("length", "width", "height")
+        )
+        attributes = _check(obj.get("attributes", {}), f"{path}/attributes", "object")
+        checked.append((obj_id, (cx, cy, w, h, math.radians(angle_deg)), dims_mm, attributes))
+
+    # Boxes are built only once every field has passed its check, so no
+    # error from building one can mask a field fault of a later object.
+    mx, my = _BOUNDS_MARGIN * width, _BOUNDS_MARGIN * height
+    seen_ids: set[str] = set()
+    objects = []
+    for i, (obj_id, obb_fields, dims_mm, attributes) in enumerate(checked):
+        if obj_id in seen_ids:
+            raise SchemaError(f"/objects/{i}/id", f"duplicate object id {obj_id!r}")
+        seen_ids.add(obj_id)
+        obb = OrientedBox2D.normalized(*obb_fields)
+        hull = obb_to_hbb(obb)
+        if (
+            hull.x1 < -mx
+            or hull.y1 < -my
+            or hull.x2 > width + mx
+            or hull.y2 > height + my
+        ):
+            raise SchemaError(
+                f"/objects/{i}/obb",
+                f"box extends past the image bounds by more than {_BOUNDS_MARGIN:.0%}",
+            )
+        objects.append(AnnotatedObject(obj_id, obb, dims_mm, dict(attributes)))
+    return AnnotationFile(image, width, height, camera, tuple(objects))
 
 
 def load_annotations(path: str | Path) -> AnnotationFile:
@@ -490,23 +478,32 @@ def retrieval_ground_truth(
     }
 
 
-def sqa_ground_truth(ann: AnnotationFile) -> dict[str, float]:
-    """Ground truth for the five spatial-QA tasks, keyed `<id>:<task>`.
+def sqa_values(obj: AnnotatedObject, camera: CameraModel) -> dict[str, float]:
+    """One object's five spatial-QA quantities, keyed by task in SQA_TASKS order.
 
     Depth and distance are measured to the object's ground center; length,
     width, and height are the metric dimensions. All values in meters.
+    Raises RayMissesGround when the OBB center is at or above the horizon.
     """
-    gt: dict[str, float] = {}
-    for obj in ann.objects:
-        center = backproject_to_ground(PixelPoint(obj.obb.cx, obj.obb.cy), ann.camera)
-        measures = spatial_measures(center)
-        dims = obj.dims_m
-        gt[f"{obj.id}:depth"] = measures.depth
-        gt[f"{obj.id}:distance"] = measures.distance
-        gt[f"{obj.id}:length"] = dims.length
-        gt[f"{obj.id}:width"] = dims.width
-        gt[f"{obj.id}:height"] = dims.height
-    return gt
+    center = backproject_to_ground(PixelPoint(obj.obb.cx, obj.obb.cy), camera)
+    measures = spatial_measures(center)
+    dims = obj.dims_m
+    return {
+        "depth": measures.depth,
+        "distance": measures.distance,
+        "length": dims.length,
+        "width": dims.width,
+        "height": dims.height,
+    }
+
+
+def sqa_ground_truth(ann: AnnotationFile) -> dict[str, float]:
+    """Ground truth for the five spatial-QA tasks, keyed `<id>:<task>` (see sqa_values)."""
+    return {
+        f"{obj.id}:{task}": value
+        for obj in ann.objects
+        for task, value in sqa_values(obj, ann.camera).items()
+    }
 
 
 def attribute_ground_truth(ann: AnnotationFile) -> dict[str, str]:

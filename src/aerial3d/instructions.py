@@ -32,9 +32,8 @@ from typing import Iterable, Sequence
 
 from ._fsio import write_text_atomic
 from .boxes import derive_box3d, obb_to_hbb, serialize_location
-from .camera import PixelPoint, backproject_to_ground, spatial_measures
 from .errors import DegenerateYaw, ParseError, RayMissesGround
-from .evaluation import SQA_TASKS, AnnotatedObject, AnnotationFile
+from .evaluation import SQA_TASKS, AnnotatedObject, AnnotationFile, sqa_values
 
 GROUNDING_FORMATS = ("hbb", "obb", "box3d")
 PHASE2_KINDS = ("ground_2d", "ground_3d", "asl", "gml")
@@ -217,21 +216,10 @@ def build_sqa_samples(ann: AnnotationFile, templates: TemplateSet) -> BuildResul
     skipped = 0
     for obj in ann.objects:
         try:
-            center = backproject_to_ground(
-                PixelPoint(obj.obb.cx, obj.obb.cy), ann.camera
-            )
+            values = sqa_values(obj, ann.camera)
         except RayMissesGround:
             skipped += 1
             continue
-        measures = spatial_measures(center)
-        dims = obj.dims_m
-        values = {
-            "depth": measures.depth,
-            "distance": measures.distance,
-            "length": dims.length,
-            "width": dims.width,
-            "height": dims.height,
-        }
         desc = describe_object(obj)
         for task in SQA_TASKS:
             samples.append(

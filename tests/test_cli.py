@@ -306,6 +306,36 @@ class TestAgentCli:
         assert answer.startswith("error: planning failed: http-planner backend failed")
         assert json.loads(trace_path.read_text())["answer"] == answer
 
+    @staticmethod
+    def _price_query(tmp_path, fixtures: bytes) -> int:
+        # car1 has the packaged Camry dims, so the search query is "Toyota Camry price".
+        data = make_annotation_dict()
+        data["objects"][1]["dims_mm"] = {"length": 4885, "width": 1835, "height": 1455}
+        ann_path = tmp_path / "a.json"
+        ann_path.write_text(json.dumps(data))
+        path = tmp_path / "fixtures.json"
+        path.write_bytes(fixtures)
+        return run(["agent", "run", "--annotations", str(ann_path),
+                    "--search-fixtures", str(path),
+                    "--query", "What is the price of the vehicle at [255,604,345,696]?"])
+
+    @pytest.mark.parametrize(
+        "fixtures",
+        [b"[1]", b'["ab"]', b"{not json", b'{"Toyota Camry price": "\xff"}', b'{"q": 5}'],
+        ids=["list-of-int", "list-of-str", "not-json", "bad-utf8", "non-string-value"],
+    )
+    def test_bad_search_fixtures_exit_1(self, tmp_path, capsys, fixtures):
+        assert self._price_query(tmp_path, fixtures) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {tmp_path / 'fixtures.json'}: ")
+        assert "Traceback" not in captured.err
+
+    def test_search_fixtures_answer_the_price(self, tmp_path, capsys):
+        fixtures = json.dumps({"Toyota Camry price": "Listed at 199,000 today."})
+        assert self._price_query(tmp_path, fixtures.encode()) == 0
+        assert capsys.readouterr().out.strip() == "price: 199000"
+
     def test_unplannable_query_exits_1(self, tmp_path, capsys, ann_path):
         code = run(["agent", "run", "--query", "Sing a song.",
                     "--annotations", ann_path])

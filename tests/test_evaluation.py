@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aerial3d.boxes import Box3D, HorizontalBox2D, serialize_location
+from aerial3d.boxes import Box3D, HorizontalBox2D, OrientedBox2D, serialize_location
 from aerial3d.camera import CameraPoint
 from aerial3d.errors import (
     DegenerateVariance,
@@ -272,6 +272,46 @@ class TestAnnotationValidation:
         with pytest.raises(SchemaError) as info:
             validate_annotation(annotation_dict)
         assert info.value.pointer == "/objects/0/obb/h"
+
+    @pytest.mark.parametrize("entry", [validate_annotation, annotation_from_dict])
+    def test_pitch_that_rounds_to_zero_radians_rejected(self, annotation_dict, entry):
+        # A positive JSON number, so schema-valid, but 0.0 once in radians.
+        annotation_dict["camera"]["pitch_deg"] = 5e-324
+        with pytest.raises(SchemaError) as info:
+            entry(annotation_dict)
+        assert info.value.pointer == "/camera/pitch_deg"
+
+    def test_each_obb_is_normalized_once(self, annotation_dict, monkeypatch):
+        calls = []
+        normalized = OrientedBox2D.normalized
+
+        def counting(cls, *args):
+            calls.append(args)
+            return normalized(*args)
+
+        monkeypatch.setattr(OrientedBox2D, "normalized", classmethod(counting))
+        annotation_from_dict(annotation_dict)
+        assert len(calls) == len(annotation_dict["objects"])
+
+    @pytest.mark.parametrize(
+        "later_fault",
+        [
+            (("objects", 1, "id"), "car0"),  # a duplicate of object 0's id
+            (("objects", 0, "obb", "cx"), 5000.0),  # past the image bounds
+        ],
+        ids=["duplicate-id", "out-of-bounds"],
+    )
+    def test_type_faults_come_before_id_and_bounds_faults(self, annotation_dict, later_fault):
+        objects = annotation_dict["objects"]
+        for i in (2, 3):
+            objects.append(dict(copy.deepcopy(objects[i % 2]), id=f"car{i}"))
+        validate_annotation(annotation_dict)
+        _mutate(annotation_dict, *later_fault)
+        _mutate(annotation_dict, ("objects", 3, "obb", "w"), "x")
+        for entry in (validate_annotation, annotation_from_dict):
+            with pytest.raises(SchemaError) as info:
+                entry(annotation_dict)
+            assert info.value.pointer == "/objects/3/obb/w"
 
     def test_non_object_root_pointer(self, tmp_path):
         with pytest.raises(SchemaError) as info:

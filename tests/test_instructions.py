@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from aerial3d import instructions
 from aerial3d.boxes import Box3D, HorizontalBox2D, OrientedBox2D, derive_box3d, parse_location
 from aerial3d.errors import ParseError
-from aerial3d.evaluation import annotation_from_dict
+from aerial3d.evaluation import SQA_TASKS, annotation_from_dict, sqa_ground_truth
 from aerial3d.instructions import (
     InstructionSample,
     build_all,
@@ -143,6 +143,18 @@ class TestSqaSamples:
             if s.task == "length" and "Tesla" in s.query
         ]
         assert lengths == ["4.50 m"]
+
+    @pytest.mark.parametrize("pitch_deg", [90.0, 60.0, 35.0])
+    def test_targets_match_sqa_ground_truth(self, templates, pitch_deg):
+        # Builder and scorer must state the same quantities to the cent.
+        ann = annotation_from_dict(make_annotation_dict(pitch_deg=pitch_deg))
+        gt = sqa_ground_truth(ann)
+        expected = [
+            f"{gt[f'{obj.id}:{task}']:.2f} m" for obj in ann.objects for task in SQA_TASKS
+        ]
+        result = build_sqa_samples(ann, templates)
+        assert result.n_skipped == 0
+        assert [s.target for s in result.samples] == expected
 
 
 class TestPhase2Samples:
