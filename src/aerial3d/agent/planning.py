@@ -18,6 +18,7 @@ from importlib.resources import files
 from pathlib import Path
 from typing import Any, Iterator
 
+from .._fsio import read_utf8
 from ..errors import PlanParseError
 from .backends import Backend
 
@@ -116,8 +117,7 @@ def packaged_planner_prompt_path() -> Path:
 
 
 def load_planner_prompt(path: str | Path | None = None) -> str:
-    path = Path(path) if path is not None else packaged_planner_prompt_path()
-    return path.read_text(encoding="utf-8")
+    return read_utf8(Path(path) if path is not None else packaged_planner_prompt_path())
 
 
 @functools.cache

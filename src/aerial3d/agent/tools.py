@@ -15,11 +15,10 @@ executor passes in, so traces capture every prompt/response verbatim.
 
 from __future__ import annotations
 
-import re
 from dataclasses import asdict
 from typing import Any, Callable
 
-from ..boxes import Box3D, HorizontalBox2D, extract_location, serialize_location
+from ..boxes import Box3D, HorizontalBox2D, scan_locations, serialize_location
 from ..errors import EmptyTable, NotFound
 from ..vehicles import VehicleTable, lookup, match_dimensions
 from .backends import Backend, _floats
@@ -109,13 +108,9 @@ class Toolbox:
                 "bounding box and its 2D image box."
             )
             answer = self._ask(self.vlm, "vlm", prompt, image, recorder)
-            box3d = hbb = None
-            for token in re.findall(r"<[^<>]*>|\[[^\[\]]*\]", answer):
-                loc = extract_location(token)
-                if isinstance(loc, Box3D) and box3d is None:
-                    box3d = loc
-                elif isinstance(loc, HorizontalBox2D) and hbb is None:
-                    hbb = loc
+            locations = list(scan_locations(answer))
+            box3d = next((loc for loc in locations if isinstance(loc, Box3D)), None)
+            hbb = next((loc for loc in locations if isinstance(loc, HorizontalBox2D)), None)
             if box3d is None:
                 raise ValueError(f"no 3D box in answer {answer!r}")
             result = {"box3d": serialize_location(box3d)}

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .camera import (
     CameraModel,
@@ -48,7 +48,9 @@ Polygon = Sequence[tuple[float, float]]
 
 def wrap_angle_half_pi(angle: float) -> float:
     """Wrap an angle into [-pi/2, pi/2) (direction modulo pi)."""
-    return (angle + math.pi / 2.0) % math.pi - math.pi / 2.0
+    wrapped = (angle + math.pi / 2.0) % math.pi - math.pi / 2.0
+    # The modulo rounds up to pi for an angle a hair below -pi/2.
+    return -math.pi / 2.0 if wrapped >= math.pi / 2.0 else wrapped
 
 
 @dataclass(frozen=True)
@@ -522,16 +524,16 @@ def parse_location(text: str) -> Location:
     raise ParseError(f"no bracketed location in {text!r}")
 
 
-def extract_location(text: str) -> Location | None:
-    """First parseable location embedded anywhere in free text, else None."""
-    candidates = []
-    for m in _ANGLE_BRACKETS.finditer(text):
-        candidates.append((m.start(), m.group(0)))
-    for m in _SQUARE_BRACKETS.finditer(text):
-        candidates.append((m.start(), m.group(0)))
-    for _, token in sorted(candidates):
+def scan_locations(text: str) -> Iterator[Location]:
+    """Every parseable location embedded in free text, in order of position."""
+    matches = [*_ANGLE_BRACKETS.finditer(text), *_SQUARE_BRACKETS.finditer(text)]
+    for match in sorted(matches, key=re.Match.start):
         try:
-            return parse_location(token)
+            yield parse_location(match.group(0))
         except ParseError:
             continue
-    return None
+
+
+def extract_location(text: str) -> Location | None:
+    """First parseable location embedded anywhere in free text, else None."""
+    return next(scan_locations(text), None)

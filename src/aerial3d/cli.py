@@ -22,9 +22,8 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
-from ._fsio import write_text_atomic
+from ._fsio import read_json, write_text_atomic
 from .agent import (
     AgentConfig,
     FixtureSearchBackend,
@@ -73,10 +72,7 @@ def _load_table_arg(path: str | None):
 
 def _load_search_fixtures(path: str) -> dict[str, str]:
     """A JSON object mapping each search query to its result text."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad UTF-8, JSONDecodeError, an int past the digit limit
-        raise ParseError(f"{path}: not valid JSON: {exc}") from None
+    data = read_json(path)
     if not isinstance(data, dict) or not all(isinstance(v, str) for v in data.values()):
         raise ParseError(f"{path}: search fixtures must be a JSON object of string to string")
     return data

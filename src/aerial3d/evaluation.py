@@ -34,14 +34,14 @@ reported alongside.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
+from ._fsio import read_json, read_jsonl
 from .boxes import (
     Box3D,
     BoxDims,
@@ -51,9 +51,9 @@ from .boxes import (
     bev_iou,
     derive_box3d,
     dims_from_mm,
-    extract_location,
     hbb_iou,
     obb_to_hbb,
+    scan_locations,
 )
 from .camera import CameraModel, PixelPoint, backproject_to_ground, spatial_measures
 from .errors import (
@@ -216,12 +216,7 @@ def annotation_from_dict(data: dict) -> AnnotationFile:
 
 def load_annotations(path: str | Path) -> AnnotationFile:
     """Load and validate an annotation JSON file."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-        raise ParseError(f"{path}: not valid JSON: {exc}") from None
-    return annotation_from_dict(data)
+    return annotation_from_dict(read_json(Path(path)))
 
 
 def load_predictions(path: str | Path) -> dict[str, dict]:
@@ -232,15 +227,7 @@ def load_predictions(path: str | Path) -> dict[str, dict]:
     """
     path = Path(path)
     preds: dict[str, dict] = {}
-    # bytes.splitlines breaks at \n, \r\n and \r, as text-mode reading does.
-    for line_num, raw in enumerate(path.read_bytes().splitlines(), start=1):
-        try:
-            line = raw.decode("utf-8")
-            if not line.strip():
-                continue
-            row = json.loads(line)
-        except ValueError as exc:  # bad UTF-8, JSONDecodeError, an int past the digit limit
-            raise ParseError(f"{path}: line {line_num}: {exc}") from None
+    for line_num, row in read_jsonl(path):
         if not isinstance(row, dict) or "id" not in row:
             raise ParseError(f"{path}: line {line_num}: missing 'id' field")
         key = str(row["id"])
@@ -439,23 +426,30 @@ def eval_attributes(
         raise LengthMismatch(f"{len(preds)} predictions vs {len(gts)} ground truths")
     if not gts:
         return 0.0
+    return _attribute_tally(zip(preds, gts), attribute, price_tol)[0] / len(gts)
+
+
+def _attribute_tally(
+    pairs: Iterable[tuple[str | None, str]], attribute: str, price_tol: float | None
+) -> tuple[int, int]:
+    """(hits, parse failures); a missing answer, or a numeric one with no number, fails."""
     numeric = attribute in NUMERIC_ATTRIBUTES
-    hits = 0
-    for pred, gt in zip(preds, gts):
-        if pred is None:
-            continue
+    hits = failures = 0
+    for pred, gt in pairs:
         if numeric:
             p_val, g_val = extract_numeric(pred), extract_numeric(gt)
+            failures += p_val is None
             if p_val is None or g_val is None:
                 continue
             if attribute == "price" and price_tol is not None:
-                if abs(p_val - g_val) <= price_tol * abs(g_val):
-                    hits += 1
-            elif p_val == g_val:
-                hits += 1
-        elif _normalize_text(pred) == _normalize_text(gt):
-            hits += 1
-    return hits / len(gts)
+                hits += abs(p_val - g_val) <= price_tol * abs(g_val)
+            else:
+                hits += p_val == g_val
+        elif pred is None:
+            failures += 1
+        else:
+            hits += _normalize_text(pred) == _normalize_text(gt)
+    return hits, failures
 
 
 # --------------------------------------------------------------------------
@@ -549,24 +543,17 @@ def _pred_text(pred: dict | None, *keys: str) -> str | None:
     return None
 
 
+def _pred_location(pred: dict | None, key: str, kind: type | tuple[type, ...]) -> Location | None:
+    """First location of type `kind` in the prediction's `key` text (or answer, if blank)."""
+    text = _pred_text(pred, key, "answer")
+    if text is None:
+        return None
+    return next((loc for loc in scan_locations(text) if isinstance(loc, kind)), None)
+
+
 def _pred_hbb(pred: dict | None) -> HorizontalBox2D | None:
-    text = _pred_text(pred, "hbb", "answer")
-    if text is None:
-        return None
-    loc = extract_location(text)
-    if isinstance(loc, HorizontalBox2D):
-        return loc
-    if isinstance(loc, OrientedBox2D):
-        return obb_to_hbb(loc)
-    return None
-
-
-def _pred_box3d(pred: dict | None) -> Box3D | None:
-    text = _pred_text(pred, "box3d", "answer")
-    if text is None:
-        return None
-    loc = extract_location(text)
-    return loc if isinstance(loc, Box3D) else None
+    loc = _pred_location(pred, "hbb", (HorizontalBox2D, OrientedBox2D))
+    return obb_to_hbb(loc) if isinstance(loc, OrientedBox2D) else loc
 
 
 def evaluate_grounding_file(
@@ -590,7 +577,7 @@ def evaluate_retrieval_file(
     inflation: float = 1.0,
 ) -> EvalReport:
     gts = retrieval_ground_truth(ann, inflation)
-    pred_boxes = [_pred_box3d(preds.get(obj_id)) for obj_id in gts]
+    pred_boxes = [_pred_location(preds.get(obj_id), "box3d", Box3D) for obj_id in gts]
     acc = eval_retrieval(pred_boxes, list(gts.values()), ann.camera, thresh)
     return EvalReport(
         task="retrieval",
@@ -661,36 +648,23 @@ def evaluate_attributes_file(
         by_attr.setdefault(attr, []).append((text, gt_value))
 
     per_attr: dict[str, EvalReport] = {}
-    total_hits = 0.0
-    total_n = 0
-    total_failures = 0
+    total_hits = 0
     for attr, pairs in sorted(by_attr.items()):
-        pred_texts = [p for p, _ in pairs]
-        gt_texts = [g for _, g in pairs]
-        acc = eval_attributes(pred_texts, gt_texts, attribute=attr, price_tol=price_tol)
-        failures = _attribute_parse_failures(pred_texts, attr)
+        hits, failures = _attribute_tally(pairs, attr, price_tol)
         per_attr[attr] = EvalReport(
             task=attr,
             n_evaluated=len(pairs),
             n_parse_failures=failures,
-            accuracy=acc,
+            accuracy=hits / len(pairs),
         )
-        total_hits += acc * len(pairs)
-        total_n += len(pairs)
-        total_failures += failures
+        total_hits += hits
     overall = EvalReport(
         task="attributes",
-        n_evaluated=total_n,
-        n_parse_failures=total_failures,
-        accuracy=(total_hits / total_n) if total_n else 0.0,
+        n_evaluated=len(gts),
+        n_parse_failures=sum(r.n_parse_failures for r in per_attr.values()),
+        accuracy=total_hits / len(gts) if gts else 0.0,
     )
     return overall, per_attr
-
-
-def _attribute_parse_failures(preds: Sequence[str | None], attribute: str) -> int:
-    if attribute in NUMERIC_ATTRIBUTES:
-        return sum(1 for p in preds if extract_numeric(p) is None)
-    return sum(1 for p in preds if p is None)
 
 
 def render_report_table(report: dict[str, Any], indent: int = 0) -> str:

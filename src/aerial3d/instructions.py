@@ -30,7 +30,7 @@ from importlib.resources import files
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._fsio import write_text_atomic
+from ._fsio import read_json, read_jsonl, write_text_atomic
 from .boxes import derive_box3d, obb_to_hbb, serialize_location
 from .errors import DegenerateYaw, ParseError, RayMissesGround
 from .evaluation import SQA_TASKS, AnnotatedObject, AnnotationFile, sqa_values
@@ -104,10 +104,7 @@ def load_templates(path: str | Path | None = None) -> TemplateSet:
     the placeholders the builders supply.
     """
     path = Path(path) if path is not None else packaged_templates_path()
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-        raise ParseError(f"{path}: not valid JSON: {exc}") from None
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be a JSON object, got {type(data).__name__}")
 
@@ -326,21 +323,16 @@ def read_samples(path: str | Path) -> list[InstructionSample]:
     """Read a JSONL instruction file back into samples."""
     path = Path(path)
     samples = []
-    # bytes.splitlines breaks at \n, \r\n and \r, as text-mode reading does.
-    for line_num, raw in enumerate(path.read_bytes().splitlines(), start=1):
+    for line_num, row in read_jsonl(path):
         try:
-            line = raw.decode("utf-8")
-            if not line.strip():
-                continue
-            row = json.loads(line)
             values = [row[key] for key in _SAMPLE_FIELDS]
             for key, value in zip(_SAMPLE_FIELDS, values):
                 if not (isinstance(value, str) or (value is None and key in _NULLABLE_FIELDS)):
                     wanted = "a string or null" if key in _NULLABLE_FIELDS else "a string"
                     raise TypeError(f"field {key!r} must be {wanted}, got {type(value).__name__}")
             samples.append(InstructionSample(*values))
-        # Bad UTF-8 and JSONDecodeError are ValueErrors; TypeError is a line
-        # that is JSON but not an object, or a field of the wrong type.
-        except (ValueError, KeyError, TypeError) as exc:
+        # TypeError is a line that is JSON but not an object, or a field of
+        # the wrong type.
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"{path}: line {line_num}: {exc}") from None
     return samples

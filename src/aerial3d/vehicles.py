@@ -12,12 +12,14 @@ CSV schema, header required, UTF-8, no embedded commas in text fields:
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from ._fsio import read_utf8
 from .boxes import BoxDims, dims_from_mm
 from .errors import DuplicateKey, EmptyTable, NotFound, ParseError
 
@@ -124,37 +126,38 @@ def packaged_table_path() -> Path:
 def load_table(path: str | Path) -> VehicleTable:
     """Load and validate a vehicle CSV; see module docstring for the schema.
 
-    Raises ParseError (with the 1-based row number), DuplicateKey, or
-    EmptyTable.
+    Raises ParseError (naming the file, and the 1-based row for a bad
+    row), DuplicateKey, or EmptyTable.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyTable(f"{path}: no header row")
-        if set(reader.fieldnames) != set(_COLUMNS):
-            raise ParseError(
-                f"{path}: header must be {','.join(_COLUMNS)}, "
-                f"got {','.join(reader.fieldnames)}"
-            )
-        records = []
-        for row_num, row in enumerate(reader, start=2):
-            try:
-                records.append(
-                    VehicleRecord(
-                        brand=row["brand"].strip(),
-                        model=row["model"].strip(),
-                        length_mm=float(row["length_mm"]),
-                        width_mm=float(row["width_mm"]),
-                        height_mm=float(row["height_mm"]),
-                        powertrain=_normalize_powertrain(row["powertrain"]),
-                        price=float(row["price"]),
-                        doors=int(row["doors"]),
-                        seats=int(row["seats"]),
-                    )
+    reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
+    if reader.fieldnames is None:
+        raise EmptyTable(f"{path}: no header row")
+    if set(reader.fieldnames) != set(_COLUMNS):
+        raise ParseError(
+            f"{path}: header must be {','.join(_COLUMNS)}, "
+            f"got {','.join(reader.fieldnames)}"
+        )
+    records = []
+    for row_num, row in enumerate(reader, start=2):
+        if None in row.values():  # DictReader pads a short row with None
+            raise ParseError(f"{path}: row {row_num}: fewer than {len(_COLUMNS)} fields")
+        try:
+            records.append(
+                VehicleRecord(
+                    brand=row["brand"].strip(),
+                    model=row["model"].strip(),
+                    length_mm=float(row["length_mm"]),
+                    width_mm=float(row["width_mm"]),
+                    height_mm=float(row["height_mm"]),
+                    powertrain=_normalize_powertrain(row["powertrain"]),
+                    price=float(row["price"]),
+                    doors=int(row["doors"]),
+                    seats=int(row["seats"]),
                 )
-            except (ValueError, TypeError) as exc:
-                raise ParseError(f"{path}: row {row_num}: {exc}") from None
+            )
+        except ValueError as exc:
+            raise ParseError(f"{path}: row {row_num}: {exc}") from None
     if not records:
         raise EmptyTable(f"{path}: no data rows")
     return VehicleTable.from_records(records)

@@ -133,6 +133,17 @@ class TestMatch:
         assert run(["match", "--length-mm", "0", "--width-mm", "1", "--height-mm", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_short_table_row_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text(
+            "brand,model,length_mm,width_mm,height_mm,powertrain,price,doors,seats\n"
+            "Tesla,Model X,5036,1999,1684\n"
+        )
+        assert run(["match", "--table", str(path), "--length-mm", "5036",
+                    "--width-mm", "1999", "--height-mm", "1684"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: row 2: ") and err.count("\n") == 1
+
 
 class TestDerive3dAndProject:
     def test_derive_all_objects(self, capsys, ann_path):

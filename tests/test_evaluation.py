@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aerial3d.agent import load_planner_prompt
 from aerial3d.boxes import Box3D, HorizontalBox2D, OrientedBox2D, serialize_location
 from aerial3d.camera import CameraPoint
+from aerial3d.cli import _load_search_fixtures
 from aerial3d.errors import (
     DegenerateVariance,
     LengthMismatch,
@@ -41,6 +43,7 @@ from aerial3d.evaluation import (
     within_5pct,
 )
 from aerial3d.instructions import load_templates, read_samples
+from aerial3d.vehicles import load_table
 from oracles import jsonschema_pointers
 
 
@@ -273,6 +276,12 @@ class TestAnnotationValidation:
             validate_annotation(annotation_dict)
         assert info.value.pointer == "/objects/0/obb/h"
 
+    def test_angle_a_hair_below_minus_90_degrees_is_accepted(self, annotation_dict):
+        # (angle + pi/2) % pi rounds up to pi here; the OBB must wrap to -pi/2.
+        annotation_dict["objects"][0]["obb"]["angle_deg"] = -90.00000000000001
+        validate_annotation(annotation_dict)
+        assert annotation_from_dict(annotation_dict).objects[0].obb.angle == -math.pi / 2
+
     @pytest.mark.parametrize("entry", [validate_annotation, annotation_from_dict])
     def test_pitch_that_rounds_to_zero_radians_rejected(self, annotation_dict, entry):
         # A positive JSON number, so schema-valid, but 0.0 once in radians.
@@ -445,8 +454,12 @@ _HUGE_INT = "1" + "0" * 5000  # past Python's 4300-digit int conversion limit
         (load_predictions, '{"id": "a"}\n{"id": "b", "answer": %s}\n', ": line 2"),
         (load_templates, '{"grounding": %s}', ""),
         (read_samples, '{"image": %s}\n', ": line 1"),
+        (_load_search_fixtures, '{"q": %s}', ""),
     ],
-    ids=["load_annotations", "load_predictions", "load_templates", "read_samples"],
+    ids=[
+        "load_annotations", "load_predictions", "load_templates", "read_samples",
+        "_load_search_fixtures",
+    ],
 )
 def test_oversized_json_integer_is_parse_error(tmp_path, loader, text, where):
     path = tmp_path / "huge.json"
@@ -461,14 +474,23 @@ _SAMPLE_LINE = json.dumps(
 
 
 @pytest.mark.parametrize(
-    "loader, first_line",
-    [(load_predictions, '{"id": "a"}'), (read_samples, _SAMPLE_LINE)],
-    ids=["load_predictions", "read_samples"],
+    "loader, first_line, where",
+    [
+        (load_predictions, '{"id": "a"}', ": line 2"),
+        (read_samples, _SAMPLE_LINE, ": line 2"),
+        (load_table, "brand,model,length_mm,width_mm,height_mm,powertrain,price,doors,seats", ""),
+        (_load_search_fixtures, '{"q":', ""),
+        (load_planner_prompt, "You are a planner.", ""),
+    ],
+    ids=[
+        "load_predictions", "read_samples", "load_table", "_load_search_fixtures",
+        "load_planner_prompt",
+    ],
 )
-def test_invalid_utf8_is_parse_error_with_line(tmp_path, loader, first_line):
+def test_invalid_utf8_is_parse_error_with_line(tmp_path, loader, first_line, where):
     path = tmp_path / "bad.jsonl"
     path.write_bytes(first_line.encode() + b"\n\xff\n")
-    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: .*utf-8"):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path) + where)}: .*utf-8"):
         loader(path)
 
 
@@ -506,6 +528,17 @@ class TestFileLevelEvaluation:
         report = evaluate_grounding_file(ann, {"car0": {"hbb": "no box"}})
         assert report.n_parse_failures == 2  # car1 is missing entirely
         assert report.acc_at_05 == 0.0
+
+    def test_agent_find_answer_scores_on_both_box_tasks(self, ann):
+        # The agent's find answer names the 3D box before the image box.
+        boxes = retrieval_ground_truth(ann)
+        preds = {
+            obj_id: {"answer": f"location: {serialize_location(boxes[obj_id])}; "
+                               f"image box: {serialize_location(hbb)}"}
+            for obj_id, hbb in grounding_ground_truth(ann).items()
+        }
+        assert evaluate_grounding_file(ann, preds).acc_at_05 == 1.0
+        assert evaluate_retrieval_file(ann, preds).acc_at_bev_025 == 1.0
 
     def test_retrieval_self_predictions_score_one(self, ann):
         preds = {
@@ -545,6 +578,21 @@ class TestFileLevelEvaluation:
         assert overall.accuracy == 1.0
         assert per_attr["brand"].accuracy == 1.0
         assert per_attr["price"].n_evaluated == 2
+
+    def test_overall_attribute_accuracy_is_hits_over_questions(self, annotation_dict):
+        # 1 + 15 hits of 22 + 22 questions; summing acc * n per attribute in
+        # floats gives 0.3636363636363636, one ulp below 16 / 44.
+        car = annotation_dict["objects"][0]
+        annotation_dict["objects"] = [
+            {**car, "id": f"car{i}", "attributes": {"color": "white", "type": "sedan"}}
+            for i in range(22)
+        ]
+        ann = annotation_from_dict(annotation_dict)
+        preds = {f"car{i}:color": {"answer": "white" if i < 1 else "red"} for i in range(22)}
+        preds.update({f"car{i}:type": {"answer": "sedan" if i < 15 else "suv"} for i in range(22)})
+        overall, per_attr = evaluate_attributes_file(ann, preds)
+        assert overall.accuracy == 16 / 44
+        assert (per_attr["color"].accuracy, per_attr["type"].accuracy) == (1 / 22, 15 / 22)
 
     def test_report_table_renders(self, ann):
         report = evaluate_grounding_file(ann, {}).to_dict()
