@@ -24,13 +24,11 @@ to share.
 from __future__ import annotations
 
 import json
-import math
 import random
 import re
 from typing import TYPE_CHECKING, Protocol
 
 from ..boxes import (
-    Box3D,
     HorizontalBox2D,
     OrientedBox2D,
     derive_box3d,
@@ -158,35 +156,11 @@ class MockVLMBackend:
         return "I cannot answer that."
 
 
-# Canonical tool sequences for the three query workflows. Each entry is a
-# plan-step template; {region} etc. are filled by the mock planner.
-_ZERO_SHOT_STEPS = [
-    {
-        "tool": "spatial_understanding",
-        "args": {"mode": "dims", "region": None},
-        "output_name": "dims",
-    },
-    {
-        "tool": "query_table",
-        "args": {
-            "mode": "match",
-            "length_m": "$dims.length_m",
-            "width_m": "$dims.width_m",
-            "height_m": "$dims.height_m",
-        },
-        "output_name": "record",
-    },
-]
-_PRICE_STEP = {
-    "tool": "web_search",
-    "args": {"query": "$record.brand $record.model price"},
-    "output_name": "web_price",
-}
-_SUMMARIZE_STEP = {"tool": "summarize", "args": {}, "output_name": "answer"}
-
 ATTRIBUTE_WORDS = ("brand", "model", "price", "cost", "powertrain", "doors", "seats")
 VISUAL_WORDS = ("color", "colour", "type")
 RETRIEVAL_WORDS = ("find", "locate", "where")
+# The live query of a planner or summarizer prompt.
+_QUERY_LINE = re.compile(r"Query:\s*(.+)")
 
 
 class MockPlannerBackend:
@@ -218,9 +192,11 @@ class MockPlannerBackend:
         return best
 
     def _classify(self, query: str) -> list[dict]:
+        """The canonical tool sequence of the query's workflow."""
         lowered = query.lower()
         region = extract_location(query)
         region_text = serialize_location(region) if region is not None else None
+        summarize = {"tool": "summarize", "args": {}, "output_name": "answer"}
 
         named = self._find_named_vehicle(query)
         if named and any(word in lowered for word in RETRIEVAL_WORDS):
@@ -241,35 +217,51 @@ class MockPlannerBackend:
                     },
                     "output_name": "location",
                 },
-                dict(_SUMMARIZE_STEP),
+                summarize,
             ]
         for word in VISUAL_WORDS:
             if word in lowered:
-                attribute = "color" if word == "colour" else word
-                args: dict = {"attribute": attribute}
+                args: dict = {"attribute": "color" if word == "colour" else word}
                 if region_text:
                     args["region"] = region_text
                 return [
-                    {
-                        "tool": "image_understanding",
-                        "args": args,
-                        "output_name": "visual",
-                    },
-                    dict(_SUMMARIZE_STEP),
+                    {"tool": "image_understanding", "args": args, "output_name": "visual"},
+                    summarize,
                 ]
         if any(word in lowered for word in ATTRIBUTE_WORDS) or "how much" in lowered:
-            steps = [json.loads(json.dumps(s)) for s in _ZERO_SHOT_STEPS]
-            steps[0]["args"]["region"] = region_text
+            steps = [
+                {
+                    "tool": "spatial_understanding",
+                    "args": {"mode": "dims", "region": region_text},
+                    "output_name": "dims",
+                },
+                {
+                    "tool": "query_table",
+                    "args": {
+                        "mode": "match",
+                        "length_m": "$dims.length_m",
+                        "width_m": "$dims.width_m",
+                        "height_m": "$dims.height_m",
+                    },
+                    "output_name": "record",
+                },
+            ]
             if "price" in lowered or "cost" in lowered or "how much" in lowered:
-                steps.append(dict(_PRICE_STEP))
-            steps.append(dict(_SUMMARIZE_STEP))
+                steps.append(
+                    {
+                        "tool": "web_search",
+                        "args": {"query": "$record.brand $record.model price"},
+                        "output_name": "web_price",
+                    }
+                )
+            steps.append(summarize)
             return steps
         raise UnknownWorkflow(f"cannot classify query: {query!r}")
 
     def complete(self, prompt: str, image: str | None = None) -> str:
         # The planner prompt may contain few-shot examples with their own
         # "Query:" lines; the live query is the last one.
-        queries = re.findall(r"Query:\s*(.+)", prompt)
+        queries = _QUERY_LINE.findall(prompt)
         query = queries[-1].strip() if queries else prompt.strip()
         steps = self._classify(query)
         return "```json\n" + json.dumps(steps, indent=2) + "\n```"
@@ -282,7 +274,7 @@ class MockSummarizerBackend:
 
     def complete(self, prompt: str, image: str | None = None) -> str:
         outputs = self._outputs_from(prompt)
-        query = (re.findall(r"Query:\s*(.+)", prompt) or [""])[0].lower()
+        query = (_QUERY_LINE.findall(prompt) or [""])[0].lower()
 
         location = outputs.get("location")
         if isinstance(location, dict) and "box3d" in location:

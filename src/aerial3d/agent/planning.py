@@ -33,6 +33,10 @@ SUMMARIZE = "summarize"
 REF_PATTERN = re.compile(r"\$([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?")
 _FENCED = re.compile(r"```(?:json)?\s*\n(.*?)```", re.DOTALL)
 _NAME = re.compile(r"^[A-Za-z_]\w*$")
+_RETRY_SUFFIX = (
+    "\n\nYour previous reply could not be parsed. Respond with ONLY a "
+    "fenced ```json code block containing the plan array."
+)
 
 
 @dataclass(frozen=True)
@@ -135,17 +139,10 @@ def plan(query: str, planner: Backend) -> Plan:
     if not query.strip():
         raise ValueError("query must be non-empty")
     prompt = _packaged_planner_prompt().replace("{query}", query)
-    reply = planner.complete(prompt)
-    try:
-        return parse_plan_text(reply)
-    except PlanParseError:
-        retry_prompt = (
-            prompt
-            + "\n\nYour previous reply could not be parsed. Respond with ONLY a "
-            "fenced ```json code block containing the plan array."
-        )
-        reply = planner.complete(retry_prompt)
+    error = None
+    for suffix in ("", _RETRY_SUFFIX):
         try:
-            return parse_plan_text(reply)
+            return parse_plan_text(planner.complete(prompt + suffix))
         except PlanParseError as exc:
-            raise PlanParseError(f"planner output unparseable after one retry: {exc}")
+            error = exc
+    raise PlanParseError(f"planner output unparseable after one retry: {error}")

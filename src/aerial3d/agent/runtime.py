@@ -8,10 +8,13 @@ independent steps still run. Summarization happens after execution over
 whatever outputs exist; if nothing succeeded the query returns a
 structured `error:` answer instead.
 
-The trace is a plain JSON-serializable dict recording the plan, every
-resolved tool call, every backend prompt/response, and the final answer.
-With mock backends and fixed seeds, identical queries produce
-byte-identical traces (`json.dumps(trace, sort_keys=True)`).
+The trace is a plain JSON-serializable dict recording the parsed plan,
+each step's resolved arguments, output or error and the prompt/response of
+every backend call its tool made, the summarizer's prompt and response,
+and the final answer. The planner's prompt, reply and retry are not
+recorded yet (ROADMAP item 5). With mock backends and fixed seeds,
+identical queries produce byte-identical traces
+(`json.dumps(trace, sort_keys=True)`).
 """
 
 from __future__ import annotations
@@ -20,16 +23,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..errors import (
-    BackendError,
-    BindingMissing,
-    PlanParseError,
-    ToolError,
-    UnknownWorkflow,
-)
+from ..errors import BindingMissing, ToolError
 from ..vehicles import VehicleTable
 from .backends import Backend
-from .planning import Plan, ToolCall, iter_refs, plan as build_plan, REF_PATTERN
+from .planning import Plan, iter_refs, plan as build_plan, REF_PATTERN
 from .tools import Toolbox
 
 
@@ -44,15 +41,7 @@ class StepRecord:
     backend_calls: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "tool": self.tool,
-            "output_name": self.output_name,
-            "args": self.args,
-            "output": self.output,
-            "error": self.error,
-            "backend_calls": self.backend_calls,
-        }
+        return dict(vars(self))  # shallow: asdict would deep-copy every output
 
 
 @dataclass
@@ -179,12 +168,17 @@ def run_query(image: str | None, query: str, config: AgentConfig) -> dict[str, A
         "summary": None,
         "answer": None,
     }
+    trace["answer"] = _answer(image, query, config, trace)
+    return {"answer": trace["answer"], "trace": trace}
+
+
+def _answer(image: str | None, query: str, config: AgentConfig, trace: dict) -> str:
+    """Run the query, filling `trace`; a planning or summarizing failure of
+    any kind is an "error: ..." answer, as a failing tool step is a record."""
     try:  # build_plan raises ValueError on a blank query
         the_plan = build_plan(query, config.planner)
-    except (PlanParseError, UnknownWorkflow, BackendError, ValueError) as exc:
-        trace["answer"] = f"error: planning failed: {exc}"
-        return {"answer": trace["answer"], "trace": trace}
-
+    except Exception as exc:
+        return f"error: planning failed: {exc}"
     trace["plan"] = [
         {"tool": s.tool, "args": s.args, "output_name": s.output_name}
         for s in the_plan.steps
@@ -193,19 +187,13 @@ def run_query(image: str | None, query: str, config: AgentConfig) -> dict[str, A
     try:
         result = execute(the_plan, toolbox, image)
     except BindingMissing as exc:
-        trace["answer"] = f"error: invalid plan: {exc}"
-        return {"answer": trace["answer"], "trace": trace}
+        return f"error: invalid plan: {exc}"
     trace["steps"] = [s.to_dict() for s in result.steps]
-
-    if result.outputs:
-        summary_sink: dict[str, Any] = {}
-        try:
-            answer = summarize(query, result.outputs, config.summarizer, summary_sink)
-        except BackendError as exc:
-            answer = f"error: summarization failed: {exc}"
-        trace["summary"] = summary_sink
-    else:
+    if not result.outputs:
         failures = "; ".join(s.error for s in result.failed_steps) or "no steps ran"
-        answer = f"error: no tool outputs ({failures})"
-    trace["answer"] = answer
-    return {"answer": answer, "trace": trace}
+        return f"error: no tool outputs ({failures})"
+    trace["summary"] = {}
+    try:
+        return summarize(query, result.outputs, config.summarizer, trace["summary"])
+    except Exception as exc:
+        return f"error: summarization failed: {exc}"

@@ -16,18 +16,19 @@ executor passes in, so traces capture every prompt/response verbatim.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Callable
+from typing import Any
 
 from ..boxes import Box3D, HorizontalBox2D, scan_locations, serialize_location
-from ..errors import EmptyTable, NotFound
+from ..errors import EmptyTable
 from ..vehicles import VehicleTable, lookup, match_dimensions
 from .backends import Backend, _floats
+from .planning import VALID_TOOLS
 
 BackendCallRecorder = list  # list of {"backend","prompt","image","response"} dicts
 
 
 class Toolbox:
-    """Tool registry for one agent configuration."""
+    """The tools of one agent configuration; tool `t` is the method `_t`."""
 
     def __init__(
         self,
@@ -38,12 +39,6 @@ class Toolbox:
         self.table = table
         self.vlm = vlm
         self.search = search
-        self._tools: dict[str, Callable] = {
-            "spatial_understanding": self._spatial_understanding,
-            "image_understanding": self._image_understanding,
-            "query_table": self._query_table,
-            "web_search": self._web_search,
-        }
 
     def invoke(
         self,
@@ -53,9 +48,9 @@ class Toolbox:
         recorder: BackendCallRecorder,
     ) -> Any:
         """Run one tool; raises on failure (the executor wraps into ToolError)."""
-        if tool not in self._tools:
+        if tool not in VALID_TOOLS:
             raise ValueError(f"unknown tool {tool!r}")
-        return self._tools[tool](args, image, recorder)
+        return getattr(self, f"_{tool}")(args, image, recorder)
 
     def _ask(
         self,

@@ -37,7 +37,6 @@ from .evaluation import SQA_TASKS, AnnotatedObject, AnnotationFile, sqa_values
 
 GROUNDING_FORMATS = ("hbb", "obb", "box3d")
 PHASE2_KINDS = ("ground_2d", "ground_3d", "asl", "gml")
-KINDS = ("GROUND_2D", "GROUND_3D", "ASL", "GML", "SQA")
 STAGES = ("grounding", "sqa", "phase2")
 
 _TEMPLATES_PER_FORMAT = 5

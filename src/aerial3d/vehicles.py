@@ -131,33 +131,39 @@ def load_table(path: str | Path) -> VehicleTable:
     """
     path = Path(path)
     reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
-    if reader.fieldnames is None:
-        raise EmptyTable(f"{path}: no header row")
-    if set(reader.fieldnames) != set(_COLUMNS):
-        raise ParseError(
-            f"{path}: header must be {','.join(_COLUMNS)}, "
-            f"got {','.join(reader.fieldnames)}"
-        )
     records = []
-    for row_num, row in enumerate(reader, start=2):
-        if None in row.values():  # DictReader pads a short row with None
-            raise ParseError(f"{path}: row {row_num}: fewer than {len(_COLUMNS)} fields")
-        try:
-            records.append(
-                VehicleRecord(
-                    brand=row["brand"].strip(),
-                    model=row["model"].strip(),
-                    length_mm=float(row["length_mm"]),
-                    width_mm=float(row["width_mm"]),
-                    height_mm=float(row["height_mm"]),
-                    powertrain=_normalize_powertrain(row["powertrain"]),
-                    price=float(row["price"]),
-                    doors=int(row["doors"]),
-                    seats=int(row["seats"]),
-                )
+    row_num = 1  # the row being read: the header, then each data row
+    try:
+        if reader.fieldnames is None:
+            raise EmptyTable(f"{path}: no header row")
+        if set(reader.fieldnames) != set(_COLUMNS):
+            raise ParseError(
+                f"{path}: header must be {','.join(_COLUMNS)}, "
+                f"got {','.join(reader.fieldnames)}"
             )
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {row_num}: {exc}") from None
+        row_num = 2
+        for row in reader:
+            if None in row.values():  # DictReader pads a short row with None
+                raise ParseError(f"{path}: row {row_num}: fewer than {len(_COLUMNS)} fields")
+            try:
+                records.append(
+                    VehicleRecord(
+                        brand=row["brand"].strip(),
+                        model=row["model"].strip(),
+                        length_mm=float(row["length_mm"]),
+                        width_mm=float(row["width_mm"]),
+                        height_mm=float(row["height_mm"]),
+                        powertrain=_normalize_powertrain(row["powertrain"]),
+                        price=float(row["price"]),
+                        doors=int(row["doors"]),
+                        seats=int(row["seats"]),
+                    )
+                )
+            except ValueError as exc:
+                raise ParseError(f"{path}: row {row_num}: {exc}") from None
+            row_num += 1
+    except csv.Error as exc:  # e.g. a quoted field over csv.field_size_limit()
+        raise ParseError(f"{path}: row {row_num}: {exc}") from None
     if not records:
         raise EmptyTable(f"{path}: no data rows")
     return VehicleTable.from_records(records)

@@ -15,6 +15,7 @@ from aerial3d.agent import (
     MockSummarizerBackend,
     MockVLMBackend,
     Toolbox,
+    VALID_TOOLS,
     execute,
     load_planner_prompt,
     parse_plan_text,
@@ -165,6 +166,149 @@ class TestGoldenPlans:
     def test_unclassifiable_query(self, table):
         with pytest.raises(UnknownWorkflow):
             plan("Write me a poem about clouds.", MockPlannerBackend(table))
+
+
+_DIMS_AND_MATCH_STEPS = """\
+  {
+    "tool": "spatial_understanding",
+    "args": {
+      "mode": "dims",
+      "region": "[462,350,618,530]"
+    },
+    "output_name": "dims"
+  },
+  {
+    "tool": "query_table",
+    "args": {
+      "mode": "match",
+      "length_m": "$dims.length_m",
+      "width_m": "$dims.width_m",
+      "height_m": "$dims.height_m"
+    },
+    "output_name": "record"
+  },"""
+_SUMMARIZE_STEP = """\
+  {
+    "tool": "summarize",
+    "args": {},
+    "output_name": "answer"
+  }"""
+
+
+class TestMockPlannerReplies:
+    """The exact reply text for the four question kinds of the benchmark's
+    agent sessions: traces and perfbench figures depend on these bytes."""
+
+    @pytest.mark.parametrize(
+        "query, steps",
+        [
+            (
+                f"What are the brand and model of the vehicle at {CAR0_REGION}?",
+                _DIMS_AND_MATCH_STEPS + "\n" + _SUMMARIZE_STEP,
+            ),
+            (
+                f"What is the price of the vehicle at {CAR0_REGION}?",
+                _DIMS_AND_MATCH_STEPS
+                + """
+  {
+    "tool": "web_search",
+    "args": {
+      "query": "$record.brand $record.model price"
+    },
+    "output_name": "web_price"
+  },
+"""
+                + _SUMMARIZE_STEP,
+            ),
+            (
+                f"What color is the vehicle at {CAR0_REGION}?",
+                """\
+  {
+    "tool": "image_understanding",
+    "args": {
+      "attribute": "color",
+      "region": "[462,350,618,530]"
+    },
+    "output_name": "visual"
+  },
+"""
+                + _SUMMARIZE_STEP,
+            ),
+            (
+                "Find the Toyota Camry in the image.",
+                """\
+  {
+    "tool": "query_table",
+    "args": {
+      "mode": "lookup",
+      "brand": "Toyota",
+      "model": "Camry"
+    },
+    "output_name": "record"
+  },
+  {
+    "tool": "spatial_understanding",
+    "args": {
+      "mode": "locate",
+      "length_mm": "$record.length_mm",
+      "width_mm": "$record.width_mm",
+      "height_mm": "$record.height_mm"
+    },
+    "output_name": "location"
+  },
+"""
+                + _SUMMARIZE_STEP,
+            ),
+        ],
+        ids=["brand-model", "price", "color", "find"],
+    )
+    def test_reply_bytes(self, table, query, steps):
+        prompt = load_planner_prompt().replace("{query}", query)
+        reply = MockPlannerBackend(table).complete(prompt)
+        assert reply == "```json\n[\n" + steps + "\n]\n```"
+
+
+class TestToolbox:
+    # Per tool: its arguments, the reply its backend gives, and part of its output.
+    CALLS = {
+        "spatial_understanding": (
+            {"mode": "dims", "region": CAR0_REGION},
+            "length 4.885 m, width 1.835 m, height 1.455 m",
+            {"length_m": 4.885, "width_m": 1.835, "height_m": 1.455},
+        ),
+        "image_understanding": (
+            {"attribute": "color"},
+            "The color of the vehicle is white.",
+            {"attribute": "color", "value": "white"},
+        ),
+        "query_table": (
+            {"mode": "lookup", "brand": "Toyota", "model": "Camry"},
+            None,  # no backend call
+            {"brand": "Toyota", "model": "Camry", "length_mm": 4885.0},
+        ),
+        "web_search": (
+            {"query": "Toyota Camry price"},
+            "Listed at 199,800 today.",
+            {"text": "Listed at 199,800 today."},
+        ),
+    }
+
+    @pytest.mark.parametrize("tool", VALID_TOOLS)
+    def test_every_valid_tool_dispatches_to_its_tool(self, table, tool):
+        args, reply, expected = self.CALLS[tool]
+        backend = ScriptedBackend([reply])
+        recorder = []
+        output = Toolbox(table=table, vlm=backend, search=backend).invoke(
+            tool, args, "scene.png", recorder
+        )
+        assert expected.items() <= output.items()
+        assert [call["response"] for call in recorder] == ([reply] if reply else [])
+
+    @pytest.mark.parametrize("tool", ["teleport", "summarize", "_ask", ""])
+    def test_unknown_tool_rejected(self, table, tool):
+        toolbox = Toolbox(table=table, vlm=ScriptedBackend([]), search=ScriptedBackend([]))
+        with pytest.raises(ValueError, match="unknown tool"):
+            toolbox.invoke(tool, {}, "scene.png", [])
 
 
 class TestBindings:
@@ -528,7 +672,38 @@ class TestHTTPBackends:
             backend_type("no-scheme")
 
 
+class RaisingBackend:
+    name = "raising"
+
+    def complete(self, prompt, image=None):
+        raise RuntimeError("backend crashed")
+
+
 class TestBackendFailures:
+    @pytest.mark.parametrize("role", ["planner", "summarizer"])
+    @pytest.mark.parametrize(
+        "backend, message",
+        [
+            (FixtureSearchBackend({}), "no search fixture for"),  # a KeyError
+            (RaisingBackend(), "backend crashed"),  # a RuntimeError
+        ],
+        ids=["KeyError", "RuntimeError"],
+    )
+    def test_any_backend_exception_is_structured(self, ann, table, role, backend, message):
+        config = mock_config(ann, table)
+        setattr(config, role, backend)
+        result = run_query("scene.png", f"What color is the vehicle at {CAR0_REGION}?", config)
+        stage = {"planner": "planning", "summarizer": "summarization"}[role]
+        assert result["answer"].startswith(f"error: {stage} failed: ")
+        assert message in result["answer"]
+        trace = result["trace"]
+        assert trace["answer"] == result["answer"]
+        if role == "planner":
+            assert trace["plan"] is None
+        else:
+            assert [s["tool"] for s in trace["steps"]] == ["image_understanding"]
+            assert trace["steps"][0]["output"] == {"attribute": "color", "value": "white"}
+
     def test_planner_failure_is_structured(self, ann, table):
         config = mock_config(ann, table)
         config.planner = HTTPBackend(DEAD_URL, name="http-planner", timeout=0.2)

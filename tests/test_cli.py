@@ -144,6 +144,17 @@ class TestMatch:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: row 2: ") and err.count("\n") == 1
 
+    def test_oversized_table_field_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(
+            "brand,model,length_mm,width_mm,height_mm,powertrain,price,doors,seats\n"
+            'Tesla,"' + "x" * 131_073 + '",4500,1800,1500,BEV,100,4,5\n'
+        )
+        assert run(["match", "--table", str(path), "--length-mm", "4500",
+                    "--width-mm", "1800", "--height-mm", "1500"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: row 2: ") and err.count("\n") == 1
+
 
 class TestDerive3dAndProject:
     def test_derive_all_objects(self, capsys, ann_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,24 @@ class TestLoadTable:
             "A,B,notanumber,1800,1500,ICE,100,4,5\n"
         )
         with pytest.raises(ParseError, match="row 2"):
+            load_table(path)
+
+    @pytest.mark.parametrize(
+        "lines, row",
+        [
+            (["{big}"], 1),
+            (["{header}", "A,{big},4500,1800,1500,ICE,100,4,5"], 2),
+            # A quoted newline inside row 2 does not shift the row count.
+            (["{header}", 'A,"B\nC",4500,1800,1500,ICE,100,4,5', "{big},B"], 3),
+        ],
+        ids=["header", "row-2", "row-3-after-quoted-newline"],
+    )
+    def test_oversized_quoted_field_names_its_row(self, tmp_path, lines, row):
+        header = "brand,model,length_mm,width_mm,height_mm,powertrain,price,doors,seats"
+        big = '"' + "x" * 131_073 + '"'  # past csv's default field size limit
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(lines).format(header=header, big=big) + "\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: row {row}: field larger"):
             load_table(path)
 
     def test_empty_table_rejected(self, tmp_path):
