@@ -71,8 +71,10 @@ class MockVLMBackend:
         optionally perturbed by noise_sigma_px pixels;
       * what is the <attribute> ...      -> the annotated attribute value.
 
-    Vehicles are referenced by an embedded 2D box; the mock resolves it to
-    the annotated object with the highest box overlap.
+    Vehicles are referenced by an embedded 2D box (an OBB is taken as its
+    HBB); the mock resolves it to the annotated object whose HBB has the
+    highest IoU with it. Ties go to the first such object in annotation
+    order, and a region that overlaps no object's HBB resolves to none.
     """
 
     name = "mock-vlm"
@@ -88,8 +90,12 @@ class MockVLMBackend:
         self.noise_sigma_mm = noise_sigma_mm
         self.noise_sigma_px = noise_sigma_px
         self._rng = random.Random(seed)
-        # The annotation is frozen, so each object's HBB is computed once.
-        self._hbbs = [(obj, obb_to_hbb(obj.obb)) for obj in annotation.objects]
+        # The annotation is frozen, so each object's HBB, and its bounds as
+        # plain floats, are computed once.
+        self._hbbs = []
+        for obj in annotation.objects:
+            hbb = obb_to_hbb(obj.obb)
+            self._hbbs.append((hbb.x1, hbb.y1, hbb.x2, hbb.y2, hbb, obj))
 
     def _resolve(self, prompt: str) -> AnnotatedObject | None:
         region = extract_location(prompt)
@@ -101,11 +107,16 @@ class MockVLMBackend:
             region = obb_to_hbb(region)
         if not isinstance(region, HorizontalBox2D):
             return None
+        # An HBB that does not strictly overlap the region has IoU exactly
+        # 0.0 (both boxes have positive area), which never beats best_iou,
+        # so only overlapping objects are scored.
+        rx1, ry1, rx2, ry2 = region.x1, region.y1, region.x2, region.y2
         best, best_iou = None, 0.0
-        for obj, hbb in self._hbbs:
-            iou = hbb_iou(region, hbb)
-            if iou > best_iou:
-                best, best_iou = obj, iou
+        for x1, y1, x2, y2, hbb, obj in self._hbbs:
+            if x1 < rx2 and rx1 < x2 and y1 < ry2 and ry1 < y2:
+                iou = hbb_iou(region, hbb)
+                if iou > best_iou:
+                    best, best_iou = obj, iou
         return best
 
     def _noisy_dims_mm(self, obj: AnnotatedObject) -> tuple[float, float, float]:
@@ -161,6 +172,9 @@ VISUAL_WORDS = ("color", "colour", "type")
 RETRIEVAL_WORDS = ("find", "locate", "where")
 # The live query of a planner or summarizer prompt.
 _QUERY_LINE = re.compile(r"Query:\s*(.+)")
+# What precedes the tool outputs in a summarizer prompt (agent.runtime.summarize).
+_OUTPUTS_HEADER = "\nTool outputs (JSON):\n"
+_JSON = json.JSONDecoder()
 
 
 class MockPlannerBackend:
@@ -177,18 +191,19 @@ class MockPlannerBackend:
     name = "mock-planner"
 
     def __init__(self, table: VehicleTable | None = None):
-        self.table = table
+        # Each record's lowered "brand model" name, in table order.
+        self._names = [
+            (f"{r.brand} {r.model}".lower(), (r.brand, r.model))
+            for r in (table.records if table is not None else ())
+        ]
 
     def _find_named_vehicle(self, query: str) -> tuple[str, str] | None:
-        if self.table is None:
-            return None
         lowered = query.lower()
         best: tuple[str, str] | None = None
         best_len = 0
-        for record in self.table.records:
-            name = f"{record.brand} {record.model}".lower()
+        for name, brand_model in self._names:
             if name in lowered and len(name) > best_len:
-                best, best_len = (record.brand, record.model), len(name)
+                best, best_len = brand_model, len(name)
         return best
 
     def _classify(self, query: str) -> list[dict]:
@@ -312,11 +327,13 @@ class MockSummarizerBackend:
 
     @staticmethod
     def _outputs_from(prompt: str) -> dict:
-        start, end = prompt.find("{"), prompt.rfind("}")
-        if start == -1 or end <= start:
+        # The outputs are the one-line JSON after the last header; the query
+        # comes before it and may hold braces of its own.
+        start = prompt.rfind(_OUTPUTS_HEADER)
+        if start == -1:
             return {}
         try:
-            parsed = json.loads(prompt[start : end + 1])
+            parsed, _ = _JSON.raw_decode(prompt, start + len(_OUTPUTS_HEADER))
         except json.JSONDecodeError:
             return {}
         return parsed if isinstance(parsed, dict) else {}

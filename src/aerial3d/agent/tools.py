@@ -15,7 +15,6 @@ executor passes in, so traces capture every prompt/response verbatim.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import Any
 
 from ..boxes import Box3D, HorizontalBox2D, scan_locations, serialize_location
@@ -146,7 +145,7 @@ class Toolbox:
             record = lookup(self.table, str(args["brand"]), str(args["model"]))
         else:
             raise ValueError(f"unknown query_table mode {mode!r}")
-        return asdict(record)
+        return dict(vars(record))  # a record of scalars: asdict's deep copy buys nothing
 
     def _web_search(
         self, args: dict[str, Any], image: str | None, recorder: BackendCallRecorder

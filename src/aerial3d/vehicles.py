@@ -141,6 +141,12 @@ def load_table(path: str | Path) -> VehicleTable:
                 f"{path}: header must be {','.join(_COLUMNS)}, "
                 f"got {','.join(reader.fieldnames)}"
             )
+        if len(reader.fieldnames) != len(_COLUMNS):  # DictReader keeps the last
+            repeated = next(
+                name for i, name in enumerate(reader.fieldnames)
+                if name in reader.fieldnames[:i]
+            )
+            raise ParseError(f"{path}: header repeats column {repeated!r}")
         row_num = 2
         for row in reader:
             if None in row.values():  # DictReader pads a short row with None

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import threading
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -24,10 +25,18 @@ from aerial3d.agent import (
     validate_bindings,
 )
 from aerial3d.agent import backends, planning
-from aerial3d.boxes import Box3D, extract_location, obb_to_hbb, serialize_location
+from aerial3d.boxes import (
+    Box3D,
+    OrientedBox2D,
+    extract_location,
+    hbb_iou,
+    obb_to_hbb,
+    serialize_location,
+)
 from aerial3d.errors import BackendError, BindingMissing, PlanParseError, UnknownWorkflow
 from aerial3d.evaluation import annotation_from_dict
-from aerial3d.vehicles import load_table, packaged_table_path
+from aerial3d.synth import SceneConfig, generate_scene
+from aerial3d.vehicles import load_table, lookup, packaged_table_path
 
 from conftest import make_annotation_dict
 
@@ -304,6 +313,17 @@ class TestToolbox:
         assert expected.items() <= output.items()
         assert [call["response"] for call in recorder] == ([reply] if reply else [])
 
+    @pytest.mark.parametrize("mode", ["match", "lookup"])
+    def test_query_table_returns_a_fresh_record_dict(self, table, mode):
+        args = {"mode": mode, "brand": "Toyota", "model": "Camry",
+                "length_m": 4.885, "width_m": 1.835, "height_m": 1.455}
+        expected = list(asdict(lookup(table, "Toyota", "Camry")).items())
+        toolbox = Toolbox(table=table)
+        first = toolbox.invoke("query_table", args, None, [])
+        assert list(first.items()) == expected
+        first["price"] = -1.0  # must not reach the record behind it
+        assert list(toolbox.invoke("query_table", args, None, []).items()) == expected
+
     @pytest.mark.parametrize("tool", ["teleport", "summarize", "_ask", ""])
     def test_unknown_tool_rejected(self, table, tool):
         toolbox = Toolbox(table=table, vlm=ScriptedBackend([]), search=ScriptedBackend([]))
@@ -459,6 +479,96 @@ class TestMockVLM:
         assert len(calls) == 30
 
 
+def _resolve_oracle(ann, prompt):
+    """Brute force: argmax of hbb_iou over every object, strict >, so ties
+    go to the first object and a region overlapping nothing gives None."""
+    region = extract_location(prompt)
+    if isinstance(region, OrientedBox2D):
+        region = obb_to_hbb(region)
+    best, best_iou = None, 0.0
+    for obj in ann.objects:
+        iou = hbb_iou(region, obb_to_hbb(obj.obb))
+        if iou > best_iou:
+            best, best_iou = obj, iou
+    return best
+
+
+def _hbb_text(x1, y1, x2, y2):
+    return f"[{x1!r},{y1!r},{x2!r},{y2!r}]"  # full float precision
+
+
+def _axis_aligned(data, *boxes):
+    """`data` with one angle-0 object per (cx, cy, w, h, color): its HBB is
+    exactly [cx - w/2, cy - h/2, cx + w/2, cy + h/2]."""
+    car = data["objects"][0]
+    data["objects"] = [
+        dict(car, id=f"car{i}", attributes={"color": color},
+             obb={"cx": cx, "cy": cy, "w": w, "h": h, "angle_deg": 0.0})
+        for i, (cx, cy, w, h, color) in enumerate(boxes)
+    ]
+    return annotation_from_dict(data)
+
+
+class TestRegionResolution:
+    @pytest.mark.parametrize("n", [10, 30])
+    @pytest.mark.parametrize("pitch_deg", [55.0, 70.0, 90.0])
+    def test_matches_brute_force_on_generated_scenes(self, table, n, pitch_deg):
+        pitch = math.radians(pitch_deg)
+        cfg = SceneConfig(n_vehicles=n, pitch_range=(pitch, pitch),
+                          agl_range=(50.0, 80.0), seed=int(pitch_deg) * 100 + n)
+        ann = annotation_from_dict(generate_scene(cfg, table).annotation)
+        assert len(ann.objects) == n
+        vlm = MockVLMBackend(ann)
+        hbbs = [obb_to_hbb(obj.obb) for obj in ann.objects]
+        prompts = []
+        for i, (obj, h) in enumerate(zip(ann.objects, hbbs)):
+            w, t = h.x2 - h.x1, h.y2 - h.y1
+            prompts.append(_hbb_text(h.x1, h.y1, h.x2, h.y2))
+            prompts.append(serialize_location(h))  # rounded to whole pixels
+            for dx, dy in [(0.5, 0.0), (-0.5, 0.25), (0.3, -0.6), (1.5, 1.5), (-0.99, 0.0)]:
+                prompts.append(_hbb_text(h.x1 + dx * w, h.y1 + dy * t,
+                                         h.x2 + dx * w, h.y2 + dy * t))
+            group = [hbbs[i], hbbs[(i + 1) % n], hbbs[(i + 3) % n]]
+            prompts.append(_hbb_text(min(b.x1 for b in group), min(b.y1 for b in group),
+                                     max(b.x2 for b in group), max(b.y2 for b in group)))
+            prompts.append(serialize_location(obj.obb))
+            prompts.append(serialize_location(OrientedBox2D(
+                obj.obb.cx + 0.3 * w, obj.obb.cy, obj.obb.width, obj.obb.height, 0.5)))
+        resolved = [vlm._resolve(f"the vehicle at {p}") for p in prompts]
+        expected = [_resolve_oracle(ann, f"the vehicle at {p}") for p in prompts]
+        assert all(r is e for r, e in zip(resolved, expected))
+        # The sweep meets both outcomes.
+        assert None in expected and any(e is not None for e in expected)
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            _hbb_text(585.0, 422.0, 650.0, 458.0),  # touches car0's right edge
+            _hbb_text(495.0, 458.0, 585.0, 500.0),  # touches car0's bottom edge
+            _hbb_text(400.0, 300.0, 495.0, 422.0),  # touches car0's top-left corner
+            _hbb_text(346.5, 600.0, 495.0, 700.0),  # touches car1's right edge
+        ],
+    )
+    def test_edge_touching_region_resolves_to_none(self, annotation_dict, region):
+        # car0's HBB is [495,422,585,458], car1's [253.5,631.5,346.5,668.5].
+        ann = _axis_aligned(annotation_dict, (540.0, 440.0, 90.0, 36.0, "white"),
+                            (300.0, 650.0, 93.0, 37.0, "silver"))
+        prompt = f"What is the color of the vehicle at {region}?"
+        assert _resolve_oracle(ann, prompt) is None
+        assert MockVLMBackend(ann)._resolve(prompt) is None
+        assert MockVLMBackend(ann).complete(prompt) == "I cannot tell the color."
+
+    def test_identical_hbbs_resolve_to_the_first(self, annotation_dict):
+        ann = _axis_aligned(annotation_dict, (300.0, 650.0, 93.0, 37.0, "silver"),
+                            (540.0, 440.0, 90.0, 36.0, "white"),
+                            (540.0, 440.0, 90.0, 36.0, "red"))
+        vlm = MockVLMBackend(ann)
+        for region in (_hbb_text(495.0, 422.0, 585.0, 458.0), "[500,430,700,500]"):
+            prompt = f"What is the color of the vehicle at {region}?"
+            assert vlm._resolve(prompt) is ann.objects[1] is _resolve_oracle(ann, prompt)
+            assert vlm.complete(prompt) == "The color of the vehicle is white."
+
+
 class TestRunQuery:
     def test_zero_shot_brand_model(self, ann, table):
         result = run_query(
@@ -502,6 +612,14 @@ class TestRunQuery:
             mock_config(ann, table, search=search),
         )
         assert result["answer"] == "price: 229000"
+
+    def test_braces_in_query_keep_tool_outputs(self, ann, table):
+        result = run_query(
+            "scene.png",
+            f"What color is the vehicle {{left}} at {CAR0_REGION}?",
+            mock_config(ann, table),
+        )
+        assert result["answer"] == "color: white"
 
     def test_planning_failure_is_structured(self, ann, table):
         result = run_query("scene.png", "Write me a poem.", mock_config(ann, table))
@@ -602,7 +720,10 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture
 def http_url():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval: shutdown() waits out the current poll.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     _Handler.seen = []
     _Handler.posted = []

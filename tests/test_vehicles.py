@@ -87,6 +87,17 @@ class TestLoadTable:
         with pytest.raises(ParseError, match="row 2"):
             load_table(path)
 
+    def test_repeated_header_column_rejected(self, tmp_path):
+        # Same column set as the schema, but "price" twice: csv.DictReader
+        # would keep the last value (price 1.0).
+        path = tmp_path / "repeat.csv"
+        path.write_text(
+            "brand,model,length_mm,width_mm,height_mm,powertrain,price,doors,seats,price\n"
+            "Tesla,Model 3,4694,1850,1443,BEV,231900,4,5,1\n"
+        )
+        with pytest.raises(ParseError, match="header repeats column 'price'"):
+            load_table(path)
+
     @pytest.mark.parametrize(
         "lines, row",
         [
