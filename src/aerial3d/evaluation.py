@@ -75,6 +75,16 @@ NUMERIC_ATTRIBUTES = frozenset({"price", "doors", "seats"})
 # image size (e.g. a vehicle half out of shot).
 _BOUNDS_MARGIN = 0.10
 
+
+def obb_within_image(obb: OrientedBox2D, width: float, height: float) -> bool:
+    """Whether the box's corners lie within the image bounds plus the margin."""
+    hull = obb_to_hbb(obb)
+    mx, my = _BOUNDS_MARGIN * width, _BOUNDS_MARGIN * height
+    return (
+        -mx <= hull.x1 and hull.x2 <= width + mx and -my <= hull.y1 and hull.y2 <= height + my
+    )
+
+
 _TYPES = {
     "string": str, "object": dict, "array": list, "number": (int, float), "integer": (int, float)
 }
@@ -191,7 +201,6 @@ def annotation_from_dict(data: dict) -> AnnotationFile:
 
     # Boxes are built only once every field has passed its check, so no
     # error from building one can mask a field fault of a later object.
-    mx, my = _BOUNDS_MARGIN * width, _BOUNDS_MARGIN * height
     seen_ids: set[str] = set()
     objects = []
     for i, (obj_id, obb_fields, dims_mm, attributes) in enumerate(checked):
@@ -199,13 +208,7 @@ def annotation_from_dict(data: dict) -> AnnotationFile:
             raise SchemaError(f"/objects/{i}/id", f"duplicate object id {obj_id!r}")
         seen_ids.add(obj_id)
         obb = OrientedBox2D.normalized(*obb_fields)
-        hull = obb_to_hbb(obb)
-        if (
-            hull.x1 < -mx
-            or hull.y1 < -my
-            or hull.x2 > width + mx
-            or hull.y2 > height + my
-        ):
+        if not obb_within_image(obb, width, height):
             raise SchemaError(
                 f"/objects/{i}/obb",
                 f"box extends past the image bounds by more than {_BOUNDS_MARGIN:.0%}",
@@ -530,7 +533,13 @@ class EvalReport:
     accuracy: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """Fields as a dict, with the error metrics rounded to 6 decimals so
+        a report's bytes do not follow the last bits of its inputs."""
+        out = asdict(self)
+        for name in ("mae", "rmse", "r_squared"):
+            if out[name] is not None:
+                out[name] = round(out[name], 6)
+        return out
 
 
 def _pred_text(pred: dict | None, *keys: str) -> str | None:

@@ -12,6 +12,10 @@ precision. At oblique pitch the map is a proper homography, the fitted
 rectangle is only an approximation of the projected footprint, and
 verify_roundtrip reports the resulting consistency error instead.
 
+Each candidate's fitted rectangle must pass the annotation loader's own
+image-bounds rule (`evaluation.obb_within_image`) before it is placed, so
+every generated annotation loads without the document being re-read.
+
 All randomness flows from one seeded generator (`_rng`, which draws the
 stream of NumPy's `default_rng`), so a fixed config yields byte-identical
 output files.
@@ -30,25 +34,23 @@ from ._rng import Generator
 from .boxes import (
     Box3D,
     bev_iou,
-    box3d_corners,
     derive_box3d,
     fit_min_area_obb,
     ground_basis,
     ground_uv,
+    project_box3d,
     wrap_angle_half_pi,
 )
-from .camera import (
-    CameraModel,
-    CameraPoint,
-    PixelPoint,
-    backproject_to_ground,
-    project_to_pixel,
-)
+from .camera import CameraModel, CameraPoint, PixelPoint, backproject_to_ground
 from .errors import IdMismatch, NonPositiveDepth, PlacementExhausted, RayMissesGround
-from .evaluation import AnnotationFile, validate_annotation
+from .evaluation import AnnotationFile, obb_within_image
 from .vehicles import VehicleRecord, VehicleTable
 
 COLORS = ("black", "white", "silver", "gray", "red", "blue", "green")
+FOCAL_LENGTH = 0.01  # meters
+PIXEL_SIZE = 1e-5  # meters
+FRAME_MARGIN = 0.12  # center-sampling inset, fraction of frame
+MAX_REJECTIONS = 2000  # placement attempts per vehicle
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,7 @@ class SceneConfig:
     seed: int = 0
     image_width: int = 1000
     image_height: int = 1000
-    focal_length: float = 0.01
-    pixel_size: float = 1e-5
     ground_extent: float | None = None  # optional cap on |u|,|v| from center
-    frame_margin: float = 0.12  # center-sampling inset, fraction of frame
-    max_rejections: int = 2000  # placement attempts per vehicle
 
     def __post_init__(self) -> None:
         if self.n_vehicles < 0:
@@ -76,8 +74,8 @@ class SceneConfig:
         lo, hi = self.agl_range
         if not (0 < lo <= hi < math.inf):
             raise ValueError(f"agl_range must be positive and finite, got {self.agl_range}")
-        if not 0 <= self.frame_margin < 0.5:
-            raise ValueError(f"frame_margin must be in [0, 0.5), got {self.frame_margin}")
+        if self.ground_extent is not None and not self.ground_extent > 0:
+            raise ValueError(f"ground_extent must be > 0, got {self.ground_extent}")
 
 
 @dataclass(frozen=True)
@@ -96,10 +94,6 @@ def _vehicle_type(record: VehicleRecord) -> str:
     return "sedan"
 
 
-def _in_frame(points: list[PixelPoint], width: int, height: int) -> bool:
-    return all(0 <= p.x <= width and 0 <= p.y <= height for p in points)
-
-
 def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
     """Sample a scene and emit its annotation + ground-truth documents.
 
@@ -108,19 +102,14 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
     recognition workflows rely on), with replacement otherwise. Poses are
     rejection-sampled: the ground center comes from back-projecting a
     uniform in-frame pixel, and a candidate is rejected when any projected
-    corner leaves the frame or its footprint overlaps an accepted one.
+    corner leaves the frame, its footprint overlaps an accepted one, or its
+    annotated box breaks the loader's image-bounds rule.
     """
     rng = Generator(cfg.seed)
     pitch = rng.uniform(*cfg.pitch_range)
     agl = rng.uniform(*cfg.agl_range)
-    cam = CameraModel(
-        focal_length=cfg.focal_length,
-        pixel_size=cfg.pixel_size,
-        image_width=cfg.image_width,
-        image_height=cfg.image_height,
-        pitch=pitch,
-        agl=agl,
-    )
+    width, height = cfg.image_width, cfg.image_height
+    cam = CameraModel(FOCAL_LENGTH, PIXEL_SIZE, width, height, pitch, agl)
     normal = ground_basis(cam).normal
 
     replace = cfg.n_vehicles > len(table)
@@ -131,17 +120,17 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
     placed: list[tuple[Box3D, float, float, float]] = []
     ann_objects: list[dict[str, Any]] = []
     gt_objects: list[dict[str, Any]] = []
-    principal_ground = None
     if cfg.ground_extent is not None:
-        principal_ground = backproject_to_ground(cam.principal_point, cam)
+        pu, pv = ground_uv(backproject_to_ground(cam.principal_point, cam), cam)
+        half = cfg.ground_extent / 2.0
 
-    x_lo, x_hi = cfg.frame_margin * cfg.image_width, (1 - cfg.frame_margin) * cfg.image_width
-    y_lo, y_hi = cfg.frame_margin * cfg.image_height, (1 - cfg.frame_margin) * cfg.image_height
+    x_lo, x_hi = FRAME_MARGIN * width, (1 - FRAME_MARGIN) * width
+    y_lo, y_hi = FRAME_MARGIN * height, (1 - FRAME_MARGIN) * height
 
     for i, record in enumerate(records):
         dims = record.dims_m
         box: Box3D | None = None
-        for _ in range(cfg.max_rejections):
+        for _ in range(MAX_REJECTIONS):
             px = rng.uniform(x_lo, x_hi)
             py = rng.uniform(y_lo, y_hi)
             yaw = rng.uniform(-math.pi / 2, math.pi / 2)
@@ -149,22 +138,20 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
                 ground = backproject_to_ground(PixelPoint(px, py), cam)
             except RayMissesGround:
                 continue
-            if principal_ground is not None:
+            if cfg.ground_extent is not None:
                 gu, gv = ground_uv(ground, cam)
-                pu, pv = ground_uv(principal_ground, cam)
-                half = cfg.ground_extent / 2.0
                 if abs(gu - pu) > half or abs(gv - pv) > half:
                     continue
             lift = dims.height / 2.0
             center = CameraPoint(*(g + lift * n for g, n in zip(ground, normal)))
             candidate = Box3D(center, dims.length, dims.width, dims.height, yaw)
             try:
-                corners_px = [
-                    project_to_pixel(c, cam) for c in box3d_corners(candidate, cam)
-                ]
+                projected = project_box3d(candidate, cam)
             except NonPositiveDepth:
                 continue
-            if not _in_frame(corners_px, cfg.image_width, cfg.image_height):
+            # Every corner is in frame exactly when the corners' hull is.
+            hbb = projected.hbb
+            if not (0 <= hbb.x1 and hbb.x2 <= width and 0 <= hbb.y1 and hbb.y2 <= height):
                 continue
             # A footprint lies inside its bounding circle, so two circles that
             # are strictly apart cannot overlap and bev_iou would return 0.0.
@@ -176,18 +163,18 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
                 for other, u, v, r in placed
             ):
                 continue
+            # The annotated box is the min-area fit of the bottom face.
+            obb = fit_min_area_obb([(p.x, p.y) for p in projected.corners_px[:4]])
+            if not obb_within_image(obb, width, height):
+                continue
             box = candidate
             break
         if box is None:
             raise PlacementExhausted(
                 f"could not place vehicle {i} ({record.brand} {record.model}) "
-                f"after {cfg.max_rejections} attempts"
+                f"after {MAX_REJECTIONS} attempts"
             )
         placed.append((box, cu, cv, radius))
-
-        # corners_px still holds the accepted candidate's projected corners;
-        # the first four are the bottom face.
-        obb = fit_min_area_obb([(p.x, p.y) for p in corners_px[:4]])
         ann_objects.append(
             {
                 "id": f"veh{i}",
@@ -229,19 +216,18 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
         )
 
     camera_block = {
-        "focal_length_m": cfg.focal_length,
-        "pixel_size_m": cfg.pixel_size,
+        "focal_length_m": FOCAL_LENGTH,
+        "pixel_size_m": PIXEL_SIZE,
         "pitch_deg": math.degrees(pitch),
         "agl_m": agl,
     }
     annotation = {
         "image": f"scene_{cfg.seed:05d}.png",
-        "image_width": cfg.image_width,
-        "image_height": cfg.image_height,
+        "image_width": width,
+        "image_height": height,
         "camera": camera_block,
         "objects": ann_objects,
     }
-    validate_annotation(annotation)
     ground_truth = {
         "image": annotation["image"],
         "camera": camera_block,

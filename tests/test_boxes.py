@@ -22,11 +22,37 @@ from aerial3d.boxes import (
     obb_to_hbb,
     parse_location,
     project_box3d,
+    scan_locations,
     serialize_location,
     wrap_angle_half_pi,
 )
 from aerial3d.camera import CameraModel, CameraPoint, ground_plane_residual
 from aerial3d.errors import ParseError
+
+# Location-like text: the three wire shapes with numbers of any size or kind
+# (nan, inf, subnormals, huge integers), plus wrong brackets, counts and junk.
+_NUMBER = st.one_of(
+    st.floats(-1e4, 1e4).map(repr), st.floats().map(repr), st.integers().map(str)
+)
+_JUNK_FIELD = st.one_of(_NUMBER, st.text(alphabet="0123456789.eE+-_ naif", max_size=8))
+_LOCATION_TEXT = st.one_of(
+    st.lists(_NUMBER, min_size=7, max_size=7).map(lambda f: "<" + ",".join(f) + ">"),
+    st.lists(_NUMBER, min_size=4, max_size=5).map(lambda f: "[" + ",".join(f) + "]"),
+    st.builds(
+        lambda brackets, fields: brackets[0] + ",".join(fields) + brackets[1],
+        st.sampled_from(["<>", "[]", "<]", "[>"]),
+        st.lists(_JUNK_FIELD, max_size=9),
+    ),
+)
+_TEXT_WITH_LOCATIONS = st.lists(st.one_of(st.text(), _LOCATION_TEXT), max_size=6).map("".join)
+
+
+def location_fields(loc) -> tuple[float, ...]:
+    if isinstance(loc, Box3D):
+        return (*loc.center, loc.length, loc.width, loc.height, loc.yaw)
+    if isinstance(loc, OrientedBox2D):
+        return (loc.cx, loc.cy, loc.width, loc.height, loc.angle)
+    return (loc.x1, loc.y1, loc.x2, loc.y2)
 
 CAR = BoxDims(4.5, 1.8, 1.5)
 
@@ -338,6 +364,19 @@ class TestSerialization:
     def test_bad_inputs_raise(self, text):
         with pytest.raises(ParseError):
             parse_location(text)
+
+    @given(st.one_of(st.text(), _LOCATION_TEXT))
+    def test_any_string_parses_to_finite_fields_or_raises(self, text):
+        try:
+            loc = parse_location(text)
+        except ParseError:
+            return
+        assert all(map(math.isfinite, location_fields(loc)))
+
+    @given(_TEXT_WITH_LOCATIONS)
+    def test_every_scanned_location_has_finite_fields(self, text):
+        for loc in scan_locations(text):
+            assert all(map(math.isfinite, location_fields(loc)))
 
     def test_extract_first_parseable_token(self):
         text = "ignore [1,2,3] but keep [1,2,3,4] and <0,0,10,4,2,1,0.00> later"

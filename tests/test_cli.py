@@ -218,6 +218,47 @@ class TestSynthCli:
         assert payloads[0] == payloads[1]
 
 
+class TestReadmeWalkthrough:
+    """The README's CLI walkthrough, run in order from a fresh directory."""
+
+    def test_printed_strings(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        box = "<11.29,-1.22,49.14,4.87,1.95,1.73,-35.45>"
+
+        def out(*argv):
+            assert run(list(argv)) == 0
+            return capsys.readouterr().out
+
+        assert json.loads(out("synth", "--n", "6", "--seed", "7", "--out", "demo/scene")) == {
+            "annotation": "demo/scene/annotation.json",
+            "ground_truth": "demo/scene/ground_truth.json",
+            "image": "demo/scene/scene_00007.png",
+            "n_objects": 6,
+        }
+        ann = ["--annotations", "demo/scene/annotation.json"]
+        assert json.loads(out("derive3d", *ann, "--id", "veh0")) == {"veh0": box}
+        assert out("iou", "--hbb", "[0,0,2,2]", "--hbb", "[1,0,3,2]") == "0.3333\n"
+        match = json.loads(out("match", "--length-mm", "4690", "--width-mm", "1848",
+                               "--height-mm", "1440"))
+        assert (match["brand"], match["model"]) == ("Tesla", "Model 3")
+        assert out("build-instr", *ann, "--out", "demo/instr.jsonl") == (
+            '{"written": 240, "objects_skipped": 0, "out": "demo/instr.jsonl"}\n'
+        )
+        agent = ["agent", "run", "--backend", "mock",
+                 "--image", "demo/scene/scene_00007.png", *ann]
+        query = "What are the brand and model of the vehicle at [675,431,777,520]?"
+        assert out(*agent, "--query", query, "--trace", "demo/trace.json") == (
+            "brand: BYD; model: Tang\n"
+        )
+        plan = json.loads(Path("demo/trace.json").read_text())["plan"]
+        assert [step["tool"] for step in plan] == [
+            "spatial_understanding", "query_table", "summarize"
+        ]
+        assert out(*agent, "--query", "Find the BYD Tang in the image.") == (
+            f"location: {box}; image box: [675,431,777,520]\n"
+        )
+
+
 class TestBuildInstrCli:
     def test_all_stages_counts(self, tmp_path, ann_path, capsys):
         out = tmp_path / "train.jsonl"

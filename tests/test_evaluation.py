@@ -21,6 +21,7 @@ from aerial3d.errors import (
     SchemaError,
 )
 from aerial3d.evaluation import (
+    EvalReport,
     annotation_from_dict,
     attribute_ground_truth,
     eval_attributes,
@@ -593,6 +594,18 @@ class TestFileLevelEvaluation:
         overall, per_attr = evaluate_attributes_file(ann, preds)
         assert overall.accuracy == 16 / 44
         assert (per_attr["color"].accuracy, per_attr["type"].accuracy) == (1 / 22, 15 / 22)
+
+    def test_report_bytes_ignore_last_bits_of_error_metrics(self):
+        # Two annotation files that differ only in the last bits of some OBB
+        # fields gave these rmse values for the README's sqa step.
+        a, b = (
+            EvalReport("sqa", 30, 0, mae=0.0023, rmse=rmse, r_squared=None, acc_5pct=1.0)
+            for rmse in (0.05030282730857988, 0.05030282730857989)
+        )
+        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+        assert a.to_dict()["rmse"] == 0.050303
+        assert a.to_dict()["r_squared"] is None
+        assert a.rmse == 0.05030282730857988  # the attribute keeps full precision
 
     def test_report_table_renders(self, ann):
         report = evaluate_grounding_file(ann, {}).to_dict()

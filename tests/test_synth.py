@@ -39,6 +39,14 @@ class TestSceneConfig:
         with pytest.raises(ValueError, match="agl_range"):
             nadir_cfg(agl_range=agl_range)
 
+    @pytest.mark.parametrize("extent", [math.nan, 0.0, -5.0, -math.inf])
+    def test_ground_extent_must_be_positive(self, extent):
+        # A nan cap compares false and would be dropped silently; a cap of 0
+        # or less admits no pose and would end in a misleading
+        # PlacementExhausted.
+        with pytest.raises(ValueError, match="ground_extent must be > 0"):
+            nadir_cfg(ground_extent=extent)
+
 
 class TestGenerateScene:
     def test_empty_scene_is_valid(self, table):
@@ -100,11 +108,26 @@ class TestGenerateScene:
     def test_impossible_placement_exhausts(self, table):
         # A 40 px frame at nadir/60 m covers ~2.6 m of ground: no car fits
         # with every projected corner inside.
-        cfg = nadir_cfg(
-            n_vehicles=2, image_width=40, image_height=40, max_rejections=50
-        )
+        cfg = nadir_cfg(n_vehicles=2, image_width=40, image_height=40)
         with pytest.raises(PlacementExhausted):
             generate_scene(cfg, table)
+
+    @pytest.mark.parametrize(
+        "n, pitch_deg, agl, seed, width, height",
+        [
+            (2, 10, 10, 8, 150, 60), (1, 19, 16, 42, 240, 80), (1, 18, 29, 40, 200, 40),
+            (3, 20, 22, 79, 100, 100), (3, 14, 19, 19, 290, 40), (1, 19, 7, 70, 250, 190),
+            (1, 25, 10, 90, 280, 150), (2, 22, 21, 63, 270, 80), (2, 19, 30, 77, 200, 40),
+        ],
+    )
+    def test_small_low_pitch_frames_load(self, table, n, pitch_deg, agl, seed, width, height):
+        # In each of these frames a candidate with every corner in frame has
+        # a fitted box past the loader's bounds; placement must resample it.
+        pitch = math.radians(pitch_deg)
+        cfg = SceneConfig(n, (pitch, pitch), (agl, agl), seed=seed,
+                          image_width=width, image_height=height)
+        ann = annotation_from_dict(generate_scene(cfg, table).annotation)
+        assert len(ann.objects) == n
 
     @pytest.mark.parametrize("pitch_deg", [10.0, 30.0, 45.0, 60.0, 75.0, 90.0])
     def test_apart_bounding_circles_mean_zero_iou(self, pitch_deg):
