@@ -14,6 +14,13 @@ A cuboid's yaw is the rotation of its length axis within the ground plane,
 measured from e_lat, and is reported modulo pi (vehicles carry no heading
 annotation, so direction is ambiguous).
 
+`ground_basis` returns this frame and remains its reference. The per-box
+kernels (`ground_uv`, `derive_box3d`, `box3d_corners`, `project_box3d`,
+`bev_footprint`) expand it term by term as scalar code, keeping every
+product with 0.0 and 1.0 and the operation order of the vector form, so
+their results are bit-identical to composing `ground_basis` with the
+camera transforms.
+
 Wire formats
 ------------
     Box3D  ->  <Xc,Yc,Zc,L,W,H,yaw_deg>      meters/degrees, 2 decimals
@@ -35,9 +42,8 @@ from .camera import (
     CameraPoint,
     PixelPoint,
     backproject_to_ground,
-    project_to_pixel,
 )
-from .errors import DegenerateYaw, ParseError
+from .errors import DegenerateYaw, NonPositiveDepth, ParseError
 
 # Yaw probes closer together than this (meters) cannot define a direction.
 _YAW_BASELINE_EPS = 1e-12
@@ -181,14 +187,14 @@ def ground_basis(cam: CameraModel) -> GroundBasis:
     )
 
 
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def ground_uv(pt: CameraPoint, cam: CameraModel) -> tuple[float, float]:
-    """In-plane (lateral, longitudinal) coordinates of a camera-frame point."""
-    e_lat, e_lon, _ = ground_basis(cam)
-    return _dot(pt, e_lat), _dot(pt, e_lon)
+    """In-plane (lateral, longitudinal) coordinates of a camera-frame point.
+
+    The dot products with e_lat = (1, 0, 0) and e_lon = (0, -s, c).
+    """
+    x, y, z = pt
+    c, s = math.cos(cam.pitch), math.sin(cam.pitch)
+    return x * 1.0 + y * 0.0 + z * 0.0, x * 0.0 + y * -s + z * c
 
 
 def derive_box3d(
@@ -207,9 +213,15 @@ def derive_box3d(
     drawn slightly larger than the vehicle), and the center is lifted half
     the inflated height along the plane normal.
     """
-    if inflation <= 0:
-        raise ValueError(f"inflation must be positive, got {inflation}")
-    e_lat, e_lon, normal = ground_basis(cam)
+    length = dims.length * inflation
+    width = dims.width * inflation
+    height = dims.height * inflation
+    if not (0 < length < math.inf and 0 < width < math.inf and 0 < height < math.inf):
+        raise ValueError(
+            f"inflated dimensions must be positive and finite, got "
+            f"{length} x {width} x {height} m (inflation {inflation})"
+        )
+    c, s = math.cos(cam.pitch), math.sin(cam.pitch)
 
     center_ground = backproject_to_ground(PixelPoint(obb.cx, obb.cy), cam)
 
@@ -221,19 +233,20 @@ def derive_box3d(
     probe_back = backproject_to_ground(
         PixelPoint(obb.cx - delta * ca, obb.cy - delta * sa), cam
     )
-    displacement = tuple(f - b for f, b in zip(probe_fwd, probe_back))
-    u, v = _dot(displacement, e_lat), _dot(displacement, e_lon)
+    dx = probe_fwd.x - probe_back.x
+    dy = probe_fwd.y - probe_back.y
+    dz = probe_fwd.z - probe_back.z
+    u, v = dx * 1.0 + dy * 0.0 + dz * 0.0, dx * 0.0 + dy * -s + dz * c
     if math.hypot(u, v) < _YAW_BASELINE_EPS:
         raise DegenerateYaw(
             f"yaw probes around ({obb.cx}, {obb.cy}) back-project to coincident points"
         )
     yaw = wrap_angle_half_pi(math.atan2(v, u))
 
-    length = dims.length * inflation
-    width = dims.width * inflation
-    height = dims.height * inflation
+    # Lift along the normal n = (0, -c, -s).
     lift = height / 2.0
-    center = CameraPoint(*(g + lift * n for g, n in zip(center_ground, normal)))
+    gx, gy, gz = center_ground
+    center = CameraPoint(gx + lift * 0.0, gy + lift * -c, gz + lift * -s)
     return Box3D(center, length, width, height, yaw)
 
 
@@ -243,25 +256,40 @@ def box3d_corners(box: Box3D, cam: CameraModel) -> tuple[CameraPoint, ...]:
     Within each face the order is (+L,+W), (-L,+W), (-L,-W), (+L,-W) in the
     yaw-aligned in-plane frame; corner i+4 sits directly above corner i.
     """
-    e_lat, e_lon, normal = ground_basis(cam)
-    ca, sa = math.cos(box.yaw), math.sin(box.yaw)
-    d_yaw = [ca * a + sa * b for a, b in zip(e_lat, e_lon)]
-    d_perp = [-sa * a + ca * b for a, b in zip(e_lat, e_lon)]
-    hl, hw, hh = box.length / 2.0, box.width / 2.0, box.height / 2.0
+    return tuple(CameraPoint(x, y, z) for x, y, z in _corner_coords(box, cam))
 
-    corners = []
-    for sign_h in (-1.0, 1.0):  # bottom face (away from camera) first
-        for sign_l, sign_w in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
-            dl, dw, dh = sign_l * hl, sign_w * hw, sign_h * hh
-            corners.append(
-                CameraPoint(
-                    *(
-                        c + dl * a + dw * b + dh * n
-                        for c, a, b, n in zip(box.center, d_yaw, d_perp, normal)
-                    )
-                )
-            )
-    return tuple(corners)
+
+def _corner_coords(box: Box3D, cam: CameraModel) -> list[tuple[float, float, float]]:
+    """The corners of :func:`box3d_corners` as plain (x, y, z) tuples.
+
+    Corner = center + dl*d_yaw + dw*d_perp + dh*n with dl = +-L/2,
+    dw = +-W/2, dh = +-H/2, d_yaw = cos(yaw)*e_lat + sin(yaw)*e_lon and
+    d_perp = -sin(yaw)*e_lat + cos(yaw)*e_lon. Negating a factor negates
+    its product exactly, so each signed term is one precomputed product
+    added or subtracted in the same order.
+    """
+    c, s = math.cos(cam.pitch), math.sin(cam.pitch)
+    ca, sa = math.cos(box.yaw), math.sin(box.yaw)
+    hl, hw, hh = box.length / 2.0, box.width / 2.0, box.height / 2.0
+    lx = hl * (ca * 1.0 + sa * 0.0)
+    ly = hl * (ca * 0.0 + sa * -s)
+    lz = hl * (ca * 0.0 + sa * c)
+    wx = hw * (-sa * 1.0 + ca * 0.0)
+    wy = hw * (-sa * 0.0 + ca * -s)
+    wz = hw * (-sa * 0.0 + ca * c)
+    hx, hy, hz = hh * 0.0, hh * -c, hh * -s
+    x, y, z = box.center
+    return [
+        # Bottom face (away from the camera) first, then the top face.
+        (x + lx + wx - hx, y + ly + wy - hy, z + lz + wz - hz),
+        (x - lx + wx - hx, y - ly + wy - hy, z - lz + wz - hz),
+        (x - lx - wx - hx, y - ly - wy - hy, z - lz - wz - hz),
+        (x + lx - wx - hx, y + ly - wy - hy, z + lz - wz - hz),
+        (x + lx + wx + hx, y + ly + wy + hy, z + lz + wz + hz),
+        (x - lx + wx + hx, y - ly + wy + hy, z - lz + wz + hz),
+        (x - lx - wx + hx, y - ly - wy + hy, z - lz - wz + hz),
+        (x + lx - wx + hx, y + ly - wy + hy, z + lz - wz + hz),
+    ]
 
 
 class ProjectedBox3D(NamedTuple):
@@ -274,10 +302,19 @@ def project_box3d(box: Box3D, cam: CameraModel) -> ProjectedBox3D:
 
     Raises NonPositiveDepth if any corner lies at or behind the camera.
     """
-    corners_px = tuple(project_to_pixel(c, cam) for c in box3d_corners(box, cam))
-    xs = [p.x for p in corners_px]
-    ys = [p.y for p in corners_px]
-    return ProjectedBox3D(corners_px, HorizontalBox2D(min(xs), min(ys), max(xs), max(ys)))
+    # project_to_pixel of each corner, written out.
+    f, size = cam.focal_length, cam.pixel_size
+    half_w, half_h = cam.image_width / 2.0, cam.image_height / 2.0
+    xs, ys = [], []
+    for x, y, z in _corner_coords(box, cam):
+        if not z > 0:
+            raise NonPositiveDepth(f"point has depth z={z}, must be > 0")
+        xs.append(f * x / z / size + half_w)
+        ys.append(f * y / z / size + half_h)
+    return ProjectedBox3D(
+        tuple(map(PixelPoint, xs, ys)),
+        HorizontalBox2D(min(xs), min(ys), max(xs), max(ys)),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -290,8 +327,15 @@ def bev_footprint(box: Box3D, cam: CameraModel) -> Polygon:
     cu, cv = ground_uv(box.center, cam)
     ca, sa = math.cos(box.yaw), math.sin(box.yaw)
     hl, hw = box.length / 2.0, box.width / 2.0
-    local = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-    corners = tuple((x * ca - y * sa + cu, x * sa + y * ca + cv) for x, y in local)
+    # The local corners (+-hl, +-hw) rotated by yaw; a negated factor
+    # negates its product exactly, so each product is computed once.
+    lc, ls, wc, ws = hl * ca, hl * sa, hw * ca, hw * sa
+    corners = (
+        (lc - ws + cu, ls + wc + cv),
+        (-lc - ws + cu, -ls + wc + cv),
+        (-lc + ws + cu, -ls - wc + cv),
+        (lc + ws + cu, ls - wc + cv),
+    )
     return ensure_ccw(corners)
 
 
@@ -393,9 +437,22 @@ def fit_min_area_obb(points: Sequence[Sequence[float]]) -> OrientedBox2D:
         angle = math.atan2(y1 - y0, x1 - x0)
         ca, sa = math.cos(-angle), math.sin(-angle)
         # Hull in the frame rotated by -angle: this edge lies along +x.
-        us = [x * ca - y * sa for x, y in hull]
-        vs = [x * sa + y * ca for x, y in hull]
-        lo_u, hi_u, lo_v, hi_v = min(us), max(us), min(vs), max(vs)
+        # min() and max() of each coordinate in one pass, with the builtins'
+        # comparisons from the first vertex on. lo <= hi holds throughout (or
+        # both are nan), so a new minimum is never also a new maximum.
+        x, y = hull[0]
+        lo_u = hi_u = x * ca - y * sa
+        lo_v = hi_v = x * sa + y * ca
+        for x, y in hull:
+            u, v = x * ca - y * sa, x * sa + y * ca
+            if u < lo_u:
+                lo_u = u
+            elif u > hi_u:
+                hi_u = u
+            if v < lo_v:
+                lo_v = v
+            elif v > hi_v:
+                hi_v = v
         w, h = hi_u - lo_u, hi_v - lo_v
         area = w * h
         if best is None or area < best[0] - 1e-12:

@@ -135,11 +135,12 @@ def project_to_pixel(pt: Point3Like, cam: CameraModel) -> PixelPoint:
     x, y, z = _xyz(pt)
     if not z > 0:
         raise NonPositiveDepth(f"point has depth z={z}, must be > 0")
-    image = ImagePoint(
-        cam.focal_length * x / z,
-        cam.focal_length * y / z,
+    # image_to_pixel of the image point (f*x/z, f*y/z), written out.
+    f, size = cam.focal_length, cam.pixel_size
+    return PixelPoint(
+        f * x / z / size + cam.image_width / 2.0,
+        f * y / z / size + cam.image_height / 2.0,
     )
-    return image_to_pixel(image, cam)
 
 
 def ground_denominator(pt: Point2Like, cam: CameraModel) -> float:
@@ -161,14 +162,18 @@ def backproject_to_ground(pt: Point2Like, cam: CameraModel) -> CameraPoint:
     horizon.
     """
     px, py = _xy(pt)
-    image = pixel_to_image((px, py), cam)
-    denom = image.y * math.cos(cam.pitch) + cam.focal_length * math.sin(cam.pitch)
+    # pixel_to_image, written out.
+    size = cam.pixel_size
+    ix = (px - cam.image_width / 2.0) * size
+    iy = (py - cam.image_height / 2.0) * size
+    f = cam.focal_length
+    denom = iy * math.cos(cam.pitch) + f * math.sin(cam.pitch)
     if denom <= HORIZON_EPS:
         raise RayMissesGround(
             f"pixel ({px}, {py}) is at or above the horizon (denominator {denom:.3e})"
         )
     t = cam.agl / denom
-    return CameraPoint(image.x * t, image.y * t, cam.focal_length * t)
+    return CameraPoint(ix * t, iy * t, f * t)
 
 
 def ground_plane_residual(pt: Point3Like, cam: CameraModel) -> float:

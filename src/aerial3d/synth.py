@@ -74,6 +74,8 @@ class SceneConfig:
         lo, hi = self.agl_range
         if not (0 < lo <= hi < math.inf):
             raise ValueError(f"agl_range must be positive and finite, got {self.agl_range}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.ground_extent is not None and not self.ground_extent > 0:
             raise ValueError(f"ground_extent must be > 0, got {self.ground_extent}")
 
@@ -110,7 +112,7 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
     agl = rng.uniform(*cfg.agl_range)
     width, height = cfg.image_width, cfg.image_height
     cam = CameraModel(FOCAL_LENGTH, PIXEL_SIZE, width, height, pitch, agl)
-    normal = ground_basis(cam).normal
+    nx, ny, nz = ground_basis(cam).normal
 
     replace = cfg.n_vehicles > len(table)
     indices = rng.choice(len(table), size=cfg.n_vehicles, replace=replace)
@@ -129,6 +131,7 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
 
     for i, record in enumerate(records):
         dims = record.dims_m
+        lift = dims.height / 2.0
         box: Box3D | None = None
         for _ in range(MAX_REJECTIONS):
             px = rng.uniform(x_lo, x_hi)
@@ -142,8 +145,8 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
                 gu, gv = ground_uv(ground, cam)
                 if abs(gu - pu) > half or abs(gv - pv) > half:
                     continue
-            lift = dims.height / 2.0
-            center = CameraPoint(*(g + lift * n for g, n in zip(ground, normal)))
+            gx, gy, gz = ground
+            center = CameraPoint(gx + lift * nx, gy + lift * ny, gz + lift * nz)
             candidate = Box3D(center, dims.length, dims.width, dims.height, yaw)
             try:
                 projected = project_box3d(candidate, cam)
@@ -164,7 +167,7 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
             ):
                 continue
             # The annotated box is the min-area fit of the bottom face.
-            obb = fit_min_area_obb([(p.x, p.y) for p in projected.corners_px[:4]])
+            obb = fit_min_area_obb(projected.corners_px[:4])
             if not obb_within_image(obb, width, height):
                 continue
             box = candidate

@@ -174,6 +174,13 @@ class TestDeriveBox3D:
         # Lifted by the inflated half height.
         np.testing.assert_allclose(box.center.z, 50.0 - 0.825, atol=1e-9)
 
+    @pytest.mark.parametrize("inflation", [math.nan, math.inf, 1e308, 0.0, -1.0])
+    def test_inflation_must_give_positive_finite_dims(self, cam_nadir, inflation):
+        # inf and 1e308 (which overflows) once gave boxes with infinite or
+        # nan fields, and nan failed later with an unrelated message.
+        with pytest.raises(ValueError, match="inflated dimensions must be positive and finite"):
+            derive_box3d(self.OBB, CAR, cam_nadir, inflation=inflation)
+
     @pytest.mark.parametrize("pitch_deg", PITCHES_DEG)
     def test_bottom_face_rests_on_ground(self, pitch_deg):
         # Pixel row 700 lies below the principal point, so it sees the

@@ -207,6 +207,11 @@ class TestSynthCli:
         assert done.stderr.startswith("error: agl_range must be positive and finite")
         assert "Traceback" not in done.stderr
 
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        assert run(["synth", "--n", "3", "--seed", "-1", "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "d").exists()
+
     def test_seed_reproducibility_bytes(self, tmp_path, capsys):
         payloads = []
         for name in ("a", "b"):
@@ -289,6 +294,17 @@ class TestBuildInstrCli:
                     "--out", str(tmp_path / "o.jsonl")])
         assert code == 1
         assert "t.json: top level must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inflation", ["inf", "nan", "1e308"])
+    def test_non_finite_inflation_is_domain_error(self, tmp_path, ann_path, capsys, inflation):
+        out = tmp_path / "o.jsonl"
+        code = run(["build-instr", "--annotations", ann_path, "--out", str(out),
+                    "--inflation", inflation])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: inflated dimensions must be positive and finite")
+        assert not out.exists()
 
     def test_single_stage(self, tmp_path, ann_path, capsys):
         out = tmp_path / "sqa.jsonl"

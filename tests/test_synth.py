@@ -48,6 +48,11 @@ class TestSceneConfig:
             nadir_cfg(ground_extent=extent)
 
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            nadir_cfg(seed=-1)
+
+
 class TestGenerateScene:
     def test_empty_scene_is_valid(self, table):
         scene = generate_scene(nadir_cfg(n_vehicles=0), table)
