@@ -185,7 +185,9 @@ class MockPlannerBackend:
     (color/type -> image understanding only), and zero-shot recognition
     (brand/model/price/... -> measure dimensions, match the table,
     optionally search the web for the price). Anything else raises
-    UnknownWorkflow.
+    UnknownWorkflow. The reply is the plan as a fenced compact JSON array
+    (`json.dumps` without `indent`, so the C encoder writes it);
+    `parse_plan_text` accepts any whitespace inside the fence.
     """
 
     name = "mock-planner"
@@ -279,7 +281,7 @@ class MockPlannerBackend:
         queries = _QUERY_LINE.findall(prompt)
         query = queries[-1].strip() if queries else prompt.strip()
         steps = self._classify(query)
-        return "```json\n" + json.dumps(steps, indent=2) + "\n```"
+        return "```json\n" + json.dumps(steps) + "\n```"
 
 
 class MockSummarizerBackend:

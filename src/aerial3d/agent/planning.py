@@ -80,7 +80,8 @@ class Plan:
 def iter_refs(args: dict[str, Any]) -> Iterator[tuple[str, str | None]]:
     """All ($name, field-or-None) references inside a step's arguments."""
     for value in args.values():
-        if isinstance(value, str):
+        # REF_PATTERN needs a literal "$", so a string without one has no refs.
+        if isinstance(value, str) and "$" in value:
             for match in REF_PATTERN.finditer(value):
                 yield match.group(1), match.group(2)
 

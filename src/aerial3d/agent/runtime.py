@@ -76,7 +76,7 @@ def _lookup_ref(outputs: dict[str, Any], name: str, fieldname: str | None) -> An
 
 
 def _resolve_value(value: Any, outputs: dict[str, Any]) -> Any:
-    if not isinstance(value, str):
+    if not isinstance(value, str) or "$" not in value:
         return value
     whole = REF_PATTERN.fullmatch(value)
     if whole:
@@ -97,8 +97,12 @@ def execute(plan: Plan, toolbox: Toolbox, image: str | None = None) -> Execution
     for index, call in enumerate(plan.tool_steps):
         record = StepRecord(index, call.tool, call.output_name, dict(call.args))
         steps.append(record)
-        broken = sorted(
-            {name for name, _ in iter_refs(call.args) if name in poisoned}
+        # Only a failed step poisons a name, so until one fails no step
+        # can depend on a failure.
+        broken = (
+            sorted({name for name, _ in iter_refs(call.args) if name in poisoned})
+            if poisoned
+            else ()
         )
         if broken:
             record.error = str(

@@ -28,6 +28,9 @@ Wire formats
     HBB    ->  [x1,y1,x2,y2]                 integer pixels
 
 Bracket style plus field count disambiguates the three formats on parse.
+A Box3D with a dimension that rounds to 0.00 has no wire form:
+`serialize_location` raises ValueError rather than write a string
+`parse_location` rejects.
 """
 
 from __future__ import annotations
@@ -511,7 +514,15 @@ def serialize_location(loc: Location) -> str:
         )
         # round() first so values like -0.004 normalize to 0.00, not -0.00;
         # a "-0.00" would not survive a parse/serialize round trip.
-        return "<" + ",".join(f"{round(v, 2) + 0.0:.2f}" for v in fields) + ">"
+        x, y, z, length, width, height, yaw = [round(v, 2) + 0.0 for v in fields]
+        # parse_location rejects a zero dimension, so such a box has no
+        # wire form.
+        if 0.0 in (length, width, height):
+            raise ValueError(
+                f"3D box dimensions {loc.length:g} x {loc.width:g} x {loc.height:g} m"
+                " round to 0.00 in the wire format"
+            )
+        return f"<{x:.2f},{y:.2f},{z:.2f},{length:.2f},{width:.2f},{height:.2f},{yaw:.2f}>"
     if isinstance(loc, OrientedBox2D):
         ints = (loc.cx, loc.cy, loc.width, loc.height)
         angle_deg = round(math.degrees(loc.angle), 2) + 0.0

@@ -24,7 +24,7 @@ from aerial3d.agent import (
     run_query,
     validate_bindings,
 )
-from aerial3d.agent import backends, planning
+from aerial3d.agent import backends, planning, runtime
 from aerial3d.boxes import (
     Box3D,
     OrientedBox2D,
@@ -204,19 +204,35 @@ _SUMMARIZE_STEP = """\
   }"""
 
 
+# The same plans as the mock planner writes them: json.dumps without indent.
+_DIMS_AND_MATCH_COMPACT = (
+    '{"tool": "spatial_understanding", "args": {"mode": "dims", "region": '
+    '"[462,350,618,530]"}, "output_name": "dims"}, {"tool": "query_table", '
+    '"args": {"mode": "match", "length_m": "$dims.length_m", "width_m": '
+    '"$dims.width_m", "height_m": "$dims.height_m"}, "output_name": "record"}, '
+)
+_SUMMARIZE_COMPACT = '{"tool": "summarize", "args": {}, "output_name": "answer"}'
+
+
 class TestMockPlannerReplies:
     """The exact reply text for the four question kinds of the benchmark's
-    agent sessions: traces and perfbench figures depend on these bytes."""
+    agent sessions: perfbench figures depend on these bytes. Each reply
+    decodes to the plan of the indented reply earlier versions wrote."""
 
     @pytest.mark.parametrize(
-        "query, steps",
+        "query, compact, indented",
         [
             (
                 f"What are the brand and model of the vehicle at {CAR0_REGION}?",
+                _DIMS_AND_MATCH_COMPACT + _SUMMARIZE_COMPACT,
                 _DIMS_AND_MATCH_STEPS + "\n" + _SUMMARIZE_STEP,
             ),
             (
                 f"What is the price of the vehicle at {CAR0_REGION}?",
+                _DIMS_AND_MATCH_COMPACT
+                + '{"tool": "web_search", "args": {"query": '
+                '"$record.brand $record.model price"}, "output_name": "web_price"}, '
+                + _SUMMARIZE_COMPACT,
                 _DIMS_AND_MATCH_STEPS
                 + """
   {
@@ -231,6 +247,9 @@ class TestMockPlannerReplies:
             ),
             (
                 f"What color is the vehicle at {CAR0_REGION}?",
+                '{"tool": "image_understanding", "args": {"attribute": "color", '
+                '"region": "[462,350,618,530]"}, "output_name": "visual"}, '
+                + _SUMMARIZE_COMPACT,
                 """\
   {
     "tool": "image_understanding",
@@ -245,6 +264,12 @@ class TestMockPlannerReplies:
             ),
             (
                 "Find the Toyota Camry in the image.",
+                '{"tool": "query_table", "args": {"mode": "lookup", "brand": "Toyota", '
+                '"model": "Camry"}, "output_name": "record"}, {"tool": '
+                '"spatial_understanding", "args": {"mode": "locate", "length_mm": '
+                '"$record.length_mm", "width_mm": "$record.width_mm", "height_mm": '
+                '"$record.height_mm"}, "output_name": "location"}, '
+                + _SUMMARIZE_COMPACT,
                 """\
   {
     "tool": "query_table",
@@ -271,10 +296,11 @@ class TestMockPlannerReplies:
         ],
         ids=["brand-model", "price", "color", "find"],
     )
-    def test_reply_bytes(self, table, query, steps):
+    def test_reply_bytes(self, table, query, compact, indented):
         prompt = load_planner_prompt().replace("{query}", query)
         reply = MockPlannerBackend(table).complete(prompt)
-        assert reply == "```json\n[\n" + steps + "\n]\n```"
+        assert reply == "```json\n[" + compact + "]\n```"
+        assert json.loads("[" + compact + "]") == json.loads("[\n" + indented + "\n]")
 
 
 class TestToolbox:
@@ -352,6 +378,43 @@ class TestBindings:
             validate_bindings(bad)
 
 
+class TestReferences:
+    """iter_refs and _resolve_value skip the pattern for a string with no
+    "$"; a "$" that starts no name is text, as is a string without one."""
+
+    OUTPUTS = {"record": {"brand": "Toyota", "model": "Camry"}, "dims": {"length_m": 4.885}}
+
+    @pytest.mark.parametrize(
+        "value",
+        ["", "anything", CAR0_REGION, "US$ 5", "$5", "a$", "$", "$$", 4.885, None, ["$dims"]],
+    )
+    def test_text_without_a_reference(self, value):
+        assert list(planning.iter_refs({"a": value})) == []
+        assert runtime._resolve_value(value, {}) is value
+
+    def test_whole_value_reference(self):
+        args = {"length_m": "$dims.length_m", "record": "$record"}
+        assert list(planning.iter_refs(args)) == [("dims", "length_m"), ("record", None)]
+        assert runtime._resolve_value("$dims.length_m", self.OUTPUTS) == 4.885
+        assert runtime._resolve_value("$record", self.OUTPUTS) is self.OUTPUTS["record"]
+
+    @pytest.mark.parametrize(
+        "value, refs, resolved",
+        [
+            (
+                "$record.brand $record.model price",
+                [("record", "brand"), ("record", "model")],
+                "Toyota Camry price",
+            ),
+            ("US$ 5 for a $record.model", [("record", "model")], "US$ 5 for a Camry"),
+            ("$5 or $dims.length_m$", [("dims", "length_m")], "$5 or 4.885$"),
+        ],
+    )
+    def test_embedded_references(self, value, refs, resolved):
+        assert list(planning.iter_refs({"query": value, "n": 3})) == refs
+        assert runtime._resolve_value(value, self.OUTPUTS) == resolved
+
+
 class TestExecution:
     def test_zero_shot_steps_resolve_references(self, ann, table):
         toolbox = Toolbox(table=table, vlm=MockVLMBackend(ann))
@@ -396,6 +459,44 @@ class TestExecution:
         assert errors["web"] is not None
         assert errors["visual"] is None
         assert "halted" in errors["dependent"]
+        assert result.outputs["visual"]["value"] == "white"
+
+    def test_step_after_a_failure_halts_on_the_failed_reference(self, ann, table):
+        # No search backend, so "web" fails; "combined" references the
+        # healthy "record" and the failed "web" and is halted naming "web";
+        # "visual", with no "$" anywhere, still runs after the failure.
+        steps = parse_plan_text(
+            json.dumps(
+                [
+                    {
+                        "tool": "query_table",
+                        "args": {"mode": "lookup", "brand": "Toyota", "model": "Camry"},
+                        "output_name": "record",
+                    },
+                    {"tool": "web_search", "args": {"query": "x"}, "output_name": "web"},
+                    {
+                        "tool": "web_search",
+                        "args": {"query": "$record.brand $web.text price"},
+                        "output_name": "combined",
+                    },
+                    {
+                        "tool": "image_understanding",
+                        "args": {"attribute": "color", "region": CAR0_REGION},
+                        "output_name": "visual",
+                    },
+                    {"tool": "summarize", "args": {}, "output_name": "answer"},
+                ]
+            )
+        )
+        result = execute(steps, Toolbox(table=table, vlm=MockVLMBackend(ann)))
+        errors = {s.output_name: s.error for s in result.steps}
+        assert errors["record"] is None and errors["visual"] is None
+        assert errors["web"] is not None
+        assert errors["combined"] == "step 2 (web_search): halted: depends on failed $web"
+        combined = result.steps[2]
+        assert combined.args == {"query": "$record.brand $web.text price"}
+        assert combined.backend_calls == []
+        assert sorted(result.outputs) == ["record", "visual"]
         assert result.outputs["visual"]["value"] == "white"
 
     def test_dims_reply_reads_exponent_numbers(self):

@@ -347,6 +347,23 @@ class TestSerialization:
     def test_hbb_wire_format(self):
         assert serialize_location(HorizontalBox2D(80, 90, 120.2, 110.0)) == "[80,90,120,110]"
 
+    @pytest.mark.parametrize(
+        "length, width, height",
+        [(4.5, 0.004, 1.5), (4.5, 1.8, 0.004), (0.004, 0.004, 1.5), (1e-320, 1e-320, 1e-320)],
+        ids=["width", "height", "length", "subnormal"],
+    )
+    def test_box3d_dimension_rounding_to_zero_raises(self, length, width, height):
+        # "<...,0.00,...>" is a string parse_location rejects.
+        box = Box3D(CameraPoint(2.0, -3.0, 49.25), length, width, height, 0.0)
+        with pytest.raises(ValueError, match="round to 0.00 in the wire format"):
+            serialize_location(box)
+
+    def test_box3d_smallest_dimensions_on_the_wire_parse_back(self):
+        box = Box3D(CameraPoint(2.0, -3.0, 49.25), 0.005, 0.005, 0.005, 0.0)
+        wire = serialize_location(box)
+        assert wire == "<2.00,-3.00,49.25,0.01,0.01,0.01,0.00>"
+        assert serialize_location(parse_location(wire)) == wire
+
     def test_parse_box3d(self):
         box = parse_location("<2.00,-3.00,49.25,4.50,1.80,1.50,30.00>")
         assert isinstance(box, Box3D)

@@ -187,6 +187,23 @@ class TestDerive3dAndProject:
         assert set(json.loads(out.read_text())) == {"car0", "car1"}
 
 
+@pytest.mark.parametrize("command", ["derive3d", "build-instr"])
+def test_inflation_below_the_wire_resolution_is_domain_error(
+    tmp_path, ann_path, capsys, command
+):
+    # 0.002 x 1.8 m is a 3.6 mm width, which the 3D wire format writes as
+    # 0.00 and parse_location rejects.
+    out = tmp_path / "out"
+    code = run([command, "--annotations", ann_path, "--out", str(out),
+                "--inflation", "0.002"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: 3D box dimensions ")
+    assert err[0].endswith(" round to 0.00 in the wire format")
+    assert not out.exists()
+
+
 class TestSynthCli:
     def test_generates_scene_dir(self, tmp_path, capsys):
         out = tmp_path / "scene"
