@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._fsio import read_json, read_jsonl, write_text_atomic
 from .boxes import derive_box3d, obb_to_hbb, serialize_location
@@ -46,13 +46,12 @@ _TEMPLATES_PER_FORMAT = 5
 # '"', '\\' and control characters, leaving other text as is.
 _encode_str = json.encoder.encode_basestring
 
-# Wire order of the JSONL fields; `None` is allowed in the nullable ones.
-_SAMPLE_FIELDS = ("image", "query", "aux", "target", "kind", "task")
-_NULLABLE_FIELDS = frozenset({"image", "aux", "task"})
 
+class InstructionSample(NamedTuple):
+    """One JSONL training sample. A `NamedTuple` rather than a frozen
+    dataclass: `build_all` makes 40 per object, and a tuple is built at
+    about a third of the cost."""
 
-@dataclass(frozen=True)
-class InstructionSample:
     image: str | None
     query: str
     aux: str | None
@@ -62,8 +61,8 @@ class InstructionSample:
 
     def to_json(self) -> str:
         """The sample as one JSON object, byte for byte what
-        `json.dumps(dataclasses.asdict(self), ensure_ascii=False)` gives for
-        the annotated field types, without building an encoder per call."""
+        `json.dumps(self._asdict(), ensure_ascii=False)` gives for the
+        annotated field types, without building an encoder per call."""
         image, aux, task = self.image, self.aux, self.task
         return (
             f'{{"image": {"null" if image is None else _encode_str(image)}, '
@@ -73,6 +72,11 @@ class InstructionSample:
             f'"kind": {_encode_str(self.kind)}, '
             f'"task": {"null" if task is None else _encode_str(task)}}}'
         )
+
+
+# Wire order of the JSONL fields; `None` is allowed in the nullable ones.
+_SAMPLE_FIELDS = InstructionSample._fields
+_NULLABLE_FIELDS = frozenset({"image", "aux", "task"})
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,8 @@ def load_templates(path: str | Path | None = None) -> TemplateSet:
 
     Enforces exactly 5 templates per grounding format and per phase-2
     kind, one per spatial-QA task, and that every template renders with
-    the placeholders the builders supply.
+    exactly the placeholders its builder supplies: `{target}` everywhere,
+    plus `{loc3d}` in the GML templates.
     """
     path = Path(path) if path is not None else packaged_templates_path()
     data = read_json(path)
@@ -139,9 +144,12 @@ def load_templates(path: str | Path | None = None) -> TemplateSet:
         *((f"sqa/{k}", t) for k, t in sqa.items()),
         *((f"phase2/{k}", t) for k, ts in phase2.items() for t in ts),
     ]:
+        slots = {"target": "x", "loc3d": "y"} if label == "phase2/gml" else {"target": "x"}
         try:
-            template.format(target="x", loc3d="y")
-        except (KeyError, IndexError, ValueError) as exc:
+            template.format(**slots)
+        # What `str.format` raises for a field that string arguments cannot
+        # fill: `{loc3d}` unsupplied, `{0}`, `{target.x}`, `{target[x]}`, `{target:d}`.
+        except (KeyError, IndexError, AttributeError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: template {label} does not render: {exc}") from None
     return TemplateSet(grounding=grounding, sqa=sqa, phase2=phase2)
 

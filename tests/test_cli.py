@@ -14,6 +14,7 @@ from aerial3d.evaluation import (
     load_annotations,
     sqa_ground_truth,
 )
+from aerial3d.instructions import packaged_templates_path
 
 from conftest import make_annotation_dict
 
@@ -311,6 +312,24 @@ class TestBuildInstrCli:
                     "--out", str(tmp_path / "o.jsonl")])
         assert code == 1
         assert "t.json: top level must be a JSON object" in capsys.readouterr().err
+
+    def test_template_placeholder_the_builder_lacks_is_domain_error(
+        self, tmp_path, ann_path, capsys
+    ):
+        data = json.loads(packaged_templates_path().read_text())
+        data["sqa"]["depth"] = "How deep is {target} at {loc3d}?"
+        templates = tmp_path / "t.json"
+        templates.write_text(json.dumps(data))
+        out = tmp_path / "o.jsonl"
+        code = run(["build-instr", "--annotations", ann_path, "--templates", str(templates),
+                    "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"error: {templates}: template sqa/depth does not render: 'loc3d'"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize("inflation", ["inf", "nan", "1e308"])
     def test_non_finite_inflation_is_domain_error(self, tmp_path, ann_path, capsys, inflation):

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aerial3d.agent import load_planner_prompt
@@ -86,6 +86,31 @@ class TestExtractNumeric:
     )
     def test_unit_normalization(self, text, expected):
         assert numeric_in_meters(text) == expected
+
+    # A tail can complete a unit or break one (the cases below), so the
+    # property needs an answer that ends in a character no number or unit
+    # runs through: not a word character, not whitespace, not one of ".,+-".
+    @given(
+        st.text(),
+        st.characters(exclude_categories=("L", "N")).filter(
+            lambda c: not re.match(r"[\w\s.,+-]", c)
+        ),
+        st.text(st.characters(exclude_categories=("Nd",))),  # no digit
+    )
+    @example("5 mm", ")", "x")
+    @example("5", "!", " cm")
+    @example("1,", ";", ",000")
+    def test_tail_without_digits_keeps_the_value(self, head, last, tail):
+        answer = head + last
+        assert numeric_in_meters(answer + tail) == numeric_in_meters(answer)
+
+    @pytest.mark.parametrize(
+        "answer, tail, before, after",
+        [("5", " cm", 5.0, 0.05), ("5 m", "m", 5.0, 0.005), ("5 mm", "x", 0.005, 5.0)],
+    )
+    def test_tail_can_complete_or_break_a_unit(self, answer, tail, before, after):
+        assert numeric_in_meters(answer) == before
+        assert numeric_in_meters(answer + tail) == after
 
 
 class TestFivePercentRule:

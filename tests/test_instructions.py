@@ -1,4 +1,4 @@
-import dataclasses
+import hashlib
 import json
 import math
 
@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from aerial3d import instructions
 from aerial3d.boxes import Box3D, HorizontalBox2D, OrientedBox2D, derive_box3d, parse_location
+from aerial3d.cli import main
 from aerial3d.errors import ParseError
-from aerial3d.evaluation import SQA_TASKS, annotation_from_dict, sqa_ground_truth
+from aerial3d.evaluation import SQA_TASKS, annotation_from_dict, load_annotations, sqa_ground_truth
 from aerial3d.instructions import (
+    STAGES,
     InstructionSample,
     build_all,
     build_grounding_samples,
@@ -87,6 +89,34 @@ class TestTemplates:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(broken))
         with pytest.raises(ParseError):
+            load_templates(path)
+
+    @pytest.mark.parametrize(
+        "section, key, template, reason",
+        [
+            # Only the GML builder supplies {loc3d}.
+            ("sqa", "depth", "How deep is {target} at {loc3d}?", "'loc3d'"),
+            ("grounding", "hbb", "Locate {target.x}.", "has no attribute 'x'"),
+            ("phase2", "asl", "Locate {target[x]}.", "string indices must be integers"),
+        ],
+        ids=["loc3d-outside-gml", "attribute", "item"],
+    )
+    def test_template_the_builder_cannot_render_rejected(
+        self, tmp_path, templates, section, key, template, reason
+    ):
+        data = {
+            "grounding": {k: list(v) for k, v in templates.grounding.items()},
+            "sqa": dict(templates.sqa),
+            "phase2": {k: list(v) for k, v in templates.phase2.items()},
+        }
+        if section == "sqa":
+            data[section][key] = template
+        else:
+            data[section][key][0] = template
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(data))
+        label = f"{section}/{key}"
+        with pytest.raises(ParseError, match=rf"t\.json: template {label} does not render: .*{reason}"):
             load_templates(path)
 
 
@@ -252,6 +282,70 @@ class TestBuildAllStages:
         assert calls == [obj.obb for obj in ann.objects]
 
 
+class TestSampleRecord:
+    SAMPLE = InstructionSample("a.png", "q", None, "[1,2,3,4]", "GROUND_2D", None)
+
+    def test_repr(self):
+        assert repr(self.SAMPLE) == (
+            "InstructionSample(image='a.png', query='q', aux=None, target='[1,2,3,4]', "
+            "kind='GROUND_2D', task=None)"
+        )
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.SAMPLE.query = "other"
+        assert self.SAMPLE.query == "q"
+
+    def test_equal_samples_are_equal_and_hash_equal(self):
+        twin = InstructionSample("a.png", "q", None, "[1,2,3,4]", "GROUND_2D", None)
+        other = self.SAMPLE._replace(task="depth")
+        assert twin is not self.SAMPLE
+        assert twin == self.SAMPLE and hash(twin) == hash(self.SAMPLE)
+        # As a NamedTuple, a sample also equals the plain tuple of its fields.
+        assert self.SAMPLE == ("a.png", "q", None, "[1,2,3,4]", "GROUND_2D", None)
+        assert other != self.SAMPLE
+        assert len({self.SAMPLE, twin, other}) == 2
+
+    def test_keyword_construction(self):
+        sample = InstructionSample(
+            task=None, kind="GROUND_2D", target="[1,2,3,4]", aux=None, query="q", image="a.png"
+        )
+        assert sample == self.SAMPLE
+        assert sample._fields == ("image", "query", "aux", "target", "kind", "task")
+
+
+# sha256 of the JSONL `build_all` + `write_samples` give for the README demo
+# scene (`synth --n 6 --seed 7`) at inflation 1.0, per stage set and aux
+# format. `build-instr` with its defaults writes the ("all", "hbb") file,
+# which CI's no-deps job checks too.
+DEMO_JSONL_SHA256 = {
+    ("all", "hbb"): "cace09d9c8d2ee8eedfb7f3cb10429f685805da4716722284902c6f8ff51edc1",
+    ("all", "obb"): "5d1fe24adef64f104047e641cd2bfade05ee358c4400161c3f6ba34d28a11fc8",
+    ("grounding", "hbb"): "5160efa3360fae0a494ae1742a90fd5baced568254818f9a742bc9bd95b46a0e",
+    ("grounding", "obb"): "5160efa3360fae0a494ae1742a90fd5baced568254818f9a742bc9bd95b46a0e",
+    ("sqa", "hbb"): "ad77990e1c0a4753f422ffa9a6865bbc819bb50adbbff81107d3fcade8d55d64",
+    ("sqa", "obb"): "ad77990e1c0a4753f422ffa9a6865bbc819bb50adbbff81107d3fcade8d55d64",
+    ("phase2", "hbb"): "c5dd78454247476f3566a44032ec3f785ba2662ea25c1e9e5f5b6a0837f25bd3",
+    ("phase2", "obb"): "ba72eb4248f980440f432ce933a0477b57ed123c38ab4783d9127b43c64af34c",
+}
+
+
+@pytest.fixture(scope="module")
+def demo_ann(tmp_path_factory):
+    out = tmp_path_factory.mktemp("demo") / "scene"
+    assert main(["synth", "--n", "6", "--seed", "7", "--out", str(out)]) == 0
+    return load_annotations(out / "annotation.json")
+
+
+@pytest.mark.parametrize("stage, aux_format", sorted(DEMO_JSONL_SHA256))
+def test_demo_jsonl_bytes_are_pinned(demo_ann, templates, tmp_path, stage, aux_format):
+    stages = STAGES if stage == "all" else (stage,)
+    path = tmp_path / "instr.jsonl"
+    write_samples(build_all(demo_ann, templates, aux_format, 1.0, stages).samples, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == DEMO_JSONL_SHA256[stage, aux_format]
+
+
 class TestJsonl:
     def test_write_read_roundtrip_and_key_order(self, ann, templates, tmp_path):
         samples = build_all(ann, templates).samples
@@ -286,7 +380,7 @@ class TestJsonl:
         fields = dict(zip(("image", "query", "aux", "target", "kind", "task"), values))
         fields.update(dict.fromkeys(nulls))
         sample = InstructionSample(**fields)
-        assert sample.to_json() == json.dumps(dataclasses.asdict(sample), ensure_ascii=False)
+        assert sample.to_json() == json.dumps(sample._asdict(), ensure_ascii=False)
 
     @pytest.mark.parametrize(
         "field, value",
