@@ -31,13 +31,9 @@ from .camera import (
     HORIZON_EPS,
     CameraModel,
     CameraPoint,
-    ImagePoint,
     PixelPoint,
     SpatialMeasures,
     backproject_to_ground,
-    ground_plane_residual,
-    image_to_pixel,
-    pixel_to_image,
     project_to_pixel,
     spatial_measures,
 )

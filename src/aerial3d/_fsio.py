@@ -13,6 +13,10 @@ from typing import Any, Iterator
 
 from .errors import ParseError
 
+# The data files shipped inside the package directory. They are read as plain
+# files, so the package must be installed unzipped.
+DATA_DIR = Path(__file__).parent / "data"
+
 
 def read_utf8(path: str | Path) -> str:
     """A UTF-8 text file, newlines untranslated (so csv sees them as written)."""

@@ -14,11 +14,10 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from importlib.resources import files
 from pathlib import Path
 from typing import Any, Iterator
 
-from .._fsio import read_utf8
+from .._fsio import DATA_DIR, read_utf8
 from ..errors import PlanParseError
 from .backends import Backend
 
@@ -118,7 +117,7 @@ def parse_plan_text(text: str) -> Plan:
 
 
 def packaged_planner_prompt_path() -> Path:
-    return Path(str(files("aerial3d") / "data" / "planner_prompt.txt"))
+    return DATA_DIR / "planner_prompt.txt"
 
 
 def load_planner_prompt(path: str | Path | None = None) -> str:

@@ -43,11 +43,6 @@ class PixelPoint(NamedTuple):
     y: float
 
 
-class ImagePoint(NamedTuple):
-    x: float
-    y: float
-
-
 class CameraPoint(NamedTuple):
     x: float
     y: float
@@ -60,7 +55,7 @@ class SpatialMeasures(NamedTuple):
 
 
 # Any (x, y) / (x, y, z) sequence is accepted where a point is expected.
-Point2Like = Union[PixelPoint, ImagePoint, Sequence[float]]
+Point2Like = Union[PixelPoint, Sequence[float]]
 Point3Like = Union[CameraPoint, Sequence[float]]
 
 
@@ -109,24 +104,6 @@ class CameraModel:
         return PixelPoint(self.image_width / 2.0, self.image_height / 2.0)
 
 
-def pixel_to_image(pt: Point2Like, cam: CameraModel) -> ImagePoint:
-    """Map a pixel to metric image-plane coordinates about the principal point."""
-    x, y = _xy(pt)
-    return ImagePoint(
-        (x - cam.image_width / 2.0) * cam.pixel_size,
-        (y - cam.image_height / 2.0) * cam.pixel_size,
-    )
-
-
-def image_to_pixel(pt: Point2Like, cam: CameraModel) -> PixelPoint:
-    """Exact inverse of :func:`pixel_to_image`."""
-    x, y = _xy(pt)
-    return PixelPoint(
-        x / cam.pixel_size + cam.image_width / 2.0,
-        y / cam.pixel_size + cam.image_height / 2.0,
-    )
-
-
 def project_to_pixel(pt: Point3Like, cam: CameraModel) -> PixelPoint:
     """Perspective-project a camera-frame point onto the pixel grid.
 
@@ -135,22 +112,12 @@ def project_to_pixel(pt: Point3Like, cam: CameraModel) -> PixelPoint:
     x, y, z = _xyz(pt)
     if not z > 0:
         raise NonPositiveDepth(f"point has depth z={z}, must be > 0")
-    # image_to_pixel of the image point (f*x/z, f*y/z), written out.
+    # The image-plane point (f*x/z, f*y/z), in pixels about the principal point.
     f, size = cam.focal_length, cam.pixel_size
     return PixelPoint(
         f * x / z / size + cam.image_width / 2.0,
         f * y / z / size + cam.image_height / 2.0,
     )
-
-
-def ground_denominator(pt: Point2Like, cam: CameraModel) -> float:
-    """Denominator of the ray/ground-plane intersection for this pixel.
-
-    Positive and bounded away from zero for rays that strike the ground in
-    front of the camera; approaches zero at the horizon.
-    """
-    image = pixel_to_image(pt, cam)
-    return image.y * math.cos(cam.pitch) + cam.focal_length * math.sin(cam.pitch)
 
 
 def backproject_to_ground(pt: Point2Like, cam: CameraModel) -> CameraPoint:
@@ -162,7 +129,7 @@ def backproject_to_ground(pt: Point2Like, cam: CameraModel) -> CameraPoint:
     horizon.
     """
     px, py = _xy(pt)
-    # pixel_to_image, written out.
+    # Metric image-plane coordinates about the principal point.
     size = cam.pixel_size
     ix = (px - cam.image_width / 2.0) * size
     iy = (py - cam.image_height / 2.0) * size
@@ -174,15 +141,6 @@ def backproject_to_ground(pt: Point2Like, cam: CameraModel) -> CameraPoint:
         )
     t = cam.agl / denom
     return CameraPoint(ix * t, iy * t, f * t)
-
-
-def ground_plane_residual(pt: Point3Like, cam: CameraModel) -> float:
-    """Signed value of the ground-plane equation at a camera-frame point.
-
-    Zero on the plane, positive on the camera side.
-    """
-    x, y, z = _xyz(pt)
-    return -math.cos(cam.pitch) * y - math.sin(cam.pitch) * z + cam.agl
 
 
 def spatial_measures(pt: Point3Like) -> SpatialMeasures:

@@ -297,46 +297,15 @@ def within_5pct(pred: float, gt: float) -> bool:
     return abs(pred - gt) <= 0.05 * abs(gt)
 
 
-def _float64_sum(values: Sequence[float]) -> float:
-    """Sum rounded exactly as NumPy's float64 `sum` rounds it.
-
-    NumPy adds a pairwise sum to its identity 0.0: a plain loop below 8
-    terms, 8 interleaved accumulators up to 128, and above that a split at
-    n/2 rounded down to a multiple of 8. Report bytes follow this rounding.
-    """
-
-    def pairwise(lo: int, n: int) -> float:
-        if n < 8:
-            total = 0.0
-            for v in values[lo : lo + n]:
-                total += v
-            return total
-        if n <= 128:
-            acc = list(values[lo : lo + 8])
-            end = lo + n - n % 8
-            for i in range(lo + 8, end, 8):
-                for k in range(8):
-                    acc[k] += values[i + k]
-            total = (acc[0] + acc[1]) + (acc[2] + acc[3])
-            total += (acc[4] + acc[5]) + (acc[6] + acc[7])
-            for v in values[end : lo + n]:
-                total += v
-            return total
-        half = n // 2 - n // 2 % 8
-        return pairwise(lo, half) + pairwise(lo + half, n - half)
-
-    return 0.0 + pairwise(0, len(values))
-
-
 def eval_regression(
     preds: Sequence[float], gts: Sequence[float], strict_r2: bool = False
 ) -> RegressionMetrics:
     """MAE, RMSE, R-squared about the GT mean, and the 5%-rule accuracy.
 
-    When every ground-truth value is equal, SStot is zero and R-squared has
-    no defined value: it is reported as None (or raised as
-    DegenerateVariance with strict_r2=True); the other metrics are still
-    computed.
+    When every ground-truth value is equal, R-squared has no defined value
+    (SStot is zero, or a rounding residue where the rounded mean misses the
+    common value): it is reported as None (or raised as DegenerateVariance
+    with strict_r2=True); the other metrics are still computed.
     """
     if len(preds) != len(gts):
         raise LengthMismatch(f"{len(preds)} predictions vs {len(gts)} ground truths")
@@ -346,12 +315,12 @@ def eval_regression(
     g = [float(v) for v in gts]
     n = len(g)
     residuals = [pi - gi for pi, gi in zip(p, g)]
-    mae = _float64_sum([abs(r) for r in residuals]) / n
-    ss_res = _float64_sum([r * r for r in residuals])
+    mae = math.fsum([abs(r) for r in residuals]) / n
+    ss_res = math.fsum([r * r for r in residuals])
     rmse = math.sqrt(ss_res / n)
-    g_mean = _float64_sum(g) / n
-    ss_tot = _float64_sum([(gi - g_mean) * (gi - g_mean) for gi in g])
-    if ss_tot == 0.0:
+    g_mean = math.fsum(g) / n
+    ss_tot = math.fsum([(gi - g_mean) * (gi - g_mean) for gi in g])
+    if ss_tot == 0.0 or min(g) == max(g):
         if strict_r2:
             raise DegenerateVariance("all ground-truth values are equal")
         r_squared = None
@@ -398,6 +367,8 @@ def eval_retrieval(
         cam_list = cams
         if len(cam_list) != len(gts):
             raise LengthMismatch(f"{len(cam_list)} cameras vs {len(gts)} ground truths")
+    if not 0 < thresh < 1:
+        raise ValueError(f"thresh must be in (0, 1), got {thresh}")
     if not gts:
         return 0.0
     hits = sum(
@@ -423,10 +394,13 @@ def eval_attributes(
     Text attributes compare case-insensitively with whitespace normalized.
     Numeric attributes (price, doors, seats) compare by extracted number;
     an answer with no digits is a parse failure and incorrect. `price_tol`
-    optionally relaxes price to a relative tolerance (default exact).
+    optionally relaxes price to a relative tolerance (default exact); it
+    must be finite and >= 0.
     """
     if len(preds) != len(gts):
         raise LengthMismatch(f"{len(preds)} predictions vs {len(gts)} ground truths")
+    if price_tol is not None and not 0 <= price_tol < math.inf:
+        raise ValueError(f"price_tol must be finite and >= 0, got {price_tol}")
     if not gts:
         return 0.0
     return _attribute_tally(zip(preds, gts), attribute, price_tol)[0] / len(gts)
@@ -649,6 +623,8 @@ def evaluate_attributes_file(
 
     Predictions are `{"id": "<object_id>:<attribute>", "answer": <text>}`.
     """
+    if price_tol is not None and not 0 <= price_tol < math.inf:
+        raise ValueError(f"price_tol must be finite and >= 0, got {price_tol}")
     gts = attribute_ground_truth(ann)
     by_attr: dict[str, list[tuple[str | None, str]]] = {}
     for key, gt_value in gts.items():

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib.resources import files
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from ._fsio import read_json, read_jsonl, write_text_atomic
+from ._fsio import DATA_DIR, read_json, read_jsonl, write_text_atomic
 from .boxes import derive_box3d, obb_to_hbb, serialize_location
 from .errors import DegenerateYaw, ParseError, RayMissesGround
 from .evaluation import SQA_TASKS, AnnotatedObject, AnnotationFile, sqa_values
@@ -96,7 +95,7 @@ class TemplateSet:
 
 
 def packaged_templates_path() -> Path:
-    return Path(str(files("aerial3d") / "data" / "templates.json"))
+    return DATA_DIR / "templates.json"
 
 
 def load_templates(path: str | Path | None = None) -> TemplateSet:

@@ -15,11 +15,10 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from importlib.resources import files
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from ._fsio import read_utf8
+from ._fsio import DATA_DIR, read_utf8
 from .boxes import BoxDims, dims_from_mm
 from .errors import DuplicateKey, EmptyTable, NotFound, ParseError
 
@@ -120,7 +119,7 @@ def _normalize_powertrain(raw: str) -> str:
 
 def packaged_table_path() -> Path:
     """Path of the vehicle catalog shipped with the package."""
-    return Path(str(files("aerial3d") / "data" / "vehicles.csv"))
+    return DATA_DIR / "vehicles.csv"
 
 
 def load_table(path: str | Path) -> VehicleTable:

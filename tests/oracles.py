@@ -6,16 +6,66 @@ ray, the IoU oracle estimates overlap by Monte-Carlo point membership, and
 the annotation oracle runs the format's JSON Schema through `jsonschema`.
 Agreement between a closed form and its oracle is evidence both are right;
 sharing code between them would prove nothing.
+
+It also keeps the camera's image-plane pieces (`ImagePoint`,
+`pixel_to_image`, `image_to_pixel`, `ground_denominator`,
+`ground_plane_residual`). The library writes their arithmetic out inline in
+its kernels; the tests compose these as the references the kernels must
+match.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from aerial3d.camera import CameraModel, CameraPoint, PixelPoint, pixel_to_image
+from aerial3d.camera import CameraModel, CameraPoint, PixelPoint
+
+
+class ImagePoint(NamedTuple):
+    """Metric image-plane point about the principal point, axes as pixels."""
+
+    x: float
+    y: float
+
+
+def pixel_to_image(pt, cam: CameraModel) -> ImagePoint:
+    """Map a pixel to metric image-plane coordinates about the principal point."""
+    x, y = (float(v) for v in pt)
+    return ImagePoint(
+        (x - cam.image_width / 2.0) * cam.pixel_size,
+        (y - cam.image_height / 2.0) * cam.pixel_size,
+    )
+
+
+def image_to_pixel(pt, cam: CameraModel) -> PixelPoint:
+    """Exact inverse of :func:`pixel_to_image`."""
+    x, y = (float(v) for v in pt)
+    return PixelPoint(
+        x / cam.pixel_size + cam.image_width / 2.0,
+        y / cam.pixel_size + cam.image_height / 2.0,
+    )
+
+
+def ground_denominator(pt, cam: CameraModel) -> float:
+    """Denominator of the ray/ground-plane intersection for this pixel.
+
+    Positive and bounded away from zero for rays that strike the ground in
+    front of the camera; approaches zero at the horizon.
+    """
+    image = pixel_to_image(pt, cam)
+    return image.y * math.cos(cam.pitch) + cam.focal_length * math.sin(cam.pitch)
+
+
+def ground_plane_residual(pt, cam: CameraModel) -> float:
+    """Signed value of the ground-plane equation at a camera-frame point.
+
+    Zero on the plane, positive on the camera side.
+    """
+    x, y, z = (float(v) for v in pt)
+    return -math.cos(cam.pitch) * y - math.sin(cam.pitch) * z + cam.agl
 
 
 def _height_above_plane(t: float, direction: tuple[float, float, float], cam: CameraModel) -> float:

@@ -37,7 +37,6 @@ from aerial3d.camera import (
     CameraModel,
     CameraPoint,
     backproject_to_ground,
-    ground_denominator,
     project_to_pixel,
 )
 from aerial3d.errors import RayMissesGround
@@ -57,7 +56,7 @@ from aerial3d.synth import SceneConfig, generate_scene, ground_truth_boxes, veri
 from aerial3d.vehicles import load_table, match_dimensions, min_pairwise_gap, packaged_table_path
 
 from conftest import make_annotation_dict
-from oracles import bisect_ray_ground, monte_carlo_iou
+from oracles import bisect_ray_ground, ground_denominator, monte_carlo_iou
 
 NADIR = math.pi / 2
 

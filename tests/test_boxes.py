@@ -26,8 +26,10 @@ from aerial3d.boxes import (
     serialize_location,
     wrap_angle_half_pi,
 )
-from aerial3d.camera import CameraModel, CameraPoint, ground_plane_residual
+from aerial3d.camera import CameraModel, CameraPoint
 from aerial3d.errors import ParseError
+
+from oracles import ground_plane_residual
 
 # Location-like text: the three wire shapes with numbers of any size or kind
 # (nan, inf, subnormals, huge integers), plus wrong brackets, counts and junk.

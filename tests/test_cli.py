@@ -57,6 +57,21 @@ def test_import_does_not_load_jsonschema():
     assert done.stdout.split() == ["False"] * 5
 
 
+def test_import_does_not_load_importlib_resources():
+    # Packaged data is found from the package directory. `-S` skips site
+    # start-up, whose `.pth` files may import importlib.resources themselves.
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, aerial3d, aerial3d.agent, aerial3d.cli; "
+         "print('importlib.resources' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 def test_cli_runs_with_numpy_unimportable(tmp_path):
     # sys.modules["numpy"] = None makes every `import numpy` raise.
     code = """
@@ -267,6 +282,15 @@ class TestReadmeWalkthrough:
         assert out("build-instr", *ann, "--out", "demo/instr.jsonl") == (
             '{"written": 240, "objects_skipped": 0, "out": "demo/instr.jsonl"}\n'
         )
+        gts = sqa_ground_truth(load_annotations("demo/scene/annotation.json"))
+        Path("demo/preds.jsonl").write_text("".join(
+            json.dumps({"id": key, "answer": f"{value:.2f} m"}) + "\n"
+            for key, value in gts.items()
+        ))
+        report = json.loads(out("eval", "--task", "sqa", "--pred", "demo/preds.jsonl",
+                                "--gt", "demo/scene/annotation.json"))
+        assert (report["n_evaluated"], report["n_parse_failures"]) == (30, 0)
+        assert (report["mae"], report["acc_5pct"]) == (0.002257, 1.0)
         agent = ["agent", "run", "--backend", "mock",
                  "--image", "demo/scene/scene_00007.png", *ann]
         query = "What are the brand and model of the vehicle at [675,431,777,520]?"
@@ -383,6 +407,27 @@ class TestEvalCli:
         pred_path.write_text("not json\n")
         assert run(["eval", "--task", "sqa", "--pred", str(pred_path),
                     "--gt", ann_path]) == 1
+
+    @pytest.mark.parametrize(
+        "task, flag, value, message",
+        [
+            ("retrieval", "--thresh", "nan", "thresh must be in (0, 1), got nan"),
+            ("retrieval", "--thresh", "inf", "thresh must be in (0, 1), got inf"),
+            ("retrieval", "--thresh", "-3", "thresh must be in (0, 1), got -3.0"),
+            ("attr", "--price-tol", "nan", "price_tol must be finite and >= 0, got nan"),
+            ("attr", "--price-tol", "-0.05", "price_tol must be finite and >= 0, got -0.05"),
+        ],
+    )
+    def test_out_of_range_option_is_domain_error(
+        self, tmp_path, ann_path, capsys, task, flag, value, message
+    ):
+        pred_path = tmp_path / "preds.jsonl"
+        pred_path.write_text("")
+        assert run(["eval", "--task", task, "--pred", str(pred_path), "--gt", ann_path,
+                    flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 class TestAgentCli:

@@ -166,6 +166,19 @@ class TestEvalRegression:
         with pytest.raises(DegenerateVariance):
             eval_regression([1.0, 2.0], [3.0, 3.0], strict_r2=True)
 
+    @given(st.floats(-1e6, 1e6), st.integers(1, 50))
+    @example(30.1, 3)
+    @example(30.1, 6)
+    @example(30.1, 7)
+    def test_equal_ground_truths_have_no_r_squared(self, value, n):
+        # n copies of 30.1 m (every depth of a nadir scene at that height)
+        # sum and divide back to a mean an ulp off 30.1, so SStot comes out
+        # near 1e-28 rather than 0, and R-squared near -1e27.
+        preds, gts = [value + 0.1] * n, [value] * n
+        assert eval_regression(preds, gts).r_squared is None
+        with pytest.raises(DegenerateVariance):
+            eval_regression(preds, gts, strict_r2=True)
+
     @given(st.lists(st.integers(-1000, 1000).map(float), min_size=2, max_size=20))
     def test_gt_against_itself_is_perfect(self, gts):
         m = eval_regression(gts, gts)
@@ -209,6 +222,13 @@ class TestEvalRetrieval:
         with pytest.raises(LengthMismatch):
             eval_retrieval([gt], [gt], [cam_nadir, cam_nadir])
 
+    @pytest.mark.parametrize("thresh", [math.nan, math.inf, -math.inf, -3.0, 0.0, 1.0, 1.5])
+    def test_bad_threshold(self, cam_nadir, thresh):
+        # Unchecked, nan and inf score every pair 0.0 and -3 scores it 1.0.
+        gt = Box3D(CameraPoint(0, 0, 50), 2.0, 2.0, 1.5, 0.0)
+        with pytest.raises(ValueError, match="thresh must be in"):
+            eval_retrieval([gt], [gt], cam_nadir, thresh=thresh)
+
 
 class TestEvalAttributes:
     def test_text_normalization(self):
@@ -223,9 +243,18 @@ class TestEvalAttributes:
         preds, gts = ["The price is about 230,000."], ["231900"]
         assert eval_attributes(preds, gts, attribute="price") == 0.0
         assert eval_attributes(preds, gts, attribute="price", price_tol=0.05) == 1.0
+        assert eval_attributes(gts, gts, attribute="price", price_tol=0.0) == 1.0
 
     def test_none_prediction_incorrect(self):
         assert eval_attributes([None], ["white"], attribute="color") == 0.0
+
+    @pytest.mark.parametrize("price_tol", [math.nan, math.inf, -0.05, -math.inf])
+    def test_bad_price_tolerance(self, annotation_dict, price_tol):
+        # nan and negative tolerances would mark every price wrong.
+        with pytest.raises(ValueError, match="price_tol must be finite and >= 0"):
+            eval_attributes(["231900"], ["231900"], attribute="price", price_tol=price_tol)
+        with pytest.raises(ValueError, match="price_tol must be finite and >= 0"):
+            evaluate_attributes_file(annotation_from_dict(annotation_dict), {}, price_tol)
 
 
 class TestAnnotationValidation:

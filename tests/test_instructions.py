@@ -329,12 +329,22 @@ DEMO_JSONL_SHA256 = {
     ("phase2", "obb"): "ba72eb4248f980440f432ce933a0477b57ed123c38ab4783d9127b43c64af34c",
 }
 
+# sha256 of what `eval --task sqa` prints for the README demo scene when each
+# prediction is its ground-truth value written as text to centimeters
+# (`f"{v:.2f} m"`); CI's no-deps job checks the same bytes.
+DEMO_SQA_REPORT_SHA256 = "1fa5f7bd4549f220d3a474c989ea183e892fe55a6cc2f5f3f5c4990b15ac7cd3"
+
 
 @pytest.fixture(scope="module")
-def demo_ann(tmp_path_factory):
+def demo_ann_path(tmp_path_factory):
     out = tmp_path_factory.mktemp("demo") / "scene"
     assert main(["synth", "--n", "6", "--seed", "7", "--out", str(out)]) == 0
-    return load_annotations(out / "annotation.json")
+    return out / "annotation.json"
+
+
+@pytest.fixture(scope="module")
+def demo_ann(demo_ann_path):
+    return load_annotations(demo_ann_path)
 
 
 @pytest.mark.parametrize("stage, aux_format", sorted(DEMO_JSONL_SHA256))
@@ -344,6 +354,18 @@ def test_demo_jsonl_bytes_are_pinned(demo_ann, templates, tmp_path, stage, aux_f
     write_samples(build_all(demo_ann, templates, aux_format, 1.0, stages).samples, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == DEMO_JSONL_SHA256[stage, aux_format]
+
+
+def test_demo_sqa_report_bytes_are_pinned(demo_ann_path, demo_ann, tmp_path, capsys):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(
+        json.dumps({"id": key, "answer": f"{value:.2f} m"}) + "\n"
+        for key, value in sqa_ground_truth(demo_ann).items()
+    ))
+    assert main(["eval", "--task", "sqa", "--pred", str(preds), "--gt", str(demo_ann_path)]) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["n_parse_failures"] == 0
+    assert hashlib.sha256(printed.encode()).hexdigest() == DEMO_SQA_REPORT_SHA256
 
 
 class TestJsonl:

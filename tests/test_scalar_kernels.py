@@ -1,12 +1,12 @@
 """The scalar geometry kernels against their vector-form compositions.
 
 `camera` and `boxes` write the ground-frame arithmetic out term by term.
-Each reference below composes the public pieces instead (`ground_basis`,
-`pixel_to_image`, `image_to_pixel`, dot products over zipped vectors, and
-the list-based min/max of the minimum-area fit), in the operation order
-the kernels must keep. Results are compared exactly: with `==` and by
-`repr`, which also tells -0.0 from 0.0. Exceptions must match in type and
-message.
+Each reference below composes the pieces instead (`ground_basis`, the
+image-plane maps `pixel_to_image` and `image_to_pixel` kept in `oracles`,
+dot products over zipped vectors, and the list-based min/max of the
+minimum-area fit), in the operation order the kernels must keep. Results
+are compared exactly: with `==` and by `repr`, which also tells -0.0 from
+0.0. Exceptions must match in type and message.
 """
 
 import math
@@ -35,21 +35,20 @@ from aerial3d.camera import (
     HORIZON_EPS,
     CameraModel,
     CameraPoint,
-    ImagePoint,
     PixelPoint,
     backproject_to_ground,
-    image_to_pixel,
-    pixel_to_image,
     project_to_pixel,
 )
 from aerial3d.errors import DegenerateYaw, NonPositiveDepth, RayMissesGround
+
+from oracles import ImagePoint, image_to_pixel, pixel_to_image
 
 PITCHES_DEG = (0.5, 5.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0)
 SAMPLES = 150
 
 
 # --------------------------------------------------------------------------
-# References: the vector form, built from the public pieces
+# References: the vector form, built from its pieces
 # --------------------------------------------------------------------------
 
 
