@@ -24,6 +24,7 @@ to share.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from typing import TYPE_CHECKING, Protocol
@@ -86,6 +87,10 @@ class MockVLMBackend:
         noise_sigma_px: float = 0.0,
         seed: int = 0,
     ):
+        sigmas = {"noise_sigma_mm": noise_sigma_mm, "noise_sigma_px": noise_sigma_px}
+        for name, sigma in sigmas.items():
+            if not 0 <= sigma < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
         self.annotation = annotation
         self.noise_sigma_mm = noise_sigma_mm
         self.noise_sigma_px = noise_sigma_px

@@ -15,11 +15,18 @@ measured from e_lat, and is reported modulo pi (vehicles carry no heading
 annotation, so direction is ambiguous).
 
 `ground_basis` returns this frame and remains its reference. The per-box
-kernels (`ground_uv`, `derive_box3d`, `box3d_corners`, `project_box3d`,
-`bev_footprint`) expand it term by term as scalar code, keeping every
-product with 0.0 and 1.0 and the operation order of the vector form, so
-their results are bit-identical to composing `ground_basis` with the
-camera transforms.
+kernels (`ground_uv`, `Box3D.resting_on`, `derive_box3d`, `box3d_corners`,
+`project_box3d`, `bev_footprint`) expand it term by term as scalar code,
+keeping every product with 0.0 and 1.0 and the operation order of the
+vector form, so their results are bit-identical to composing
+`ground_basis` with the camera transforms.
+
+Annotation convention
+---------------------
+A vehicle's box rests on the ground (`Box3D.resting_on`), its annotation is
+the min-area fit of the projected bottom face (`project_box3d(box,
+cam).annotated_obb()`), and an annotation must lie within the image plus
+`OBB_BOUNDS_MARGIN` (`obb_within_image`). `derive_box3d` inverts the map.
 
 Wire formats
 ------------
@@ -170,6 +177,22 @@ class Box3D:
         if not self.height > 0:
             raise ValueError(f"height must be positive, got {self.height}")
 
+    @classmethod
+    def resting_on(
+        cls, ground: CameraPoint, length: float, width: float, height: float, yaw: float,
+        cam: CameraModel,
+    ) -> "Box3D":
+        """The cuboid whose bottom face is centered on a ground-plane point.
+
+        The center is lifted half the height along the normal
+        n = (0, -cos p, -sin p).
+        """
+        c, s = math.cos(cam.pitch), math.sin(cam.pitch)
+        lift = height / 2.0
+        gx, gy, gz = ground
+        center = CameraPoint(gx + lift * 0.0, gy + lift * -c, gz + lift * -s)
+        return cls(center, length, width, height, yaw)
+
 
 class GroundBasis(NamedTuple):
     e_lat: CameraPoint
@@ -245,12 +268,7 @@ def derive_box3d(
             f"yaw probes around ({obb.cx}, {obb.cy}) back-project to coincident points"
         )
     yaw = wrap_angle_half_pi(math.atan2(v, u))
-
-    # Lift along the normal n = (0, -c, -s).
-    lift = height / 2.0
-    gx, gy, gz = center_ground
-    center = CameraPoint(gx + lift * 0.0, gy + lift * -c, gz + lift * -s)
-    return Box3D(center, length, width, height, yaw)
+    return Box3D.resting_on(center_ground, length, width, height, yaw, cam)
 
 
 def box3d_corners(box: Box3D, cam: CameraModel) -> tuple[CameraPoint, ...]:
@@ -298,6 +316,10 @@ def _corner_coords(box: Box3D, cam: CameraModel) -> list[tuple[float, float, flo
 class ProjectedBox3D(NamedTuple):
     corners_px: tuple[PixelPoint, ...]
     hbb: HorizontalBox2D
+
+    def annotated_obb(self) -> OrientedBox2D:
+        """The box's 2D annotation: the min-area fit of its bottom face."""
+        return fit_min_area_obb(self.corners_px[:4])
 
 
 def project_box3d(box: Box3D, cam: CameraModel) -> ProjectedBox3D:
@@ -416,6 +438,20 @@ def obb_to_hbb(obb: OrientedBox2D) -> HorizontalBox2D:
     """Axis-aligned hull of the OBB's corners."""
     xs, ys = zip(*obb.corners())
     return HorizontalBox2D(min(xs), min(ys), max(xs), max(ys))
+
+
+# Annotated boxes may spill past the frame by at most this fraction of the
+# image size (e.g. a vehicle half out of shot).
+OBB_BOUNDS_MARGIN = 0.10
+
+
+def obb_within_image(obb: OrientedBox2D, width: float, height: float) -> bool:
+    """Whether the box's corners lie within the image bounds plus the margin."""
+    hull = obb_to_hbb(obb)
+    mx, my = OBB_BOUNDS_MARGIN * width, OBB_BOUNDS_MARGIN * height
+    return (
+        -mx <= hull.x1 and hull.x2 <= width + mx and -my <= hull.y1 and hull.y2 <= height + my
+    )
 
 
 def fit_min_area_obb(points: Sequence[Sequence[float]]) -> OrientedBox2D:

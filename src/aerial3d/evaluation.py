@@ -43,6 +43,7 @@ from typing import Any, Iterable, NamedTuple, Sequence
 
 from ._fsio import read_json, read_jsonl
 from .boxes import (
+    OBB_BOUNDS_MARGIN,
     Box3D,
     BoxDims,
     HorizontalBox2D,
@@ -53,6 +54,7 @@ from .boxes import (
     dims_from_mm,
     hbb_iou,
     obb_to_hbb,
+    obb_within_image,
     scan_locations,
 )
 from .camera import CameraModel, PixelPoint, backproject_to_ground, spatial_measures
@@ -70,20 +72,6 @@ NUMERIC_ATTRIBUTES = frozenset({"price", "doors", "seats"})
 # --------------------------------------------------------------------------
 # Annotation schema and loading
 # --------------------------------------------------------------------------
-
-# Annotated boxes may spill past the frame by at most this fraction of the
-# image size (e.g. a vehicle half out of shot).
-_BOUNDS_MARGIN = 0.10
-
-
-def obb_within_image(obb: OrientedBox2D, width: float, height: float) -> bool:
-    """Whether the box's corners lie within the image bounds plus the margin."""
-    hull = obb_to_hbb(obb)
-    mx, my = _BOUNDS_MARGIN * width, _BOUNDS_MARGIN * height
-    return (
-        -mx <= hull.x1 and hull.x2 <= width + mx and -my <= hull.y1 and hull.y2 <= height + my
-    )
-
 
 _TYPES = {
     "string": str, "object": dict, "array": list, "number": (int, float), "integer": (int, float)
@@ -211,7 +199,7 @@ def annotation_from_dict(data: dict) -> AnnotationFile:
         if not obb_within_image(obb, width, height):
             raise SchemaError(
                 f"/objects/{i}/obb",
-                f"box extends past the image bounds by more than {_BOUNDS_MARGIN:.0%}",
+                f"box extends past the image bounds by more than {OBB_BOUNDS_MARGIN:.0%}",
             )
         objects.append(AnnotatedObject(obj_id, obb, dims_mm, dict(attributes)))
     return AnnotationFile(image, width, height, camera, tuple(objects))

@@ -12,9 +12,12 @@ precision. At oblique pitch the map is a proper homography, the fitted
 rectangle is only an approximation of the projected footprint, and
 verify_roundtrip reports the resulting consistency error instead.
 
-Each candidate's fitted rectangle must pass the annotation loader's own
-image-bounds rule (`evaluation.obb_within_image`) before it is placed, so
-every generated annotation loads without the document being re-read.
+The annotation conventions live in `boxes`: a box rests on the ground
+(`Box3D.resting_on`), its annotated rectangle is the fit of its projected
+bottom face (`ProjectedBox3D.annotated_obb`), and each candidate's
+rectangle must pass the annotation loader's own image-bounds rule
+(`boxes.obb_within_image`) before it is placed, so every generated
+annotation loads without the document being re-read.
 
 All randomness flows from one seeded generator (`_rng`, which draws the
 stream of NumPy's `default_rng`), so a fixed config yields byte-identical
@@ -27,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ._fsio import write_text_atomic
 from ._rng import Generator
@@ -35,16 +38,17 @@ from .boxes import (
     Box3D,
     bev_iou,
     derive_box3d,
-    fit_min_area_obb,
-    ground_basis,
     ground_uv,
+    obb_within_image,
     project_box3d,
     wrap_angle_half_pi,
 )
 from .camera import CameraModel, CameraPoint, PixelPoint, backproject_to_ground
 from .errors import IdMismatch, NonPositiveDepth, PlacementExhausted, RayMissesGround
-from .evaluation import AnnotationFile, obb_within_image
 from .vehicles import VehicleRecord, VehicleTable
+
+if TYPE_CHECKING:
+    from .evaluation import AnnotationFile
 
 COLORS = ("black", "white", "silver", "gray", "red", "blue", "green")
 FOCAL_LENGTH = 0.01  # meters
@@ -112,7 +116,6 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
     agl = rng.uniform(*cfg.agl_range)
     width, height = cfg.image_width, cfg.image_height
     cam = CameraModel(FOCAL_LENGTH, PIXEL_SIZE, width, height, pitch, agl)
-    nx, ny, nz = ground_basis(cam).normal
 
     replace = cfg.n_vehicles > len(table)
     indices = rng.choice(len(table), size=cfg.n_vehicles, replace=replace)
@@ -131,7 +134,6 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
 
     for i, record in enumerate(records):
         dims = record.dims_m
-        lift = dims.height / 2.0
         box: Box3D | None = None
         for _ in range(MAX_REJECTIONS):
             px = rng.uniform(x_lo, x_hi)
@@ -145,9 +147,7 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
                 gu, gv = ground_uv(ground, cam)
                 if abs(gu - pu) > half or abs(gv - pv) > half:
                     continue
-            gx, gy, gz = ground
-            center = CameraPoint(gx + lift * nx, gy + lift * ny, gz + lift * nz)
-            candidate = Box3D(center, dims.length, dims.width, dims.height, yaw)
+            candidate = Box3D.resting_on(ground, dims.length, dims.width, dims.height, yaw, cam)
             try:
                 projected = project_box3d(candidate, cam)
             except NonPositiveDepth:
@@ -158,7 +158,7 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
                 continue
             # A footprint lies inside its bounding circle, so two circles that
             # are strictly apart cannot overlap and bev_iou would return 0.0.
-            cu, cv = ground_uv(center, cam)
+            cu, cv = ground_uv(candidate.center, cam)
             radius = math.hypot(candidate.length, candidate.width) / 2.0
             if any(
                 math.hypot(cu - u, cv - v) <= radius + r
@@ -166,8 +166,7 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
                 for other, u, v, r in placed
             ):
                 continue
-            # The annotated box is the min-area fit of the bottom face.
-            obb = fit_min_area_obb(projected.corners_px[:4])
+            obb = projected.annotated_obb()
             if not obb_within_image(obb, width, height):
                 continue
             box = candidate

@@ -181,24 +181,29 @@ def match_dimensions(
 
     Exact distance ties resolve to the (brand, model)-lexicographically
     first record; the table's sort order makes that the first minimum seen.
+    Raises ValueError unless each query dimension is finite and positive
+    and the squared distances to the table stay finite.
     """
     if not table.records:
         raise EmptyTable("cannot match against an empty table")
-    if not (length_mm > 0 and width_mm > 0 and height_mm > 0):
-        raise ValueError(
-            f"query dims must be positive, got ({length_mm}, {width_mm}, {height_mm})"
-        )
+    query = (length_mm, width_mm, height_mm)
+    if not (0 < length_mm < math.inf and 0 < width_mm < math.inf and 0 < height_mm < math.inf):
+        raise ValueError(f"query dims must be positive and finite, got {query}")
     best: VehicleRecord | None = None
     best_d2 = math.inf
-    for record in table.records:
-        d2 = (
-            (record.length_mm - length_mm) ** 2
-            + (record.width_mm - width_mm) ** 2
-            + (record.height_mm - height_mm) ** 2
-        )
-        if d2 < best_d2:
-            best, best_d2 = record, d2
-    assert best is not None
+    try:
+        for record in table.records:
+            d2 = (
+                (record.length_mm - length_mm) ** 2
+                + (record.width_mm - width_mm) ** 2
+                + (record.height_mm - height_mm) ** 2
+            )
+            if d2 < best_d2:
+                best, best_d2 = record, d2
+    except OverflowError:
+        best = None
+    if best is None:  # the squared distances overflowed
+        raise ValueError(f"query dims {query} are too large to compare with the table")
     return best
 
 

@@ -506,6 +506,22 @@ class TestExecution:
 
 
 class TestMockVLM:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"noise_sigma_mm": -5.0},
+            {"noise_sigma_mm": math.nan},
+            {"noise_sigma_mm": math.inf},
+            {"noise_sigma_px": -0.5},
+            {"noise_sigma_px": math.nan},
+            {"noise_sigma_px": math.inf},
+        ],
+    )
+    def test_bad_noise_sigma_rejected(self, ann, kw):
+        (name, value), = kw.items()
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {value}$"):
+            MockVLMBackend(ann, **kw)
+
     def test_measure_reports_dims_in_meters(self, ann):
         vlm = MockVLMBackend(ann)
         reply = vlm.complete(f"Measure the vehicle at {CAR0_REGION}: report its "

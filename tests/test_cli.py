@@ -149,6 +149,14 @@ class TestMatch:
         assert run(["match", "--length-mm", "0", "--width-mm", "1", "--height-mm", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", ["inf", "1e200"])
+    def test_unmatchable_dims_domain_error(self, capsys, length):
+        assert run(["match", "--length-mm", length, "--width-mm", "1800",
+                    "--height-mm", "1500"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: query dims ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_short_table_row_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
         path.write_text(
@@ -495,6 +503,21 @@ class TestAgentCli:
         fixtures = json.dumps({"Toyota Camry price": "Listed at 199,000 today."})
         assert self._price_query(tmp_path, fixtures.encode()) == 0
         assert capsys.readouterr().out.strip() == "price: 199000"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--noise-sigma-mm", "-5", "noise_sigma_mm must be finite and >= 0, got -5.0"),
+            ("--noise-sigma-mm", "nan", "noise_sigma_mm must be finite and >= 0, got nan"),
+            ("--noise-sigma-px", "inf", "noise_sigma_px must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_bad_noise_sigma_is_domain_error(self, capsys, ann_path, flag, value, message):
+        assert run(["agent", "run", "--annotations", ann_path, flag, value,
+                    "--query", "What color is the vehicle at [255,604,345,696]?"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_unplannable_query_exits_1(self, tmp_path, capsys, ann_path):
         code = run(["agent", "run", "--query", "Sing a song.",

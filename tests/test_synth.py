@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -7,9 +8,12 @@ import pytest
 
 from aerial3d.boxes import Box3D, bev_iou, derive_box3d, ground_basis, ground_uv, project_box3d
 from aerial3d.camera import CameraModel, CameraPoint
+from aerial3d.cli import main
 from aerial3d.errors import IdMismatch, PlacementExhausted
 from aerial3d.evaluation import annotation_from_dict, load_annotations, validate_annotation
 from aerial3d.synth import (
+    FOCAL_LENGTH,
+    PIXEL_SIZE,
     SceneConfig,
     generate_scene,
     ground_truth_boxes,
@@ -189,6 +193,58 @@ class TestGenerateScene:
         validate_annotation(scene.annotation)
         pitch = scene.annotation["camera"]["pitch_deg"]
         assert 55.0 <= pitch <= 75.0
+
+
+# sha256 of json.dumps([annotation, ground_truth], sort_keys=True), keyed by
+# (n_vehicles, pitch_deg, agl_m, seed): the README demo scene (`synth --n 6
+# --seed 7`, nadir) and an oblique scene.
+SCENE_SHA256 = {
+    (6, 90.0, 50.0, 7): "a23fd50097b176e48febe473d5636c20e3433534b9fa8df615bd65104dc1892a",
+    (10, 35.0, 60.0, 35): "43dd7f03a40985aba8511854ee7eb97d546739cd46c536fb88cfd9c5fa8ded20",
+}
+# sha256 of the annotation.json that `synth --n 6 --seed 7` writes.
+DEMO_ANNOTATION_FILE_SHA256 = "9cc5272d5c974916e3ef1bf734789e1316124d17c7eeb6a66aadd8d3d1c61bb1"
+
+
+def fixed_cfg(n, pitch_deg, agl, seed):
+    pitch = math.radians(pitch_deg)
+    return SceneConfig(n, pitch_range=(pitch, pitch), agl_range=(agl, agl), seed=seed)
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("n, pitch_deg, agl, seed", sorted(SCENE_SHA256))
+    def test_scene_bytes(self, table, n, pitch_deg, agl, seed):
+        scene = generate_scene(fixed_cfg(n, pitch_deg, agl, seed), table)
+        text = json.dumps([scene.annotation, scene.ground_truth], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == SCENE_SHA256[n, pitch_deg, agl, seed]
+
+    def test_demo_annotation_file(self, tmp_path):
+        assert main(["synth", "--n", "6", "--seed", "7", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "annotation.json").read_bytes()).hexdigest()
+        assert digest == DEMO_ANNOTATION_FILE_SHA256
+
+
+@pytest.mark.parametrize("pitch_deg", [30.0, 37.5, 45.0, 52.5, 60.0, 67.5, 75.0, 82.5, 90.0])
+def test_forward_model_reproduces_every_annotation(table, pitch_deg):
+    """Each annotated box is the forward model of its ground-truth box."""
+    checked = 0
+    for seed in range(4):
+        cfg = fixed_cfg(8 + seed, pitch_deg, 50.0 + 10.0 * seed, seed)
+        scene = generate_scene(cfg, table)
+        pitch, agl = cfg.pitch_range[0], cfg.agl_range[0]
+        cam = CameraModel(FOCAL_LENGTH, PIXEL_SIZE, cfg.image_width, cfg.image_height, pitch, agl)
+        boxes = ground_truth_boxes(scene.ground_truth)
+        for obj in scene.annotation["objects"]:
+            obb = project_box3d(boxes[obj["id"]], cam).annotated_obb()
+            assert obj["obb"] == {
+                "cx": obb.cx,
+                "cy": obb.cy,
+                "w": obb.width,
+                "h": obb.height,
+                "angle_deg": math.degrees(obb.angle),
+            }
+            checked += 1
+    assert checked == 8 + 9 + 10 + 11
 
 
 class TestVerifyRoundtrip:

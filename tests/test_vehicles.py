@@ -162,6 +162,19 @@ class TestMatchDimensions:
         with pytest.raises(ValueError):
             match_dimensions(table, 0, 1800, 1500)
 
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ((math.inf, 1800, 1500), "must be positive and finite"),
+            ((4500, math.nan, 1500), "must be positive and finite"),
+            ((1e200, 1800, 1500), "too large to compare"),  # ** 2 overflows
+            ((1e154, 1e154, 1e154), "too large to compare"),  # the sum overflows to inf
+        ],
+    )
+    def test_unmatchable_query_rejected(self, table, dims, message):
+        with pytest.raises(ValueError, match=message):
+            match_dimensions(table, *dims)
+
     @given(
         index=st.integers(0, 30),
         direction=st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)),
