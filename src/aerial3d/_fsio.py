@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -50,6 +49,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
 
 def write_text_atomic(path: str | Path, text: str) -> Path:
     """Write text via a temp file + rename so readers never see partials."""
+    import tempfile  # on first write only: most commands never write a file
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")

@@ -53,7 +53,7 @@ from .camera import (
     PixelPoint,
     backproject_to_ground,
 )
-from .errors import DegenerateYaw, NonPositiveDepth, ParseError
+from .errors import DegenerateBox, DegenerateYaw, NonPositiveDepth, ParseError
 
 # Yaw probes closer together than this (meters) cannot define a direction.
 _YAW_BASELINE_EPS = 1e-12
@@ -131,7 +131,7 @@ class HorizontalBox2D:
 
     def __post_init__(self) -> None:
         if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise ValueError(
+            raise DegenerateBox(
                 f"degenerate box [{self.x1},{self.y1},{self.x2},{self.y2}]: "
                 "need x1 < x2 and y1 < y2"
             )

@@ -21,42 +21,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 
 from ._fsio import read_json, write_text_atomic
-from .agent import (
-    AgentConfig,
-    FixtureSearchBackend,
-    HTTPBackend,
-    HTTPSearchBackend,
-    MockPlannerBackend,
-    MockSummarizerBackend,
-    MockVLMBackend,
-    run_query,
-)
-from .boxes import (
-    Box3D,
-    HorizontalBox2D,
-    bev_iou,
-    derive_box3d,
-    hbb_iou,
-    parse_location,
-    project_box3d,
-    serialize_location,
-)
 from .errors import Aerial3DError, NotFound, ParseError
-from .evaluation import (
-    evaluate_attributes_file,
-    evaluate_grounding_file,
-    evaluate_retrieval_file,
-    evaluate_sqa_file,
-    load_annotations,
-    load_predictions,
-    render_report_table,
-)
-from .instructions import STAGES, build_all, load_templates, write_samples
-from .synth import SceneConfig, generate_scene, write_scene
-from .vehicles import load_table, match_dimensions, packaged_table_path
+
+# Each handler imports the modules it calls, so a subcommand loads only
+# those. instructions.STAGES, written out so that building the parser does
+# not import instructions; a test pins the two together.
+STAGES = ("grounding", "sqa", "phase2")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -67,6 +39,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_table_arg(path: str | None):
+    from .vehicles import load_table, packaged_table_path
+
     return load_table(path if path else packaged_table_path())
 
 
@@ -84,6 +58,9 @@ def _load_search_fixtures(path: str) -> dict[str, str]:
 
 
 def _cmd_derive3d(args: argparse.Namespace) -> int:
+    from .boxes import derive_box3d, serialize_location
+    from .evaluation import load_annotations
+
     ann = load_annotations(args.annotations)
     objects = ann.objects
     if args.id is not None:
@@ -101,6 +78,9 @@ def _cmd_derive3d(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
+    from .boxes import Box3D, parse_location, project_box3d, serialize_location
+    from .evaluation import load_annotations
+
     ann = load_annotations(args.annotations)
     loc = parse_location(args.box3d)
     if not isinstance(loc, Box3D):
@@ -115,6 +95,8 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 
 def _cmd_iou(args: argparse.Namespace) -> int:
+    from .boxes import Box3D, HorizontalBox2D, bev_iou, hbb_iou, parse_location
+
     hbbs = args.hbb or []
     boxes3d = args.box3d or []
     if len(hbbs) == 2 and not boxes3d:
@@ -129,6 +111,8 @@ def _cmd_iou(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+        from .evaluation import load_annotations
+
         ann = load_annotations(args.annotations)
         a, b = (parse_location(s) for s in boxes3d)
         if not (isinstance(a, Box3D) and isinstance(b, Box3D)):
@@ -142,6 +126,10 @@ def _cmd_iou(args: argparse.Namespace) -> int:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
+    from .vehicles import match_dimensions
+
     table = _load_table_arg(args.table)
     record = match_dimensions(table, args.length_mm, args.width_mm, args.height_mm)
     _emit(json.dumps(asdict(record), indent=2), args.out)
@@ -149,6 +137,9 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_instr(args: argparse.Namespace) -> int:
+    from .evaluation import load_annotations
+    from .instructions import STAGES, build_all, load_templates, write_samples
+
     templates = load_templates(args.templates)
     stages = STAGES if args.stage == "all" else (args.stage,)
     samples: list = []
@@ -164,6 +155,16 @@ def _cmd_build_instr(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import (
+        evaluate_attributes_file,
+        evaluate_grounding_file,
+        evaluate_retrieval_file,
+        evaluate_sqa_file,
+        load_annotations,
+        load_predictions,
+        render_report_table,
+    )
+
     ann = load_annotations(args.gt)
     preds = load_predictions(args.pred)
     if args.task == "grounding":
@@ -188,6 +189,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import SceneConfig, generate_scene, write_scene
+
     table = _load_table_arg(args.table)
     pitch = math.radians(args.pitch_deg)
     cfg = SceneConfig(
@@ -216,11 +219,24 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_agent_run(args: argparse.Namespace) -> int:
+    from .agent import (
+        AgentConfig,
+        FixtureSearchBackend,
+        HTTPBackend,
+        HTTPSearchBackend,
+        MockPlannerBackend,
+        MockSummarizerBackend,
+        MockVLMBackend,
+        run_query,
+    )
+
     table = _load_table_arg(args.table)
     if args.backend == "mock":
         if not args.annotations:
             print("error: --annotations is required with --backend mock", file=sys.stderr)
             return 2
+        from .evaluation import load_annotations
+
         ann = load_annotations(args.annotations)
         planner = MockPlannerBackend(table)
         vlm = MockVLMBackend(

@@ -44,7 +44,13 @@ from .boxes import (
     wrap_angle_half_pi,
 )
 from .camera import CameraModel, CameraPoint, PixelPoint, backproject_to_ground
-from .errors import IdMismatch, NonPositiveDepth, PlacementExhausted, RayMissesGround
+from .errors import (
+    DegenerateBox,
+    IdMismatch,
+    NonPositiveDepth,
+    PlacementExhausted,
+    RayMissesGround,
+)
 from .vehicles import VehicleRecord, VehicleTable
 
 if TYPE_CHECKING:
@@ -150,7 +156,7 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
             candidate = Box3D.resting_on(ground, dims.length, dims.width, dims.height, yaw, cam)
             try:
                 projected = project_box3d(candidate, cam)
-            except NonPositiveDepth:
+            except (NonPositiveDepth, DegenerateBox):  # behind the camera, or one pixel
                 continue
             # Every corner is in frame exactly when the corners' hull is.
             hbb = projected.hbb

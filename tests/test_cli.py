@@ -15,6 +15,7 @@ from aerial3d.evaluation import (
     sqa_ground_truth,
 )
 from aerial3d.instructions import packaged_templates_path
+from aerial3d.synth import MAX_REJECTIONS
 
 from conftest import make_annotation_dict
 
@@ -70,6 +71,49 @@ def test_import_does_not_load_importlib_resources():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def _loaded(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Which of `modules` a fresh `python -S` interpreter holds after running `code`."""
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys\n{code}\nprint(*(m for m in {modules!r} if m in sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_synth_imports_only_what_it_calls():
+    # The package exports resolve on first use, so a submodule loads only
+    # the modules it imports itself.
+    assert _loaded(
+        "import aerial3d.synth",
+        ("aerial3d.evaluation", "aerial3d.instructions", "aerial3d.agent"),
+    ) == []
+
+
+def test_boxes_imports_no_evaluation():
+    assert _loaded("import aerial3d.boxes", ("aerial3d.evaluation",)) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["iou", "--hbb", "[0,0,2,2]", "--hbb", "[1,0,3,2]"],
+    ["match", "--length-mm", "4870", "--width-mm", "1950", "--height-mm", "1725"],
+])
+def test_subcommand_loads_only_its_modules(argv):
+    code = f"from aerial3d import cli\nassert cli.main({argv!r}) == 0"
+    modules = ("aerial3d.agent", "aerial3d.synth", "aerial3d.instructions", "tempfile")
+    assert _loaded(code, modules) == []
+
+
+def test_stage_choices_are_the_instruction_stages():
+    # The parser names the stages without importing instructions.
+    from aerial3d import cli, instructions
+
+    assert cli.STAGES == instructions.STAGES
 
 
 def test_cli_runs_with_numpy_unimportable(tmp_path):
@@ -247,6 +291,15 @@ class TestSynthCli:
         assert done.returncode == 1
         assert done.stderr.startswith("error: agl_range must be positive and finite")
         assert "Traceback" not in done.stderr
+
+    def test_unplaceable_height_names_the_vehicle(self, tmp_path, capsys):
+        # At this height every corner projects to one pixel: each candidate
+        # is rejected, and the error names the vehicle that found no place.
+        assert run(["synth", "--n", "2", "--agl", "1e300", "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not place vehicle 0 (")
+        assert err.endswith(f" after {MAX_REJECTIONS} attempts\n")
+        assert not (tmp_path / "d").exists()
 
     def test_negative_seed_is_named(self, tmp_path, capsys):
         assert run(["synth", "--n", "3", "--seed", "-1", "--out", str(tmp_path / "d")]) == 1
