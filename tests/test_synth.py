@@ -197,10 +197,14 @@ class TestGenerateScene:
 
 # sha256 of json.dumps([annotation, ground_truth], sort_keys=True), keyed by
 # (n_vehicles, pitch_deg, agl_m, seed): the README demo scene (`synth --n 6
-# --seed 7`, nadir) and an oblique scene.
+# --seed 7`, nadir), an oblique scene, and three dense scenes whose
+# placement makes hundreds of footprint-overlap decisions each.
 SCENE_SHA256 = {
     (6, 90.0, 50.0, 7): "a23fd50097b176e48febe473d5636c20e3433534b9fa8df615bd65104dc1892a",
     (10, 35.0, 60.0, 35): "43dd7f03a40985aba8511854ee7eb97d546739cd46c536fb88cfd9c5fa8ded20",
+    (30, 45.0, 65.0, 19): "62bda649b1741d4dd1abf49ae6667e466b400dab4d42ccd1682e95f87e897198",
+    (30, 90.0, 80.0, 23): "fc6c7a33e71a0c38616ed5716163db645b83d144a231bca53c197f1afdd9c279",
+    (40, 30.0, 60.0, 5): "bcee43797f998407bef6ad87e6281c31a259a8522bd12f324f68c599ee6bad73",
 }
 # sha256 of the annotation.json that `synth --n 6 --seed 7` writes.
 DEMO_ANNOTATION_FILE_SHA256 = "9cc5272d5c974916e3ef1bf734789e1316124d17c7eeb6a66aadd8d3d1c61bb1"
