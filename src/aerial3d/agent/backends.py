@@ -290,7 +290,11 @@ class MockPlannerBackend:
 
 
 class MockSummarizerBackend:
-    """Deterministic answer templates over the executed tool outputs."""
+    """Deterministic answer templates over the executed tool outputs.
+
+    A retrieval query (one that names the looked-up vehicle and asks where
+    it is) with no location output answers "error: could not locate ...".
+    """
 
     name = "mock-summarizer"
 
@@ -306,7 +310,13 @@ class MockSummarizerBackend:
             return f"{visual.get('attribute', 'attribute')}: {visual['value']}"
         record = outputs.get("record")
         if isinstance(record, dict):
-            asked = [w for w in ATTRIBUTE_WORDS if w in query and w != "cost"]
+            # A query that names the record's vehicle and asks where it is
+            # planned as retrieval, whose answer is the location alone: with
+            # none, the locate step failed.
+            name = f"{record.get('brand')} {record.get('model')}"
+            if name.lower() in query and any(word in query for word in RETRIEVAL_WORDS):
+                return f"error: could not locate the {name}"
+            asked =[w for w in ATTRIBUTE_WORDS if w in query and w != "cost"]
             if "how much" in query and "price" not in asked:
                 asked.append("price")
             if not asked:

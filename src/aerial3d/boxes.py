@@ -16,10 +16,18 @@ annotation, so direction is ambiguous).
 
 `ground_basis` returns this frame and remains its reference. The per-box
 kernels (`ground_uv`, `Box3D.resting_on`, `derive_box3d`, `box3d_corners`,
-`project_box3d`, `bev_footprint`) expand it term by term as scalar code,
-keeping every product with 0.0 and 1.0 and the operation order of the
-vector form, so their results are bit-identical to composing
+`project_box3d`, `bev_footprint`, `bev_overlaps`) expand it term by term as
+scalar code, keeping every product with 0.0 and 1.0 and the operation order
+of the vector form, so their results are bit-identical to composing
 `ground_basis` with the camera transforms.
+
+Footprint overlap
+-----------------
+`bev_iou` clips one footprint polygon by the other (Sutherland-Hodgman).
+`bev_overlaps` answers only whether that IoU is positive: a separating-axis
+test on the four edge normals of the two ground rectangles decides every
+pair that is apart, or overlaps, by more than a rounding band, and the clip
+decides the pairs inside the band.
 
 Annotation convention
 ---------------------
@@ -421,6 +429,56 @@ def bev_iou(a: Box3D, b: Box3D, cam: CameraModel) -> float:
     if union <= 0:
         return 0.0
     return min(max(inter / union, 0.0), 1.0)
+
+
+# Half-width of the band around touching, as a fraction of the footprints'
+# coordinate scale, within which bev_overlaps defers to bev_iou.
+_OVERLAP_BAND = 1e-6
+
+
+def bev_overlaps(a: Box3D, b: Box3D, cam: CameraModel) -> bool:
+    """Whether two footprints overlap: exactly ``bev_iou(a, b, cam) > 0.0``.
+
+    A separating-axis test on the four edge normals of the two ground
+    rectangles. The largest axis gap decides a pair that is apart, or
+    overlaps, by more than a band around touching; a pair inside the band
+    is decided by bev_iou itself, because its clip can leave a sliver of
+    rounding area on touching footprints.
+    """
+    c, s = math.cos(cam.pitch), math.sin(cam.pitch)
+    # ground_uv of both centers.
+    x, y, z = a.center
+    ua, va = x * 1.0 + y * 0.0 + z * 0.0, x * 0.0 + y * -s + z * c
+    x, y, z = b.center
+    ub, vb = x * 1.0 + y * 0.0 + z * 0.0, x * 0.0 + y * -s + z * c
+    ca, sa = math.cos(a.yaw), math.sin(a.yaw)
+    cb, sb = math.cos(b.yaw), math.sin(b.yaw)
+    hla, hwa, hlb, hwb = a.length / 2.0, a.width / 2.0, b.length / 2.0, b.width / 2.0
+    du, dv = ub - ua, vb - va
+    # |cos| and |sin| of the yaw difference: each axis of one box against
+    # each axis of the other.
+    k = abs(ca * cb + sa * sb)
+    m = abs(ca * sb - sa * cb)
+    gap = max(
+        abs(du * ca + dv * sa) - (hla + hlb * k + hwb * m),
+        abs(dv * ca - du * sa) - (hwa + hlb * m + hwb * k),
+        abs(du * cb + dv * sb) - (hlb + hla * k + hwa * m),
+        abs(dv * cb - du * sb) - (hwb + hla * m + hwa * k),
+    )
+    # Every footprint coordinate is at most `scale` in magnitude, and
+    # bev_iou rounds its corners, clip tests and crossings to a few ulps of
+    # that (~1e-15 * scale). Outside the band both answers follow the
+    # geometry, not the rounding: a gap of 1e-6 * scale puts each vertex
+    # well outside a separating edge, so the clip is empty; an overlap that
+    # deep on every axis leaves an intersection of area ~1e-12 * scale**2
+    # or more, far above the ~1e-15 * scale**2 rounding of its shoelace
+    # sum, so the IoU is positive.
+    band = _OVERLAP_BAND * (abs(ua) + abs(va) + abs(ub) + abs(vb) + hla + hwa + hlb + hwb)
+    if gap > band:
+        return False
+    if gap < -band:
+        return True
+    return bev_iou(a, b, cam) > 0.0
 
 
 def hbb_iou(a: HorizontalBox2D, b: HorizontalBox2D) -> float:

@@ -12,6 +12,10 @@ precision. At oblique pitch the map is a proper homography, the fitted
 rectangle is only an approximation of the projected footprint, and
 verify_roundtrip reports the resulting consistency error instead.
 
+Two footprints overlap when `boxes.bev_overlaps` says so, which is exactly
+when their BEV IoU is positive; a candidate is tested only against placed
+boxes whose ground bounding circles meet its own.
+
 The annotation conventions live in `boxes`: a box rests on the ground
 (`Box3D.resting_on`), its annotated rectangle is the fit of its projected
 bottom face (`ProjectedBox3D.annotated_obb`), and each candidate's
@@ -37,6 +41,7 @@ from ._rng import Generator
 from .boxes import (
     Box3D,
     bev_iou,
+    bev_overlaps,
     derive_box3d,
     ground_uv,
     obb_within_image,
@@ -113,9 +118,11 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
     enough rows (every scene vehicle then has unique dimensions, which the
     recognition workflows rely on), with replacement otherwise. Poses are
     rejection-sampled: the ground center comes from back-projecting a
-    uniform in-frame pixel, and a candidate is rejected when any projected
-    corner leaves the frame, its footprint overlaps an accepted one, or its
-    annotated box breaks the loader's image-bounds rule.
+    uniform in-frame pixel, and a candidate is rejected when its footprint
+    overlaps an accepted one (`bev_overlaps`, after a bounding-circle test),
+    any projected corner leaves the frame, or its annotated box breaks the
+    loader's image-bounds rule. Each attempt draws its pixel and yaw before
+    any check, so the order of the checks changes no outcome.
     """
     rng = Generator(cfg.seed)
     pitch = rng.uniform(*cfg.pitch_range)
@@ -154,6 +161,18 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
                 if abs(gu - pu) > half or abs(gv - pv) > half:
                     continue
             candidate = Box3D.resting_on(ground, dims.length, dims.width, dims.height, yaw, cam)
+            # Every draw of the attempt is made above and every check below
+            # must pass, so their order changes no outcome; the overlap test
+            # goes first as it rejects most candidates in a dense scene. A
+            # footprint lies inside its bounding circle, so two circles that
+            # are strictly apart cannot overlap.
+            cu, cv = ground_uv(candidate.center, cam)
+            radius = math.hypot(candidate.length, candidate.width) / 2.0
+            if any(
+                math.hypot(cu - u, cv - v) <= radius + r and bev_overlaps(candidate, other, cam)
+                for other, u, v, r in placed
+            ):
+                continue
             try:
                 projected = project_box3d(candidate, cam)
             except (NonPositiveDepth, DegenerateBox):  # behind the camera, or one pixel
@@ -161,16 +180,6 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
             # Every corner is in frame exactly when the corners' hull is.
             hbb = projected.hbb
             if not (0 <= hbb.x1 and hbb.x2 <= width and 0 <= hbb.y1 and hbb.y2 <= height):
-                continue
-            # A footprint lies inside its bounding circle, so two circles that
-            # are strictly apart cannot overlap and bev_iou would return 0.0.
-            cu, cv = ground_uv(candidate.center, cam)
-            radius = math.hypot(candidate.length, candidate.width) / 2.0
-            if any(
-                math.hypot(cu - u, cv - v) <= radius + r
-                and bev_iou(candidate, other, cam) > 0.0
-                for other, u, v, r in placed
-            ):
                 continue
             obb = projected.annotated_obb()
             if not obb_within_image(obb, width, height):

@@ -711,6 +711,26 @@ class TestRunQuery:
         located = extract_location(result["answer"])
         assert isinstance(located, Box3D)
 
+    def test_retrieval_without_a_location_is_an_error(self, table):
+        # A "find" query whose locate step failed leaves only the table
+        # record; its brand and model are not an answer to "where".
+        record = dict(vars(lookup(table, "Toyota", "Camry")))
+        answer = runtime.summarize(
+            "Find the Toyota Camry in the image.", {"record": record}, MockSummarizerBackend()
+        )
+        assert answer == "error: could not locate the Toyota Camry"
+
+    def test_record_without_a_location_still_answers_other_queries(self, table):
+        record = dict(vars(lookup(table, "Toyota", "Camry")))
+        summarizer = MockSummarizerBackend()
+        for query, expected in [
+            ("What are the brand and model of the vehicle at [1,2,3,4]?",
+             "brand: Toyota; model: Camry"),
+            ("How many seats does the Toyota Camry have?", f"seats: {record['seats']}"),
+            ("Where can I buy a car?", "brand: Toyota; model: Camry"),
+        ]:
+            assert runtime.summarize(query, {"record": record}, summarizer) == expected
+
     def test_price_falls_back_to_table_without_search(self, ann, table):
         result = run_query(
             "scene.png",

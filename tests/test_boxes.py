@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aerial3d import boxes
 from aerial3d.boxes import (
     Box3D,
     BoxDims,
@@ -12,6 +13,7 @@ from aerial3d.boxes import (
     OrientedBox2D,
     bev_footprint,
     bev_iou,
+    bev_overlaps,
     box3d_corners,
     derive_box3d,
     dims_from_mm,
@@ -63,6 +65,15 @@ def nadir_box(u, v, length, width, yaw, height=1.5, z=50.0):
     """Box3D whose BEV footprint at nadir is centered at ground (u, v)."""
     # At nadir e_lat = +x and e_lon = -y, so ground v maps to camera -y.
     return Box3D(CameraPoint(u, -v, z), length, width, height, yaw)
+
+
+def ground_box(cam, u, v, length, width, yaw, height=1.5):
+    """Box3D resting on the ground plane with its footprint centered at (u, v)."""
+    e_lat, e_lon, normal = ground_basis(cam)
+    center = CameraPoint(
+        *(u * a + v * b - (cam.agl - height / 2) * n for a, b, n in zip(e_lat, e_lon, normal))
+    )
+    return Box3D(center, length, width, height, yaw)
 
 
 class TestAngleWrap:
@@ -313,6 +324,122 @@ class TestBevIoU:
         ba = bev_iou(b, a, cam)
         np.testing.assert_allclose(ab, ba, atol=1e-12)
         assert 0.0 <= ab <= 1.0
+
+
+class TestBevOverlaps:
+    """bev_overlaps answers exactly bev_iou(a, b, cam) > 0.0."""
+
+    @pytest.fixture
+    def iou_calls(self, monkeypatch):
+        """Every bev_iou call bev_overlaps makes: its in-band fallback."""
+        calls = []
+
+        def counted(a, b, cam):
+            calls.append((a, b))
+            return bev_iou(a, b, cam)
+
+        monkeypatch.setattr(boxes, "bev_iou", counted)
+        return calls
+
+    @pytest.mark.parametrize("pitch_deg", [10.0, 30.0, 45.0, 60.0, 75.0, 90.0])
+    def test_agrees_with_bev_iou_near_touching(self, pitch_deg, iou_calls):
+        # Corner to corner and edge to edge, 1e-12 to 1 m apart or
+        # overlapping, around the ground point the principal ray hits.
+        cam = CameraModel(0.01, 1e-5, 1000, 1000, math.radians(pitch_deg), 60.0)
+        v_center = cam.agl / math.tan(cam.pitch)
+        rng = np.random.default_rng(int(pitch_deg))
+
+        def random_box():
+            length, width = rng.uniform((3.0, 1.4), (6.0, 2.2))
+            u, v = rng.uniform(-8.0, 8.0), v_center + rng.uniform(-8.0, 8.0)
+            return ground_box(cam, u, v, length, width, rng.uniform(-math.pi / 2, math.pi / 2))
+
+        def gap():
+            return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 0.0)
+
+        def uv(box):
+            _, e_lon, _ = ground_basis(cam)
+            return box.center.x, sum(p * e for p, e in zip(box.center, e_lon))
+
+        def corner_to_corner(a):
+            # b's (+L, +W) corner faces a's, each on its bounding circle.
+            ua, va = uv(a)
+            length, width = rng.uniform((3.0, 1.4), (6.0, 2.2))
+            theta = a.yaw + math.atan2(a.width, a.length) + rng.normal(0.0, 1e-3)
+            dist = math.hypot(a.length, a.width) / 2 + math.hypot(length, width) / 2 + gap()
+            yaw_b = theta + math.pi - math.atan2(width, length) + rng.normal(0.0, 1e-3)
+            return ground_box(
+                cam, ua + dist * math.cos(theta), va + dist * math.sin(theta), length, width, yaw_b
+            )
+
+        def edge_to_edge(a):
+            # b turned by a multiple of 90 degrees, one edge parallel to one
+            # of a's, offset along that edge by less than their overlap.
+            ua, va = uv(a)
+            length, width = rng.uniform((3.0, 1.4), (6.0, 2.2))
+            turns = int(rng.integers(4))
+            side = int(rng.integers(4))
+            normal = a.yaw + side * math.pi / 2
+            half_a = (a.length, a.width)[side % 2] / 2
+            half_a_along = (a.width, a.length)[side % 2] / 2
+            half_b = (length, width)[(side + turns) % 2] / 2
+            half_b_along = (width, length)[(side + turns) % 2] / 2
+            dist = half_a + half_b + gap()
+            slide = rng.uniform(-0.9, 0.9) * (half_a_along + half_b_along)
+            return ground_box(
+                cam,
+                ua + dist * math.cos(normal) - slide * math.sin(normal),
+                va + dist * math.sin(normal) + slide * math.cos(normal),
+                length, width, a.yaw + turns * math.pi / 2,
+            )
+
+        answers = []
+        for _ in range(600):
+            for place in (corner_to_corner, edge_to_edge):
+                a = random_box()
+                b = place(a)
+                want = bev_iou(a, b, cam) > 0.0
+                assert bev_overlaps(a, b, cam) == want
+                answers.append(want)
+        # Both answers occur, the band sends some pairs to bev_iou, and the
+        # axes decide most of them.
+        assert 300 < sum(answers) < 900
+        assert 0 < len(iou_calls) < len(answers) / 2
+
+    def test_identical_boxes(self, cam_oblique, iou_calls):
+        box = ground_box(cam_oblique, 2.0, 40.0, 4.5, 1.8, 0.4)
+        assert bev_overlaps(box, box, cam_oblique)
+        assert iou_calls == []
+
+    def test_box_inside_another(self, cam_oblique, iou_calls):
+        outer = ground_box(cam_oblique, 2.0, 40.0, 4.5, 1.8, 0.4)
+        inner = ground_box(cam_oblique, 2.1, 40.1, 2.0, 1.0, -0.3)
+        assert bev_overlaps(outer, inner, cam_oblique)
+        assert bev_overlaps(inner, outer, cam_oblique)
+        assert iou_calls == []
+
+    def test_far_apart(self, cam_oblique, iou_calls):
+        a = ground_box(cam_oblique, 2.0, 40.0, 4.5, 1.8, 0.4)
+        b = ground_box(cam_oblique, -30.0, 90.0, 4.5, 1.8, 1.2)
+        assert not bev_overlaps(a, b, cam_oblique)
+        assert iou_calls == []
+
+    @pytest.mark.parametrize("yaw", [0.0, 0.3, -1.1, math.pi / 2 - 1e-9])
+    def test_shared_edge_and_touching_corners_go_to_bev_iou(self, cam_nadir, iou_calls, yaw):
+        # Footprints that touch along an edge, or at a corner, sit inside
+        # the band: only the clip can say whether rounding leaves a sliver.
+        ca, sa = math.cos(yaw), math.sin(yaw)
+        a = nadir_box(1.0, 2.0, 4.0, 2.0, yaw)
+        pairs = [
+            (a, nadir_box(1.0 - 2.0 * sa, 2.0 + 2.0 * ca, 4.0, 2.0, yaw)),  # long edges
+            (a, nadir_box(1.0 + 4.0 * ca - 2.0 * sa, 2.0 + 4.0 * sa + 2.0 * ca, 4.0, 2.0, yaw)),
+        ]
+        for a, b in pairs:
+            for first, second in ((a, b), (b, a)):
+                assert bev_overlaps(first, second, cam_nadir) == (
+                    bev_iou(first, second, cam_nadir) > 0.0
+                )
+        assert len(iou_calls) == 4
 
 
 class TestMinAreaObb:

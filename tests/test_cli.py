@@ -572,6 +572,25 @@ class TestAgentCli:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    def test_failed_locate_exits_1(self, tmp_path, capsys):
+        # On the README demo scene, center noise this large sends the BYD
+        # Tang's pixel past the horizon: the locate step fails, and the
+        # looked-up table record alone does not answer a "find" query.
+        assert run(["synth", "--n", "6", "--seed", "7", "--out", str(tmp_path / "scene")]) == 0
+        capsys.readouterr()
+        trace_path = tmp_path / "trace.json"
+        code = run(["agent", "run", "--backend", "mock",
+                    "--annotations", str(tmp_path / "scene" / "annotation.json"),
+                    "--noise-sigma-px", "1e300", "--trace", str(trace_path),
+                    "--query", "Find the BYD Tang in the image."])
+        assert code == 1
+        assert capsys.readouterr().out == "error: could not locate the BYD Tang\n"
+        steps = json.loads(trace_path.read_text())["steps"]
+        assert [(s["tool"], s["error"] is None) for s in steps] == [
+            ("query_table", True), ("spatial_understanding", False)
+        ]
+        assert "is at or above the horizon" in steps[1]["error"]
+
     def test_unplannable_query_exits_1(self, tmp_path, capsys, ann_path):
         code = run(["agent", "run", "--query", "Sing a song.",
                     "--annotations", ann_path])

@@ -99,6 +99,16 @@ class TestGenerateScene:
         for a, b in itertools.combinations(boxes, 2):
             assert bev_iou(a, b, ann.camera) == 0.0
 
+    def test_dense_oblique_footprints_never_overlap(self, table):
+        pitch = math.radians(45.0)
+        cfg = SceneConfig(30, (pitch, pitch), (60.0, 60.0), seed=9)
+        scene = generate_scene(cfg, table)
+        ann = annotation_from_dict(scene.annotation)
+        boxes = list(ground_truth_boxes(scene.ground_truth).values())
+        assert len(boxes) == 30
+        for a, b in itertools.combinations(boxes, 2):
+            assert bev_iou(a, b, ann.camera) == 0.0
+
     def test_dims_unique_within_scene(self, table):
         scene = generate_scene(nadir_cfg(n_vehicles=10, seed=4), table)
         dims = [tuple(o["dims_mm"].values()) for o in scene.annotation["objects"]]
