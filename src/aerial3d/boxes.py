@@ -19,15 +19,10 @@ kernels (`ground_uv`, `Box3D.resting_on`, `derive_box3d`, `box3d_corners`,
 `project_box3d`, `bev_footprint`, `bev_overlaps`) expand it term by term as
 scalar code, keeping every product with 0.0 and 1.0 and the operation order
 of the vector form, so their results are bit-identical to composing
-`ground_basis` with the camera transforms.
-
-Footprint overlap
------------------
-`bev_iou` clips one footprint polygon by the other (Sutherland-Hodgman).
-`bev_overlaps` answers only whether that IoU is positive: a separating-axis
-test on the four edge normals of the two ground rectangles decides every
-pair that is apart, or overlaps, by more than a rounding band, and the clip
-decides the pairs inside the band.
+`ground_basis` with the camera transforms. `bev_iou` clips one footprint
+polygon by the other; `bev_overlaps` answers whether that IoU is positive
+with a separating-axis test, and clips only pairs within a rounding band of
+touching.
 
 Annotation convention
 ---------------------

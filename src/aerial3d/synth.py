@@ -161,9 +161,7 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
                 if abs(gu - pu) > half or abs(gv - pv) > half:
                     continue
             candidate = Box3D.resting_on(ground, dims.length, dims.width, dims.height, yaw, cam)
-            # Every draw of the attempt is made above and every check below
-            # must pass, so their order changes no outcome; the overlap test
-            # goes first as it rejects most candidates in a dense scene. A
+            # Overlap first: it rejects most candidates in a dense scene. A
             # footprint lies inside its bounding circle, so two circles that
             # are strictly apart cannot overlap.
             cu, cv = ground_uv(candidate.center, cam)
