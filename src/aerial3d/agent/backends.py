@@ -310,13 +310,12 @@ class MockSummarizerBackend:
             return f"{visual.get('attribute', 'attribute')}: {visual['value']}"
         record = outputs.get("record")
         if isinstance(record, dict):
-            # A query that names the record's vehicle and asks where it is
-            # planned as retrieval, whose answer is the location alone: with
-            # none, the locate step failed.
+            # The planner's retrieval rule: such a plan answers with the
+            # location alone, so without one its locate step failed.
             name = f"{record.get('brand')} {record.get('model')}"
             if name.lower() in query and any(word in query for word in RETRIEVAL_WORDS):
                 return f"error: could not locate the {name}"
-            asked =[w for w in ATTRIBUTE_WORDS if w in query and w != "cost"]
+            asked = [w for w in ATTRIBUTE_WORDS if w in query and w != "cost"]
             if "how much" in query and "price" not in asked:
                 asked.append("price")
             if not asked:
