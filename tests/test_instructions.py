@@ -46,6 +46,17 @@ def _above_horizon_record():
     return annotation_from_dict(data)
 
 
+def _degenerate_yaw_record():
+    """Nadir record with one object whose OBB is a 90 px segment: its pixel
+    hull is valid, but both yaw probe points land on one ground point."""
+    data = make_annotation_dict()
+    data["objects"] = data["objects"][:1]
+    data["objects"][0]["obb"] = {
+        "cx": 500.0, "cy": 500.0, "w": 90.0, "h": 1e-12, "angle_deg": 90.0
+    }
+    return annotation_from_dict(data)
+
+
 class TestTemplates:
     def test_packaged_set_loads(self, templates):
         assert set(templates.grounding) == {"hbb", "obb", "box3d"}
@@ -238,6 +249,21 @@ class TestSkipPolicy:
         kept_each = 15 + 5 + 20
         assert len(result.samples) == kept_each
         assert result.n_skipped == 3  # once per stage
+
+    def test_degenerate_yaw_skipped_for_box_stages_only(self, templates):
+        # No 3D box, so no grounding or phase-2 sample; SQA needs no yaw.
+        ann = _degenerate_yaw_record()
+        result = build_all(ann, templates)
+        assert [s.kind for s in result.samples] == ["SQA"] * 5
+        assert result.n_skipped == 2
+        parts = [
+            build_grounding_samples(ann, templates),
+            build_sqa_samples(ann, templates),
+            build_phase2_samples(ann, templates),
+        ]
+        assert [len(p.samples) for p in parts] == [0, 5, 0]
+        assert [p.n_skipped for p in parts] == [1, 0, 1]
+        assert parts[1].samples == result.samples
 
 
 class TestBuildAllStages:
