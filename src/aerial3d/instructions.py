@@ -1,6 +1,7 @@
 """Instruction-sample construction for spatially-aware VLM fine-tuning.
 
-Three builders turn one annotation record into training samples:
+`build_all` turns one annotation record into the training samples of
+the stages it is given, in one pass over the objects:
 
   grounding   3 location formats (HBB, OBB, 3D box) x 5 query templates
               per object; 2D formats are kind GROUND_2D, the 3D format is
@@ -13,13 +14,20 @@ Three builders turn one annotation record into training samples:
               sample (3D location in the query text, NO image -> 2D
               target).
 
-Output is line-delimited JSON with fields `image`, `query`, `aux`,
-`target`, `kind`, `task`; sample order is fixed by (record order, object
-order, format/kind order, template index), so rebuilds are byte-identical.
+Each object's referring phrase is made once, and its 3D box and location
+strings once for grounding and phase 2 together. `build_grounding_samples`,
+`build_sqa_samples` and `build_phase2_samples` are `build_all` with one
+stage.
 
-Objects whose OBB center back-projects above the horizon cannot have 3D
-targets; such objects are skipped entirely and counted, never silently
-dropped.
+Output is line-delimited JSON with fields `image`, `query`, `aux`,
+`target`, `kind`, `task`; sample order is fixed by (record order, stage,
+object order, format/kind order, template index), so rebuilds are
+byte-identical.
+
+An object a stage cannot use is skipped by that stage and counted once for
+it, never silently dropped: an OBB center that back-projects above the
+horizon has no 3D box and no depth (all three stages), and a box whose yaw
+probes meet at one ground point has no 3D box (grounding and phase 2).
 """
 
 from __future__ import annotations
@@ -82,9 +90,6 @@ _NULLABLE_FIELDS = frozenset({"image", "aux", "task"})
 class BuildResult:
     samples: tuple[InstructionSample, ...]
     n_skipped: int
-
-    def __add__(self, other: "BuildResult") -> "BuildResult":
-        return BuildResult(self.samples + other.samples, self.n_skipped + other.n_skipped)
 
 
 @dataclass(frozen=True)
@@ -164,116 +169,16 @@ def describe_object(obj: AnnotatedObject) -> str:
     return f"object {obj.id}"
 
 
-def _object_locations(
-    ann: AnnotationFile, inflation: float
-) -> list[tuple[str, str, str] | None]:
-    """Per object, its HBB, OBB and 3D-box location strings (in
-    GROUNDING_FORMATS order), or None when it has no ground intersection."""
-    locations: list[tuple[str, str, str] | None] = []
-    for obj in ann.objects:
-        try:
-            box3d = derive_box3d(obj.obb, obj.dims_m, ann.camera, inflation)
-        except (RayMissesGround, DegenerateYaw):
-            locations.append(None)
-            continue
-        locations.append((
-            serialize_location(obb_to_hbb(obj.obb)),
-            serialize_location(obj.obb),
-            serialize_location(box3d),
-        ))
-    return locations
-
-
-def _grounding_samples(
-    ann: AnnotationFile,
-    templates: TemplateSet,
-    locations: Sequence[tuple[str, str, str] | None],
-) -> BuildResult:
-    samples: list[InstructionSample] = []
-    skipped = 0
-    image = ann.image
-    for obj, targets in zip(ann.objects, locations):
-        if targets is None:
-            skipped += 1
-            continue
-        desc = describe_object(obj)
-        for fmt, target in zip(GROUNDING_FORMATS, targets):
-            kind = "GROUND_3D" if fmt == "box3d" else "GROUND_2D"
-            for template in templates.grounding[fmt]:
-                samples.append(InstructionSample(
-                    image, template.format(target=desc), None, target, kind, None
-                ))
-    return BuildResult(tuple(samples), skipped)
-
-
 def build_grounding_samples(
     ann: AnnotationFile, templates: TemplateSet, inflation: float = 1.0
 ) -> BuildResult:
     """15 samples per object: {HBB, OBB, 3D} x 5 templates."""
-    return _grounding_samples(ann, templates, _object_locations(ann, inflation))
+    return build_all(ann, templates, inflation=inflation, stages=("grounding",))
 
 
 def build_sqa_samples(ann: AnnotationFile, templates: TemplateSet) -> BuildResult:
     """5 numeric QA samples per object, one per spatial task."""
-    samples: list[InstructionSample] = []
-    skipped = 0
-    for obj in ann.objects:
-        try:
-            values = sqa_values(obj, ann.camera)
-        except RayMissesGround:
-            skipped += 1
-            continue
-        desc = describe_object(obj)
-        for task in SQA_TASKS:
-            samples.append(
-                InstructionSample(
-                    image=ann.image,
-                    query=templates.sqa[task].format(target=desc),
-                    aux=None,
-                    target=f"{values[task]:.2f} m",
-                    kind="SQA",
-                    task=task,
-                )
-            )
-    return BuildResult(tuple(samples), skipped)
-
-
-def _phase2_samples(
-    ann: AnnotationFile,
-    templates: TemplateSet,
-    aux_format: str,
-    locations: Sequence[tuple[str, str, str] | None],
-) -> BuildResult:
-    if aux_format not in ("hbb", "obb"):
-        raise ValueError(f"aux_format must be 'hbb' or 'obb', got {aux_format!r}")
-    samples: list[InstructionSample] = []
-    skipped = 0
-    image = ann.image
-    phase2 = templates.phase2
-    for obj, targets in zip(ann.objects, locations):
-        if targets is None:
-            skipped += 1
-            continue
-        hbb, obb, loc3d = targets
-        loc2d = hbb if aux_format == "hbb" else obb
-        desc = describe_object(obj)
-        for template in phase2["ground_2d"]:
-            samples.append(InstructionSample(
-                image, template.format(target=desc), None, loc2d, "GROUND_2D", None
-            ))
-        for template in phase2["ground_3d"]:
-            samples.append(InstructionSample(
-                image, template.format(target=desc), None, loc3d, "GROUND_3D", None
-            ))
-        for template in phase2["asl"]:
-            samples.append(InstructionSample(
-                image, template.format(target=desc), loc2d, loc3d, "ASL", None
-            ))
-        for template in phase2["gml"]:  # text-only geometric mapping, no image
-            samples.append(InstructionSample(
-                None, template.format(target=desc, loc3d=loc3d), None, loc2d, "GML", None
-            ))
-    return BuildResult(tuple(samples), skipped)
+    return build_all(ann, templates, stages=("sqa",))
 
 
 def build_phase2_samples(
@@ -289,7 +194,7 @@ def build_phase2_samples(
     so the auxiliary and mapped locations are the exact same strings the
     model is trained to emit.
     """
-    return _phase2_samples(ann, templates, aux_format, _object_locations(ann, inflation))
+    return build_all(ann, templates, aux_format, inflation, stages=("phase2",))
 
 
 def build_all(
@@ -301,21 +206,65 @@ def build_all(
 ) -> BuildResult:
     """The given stages (all three by default) for one record, in stage order.
 
-    Equal to concatenating the per-stage builders, but each object's 3D box
-    is derived, and its location strings serialized, once for both the
-    grounding and the phase-2 stage.
+    One pass over the objects: each object's phrase is made once, and its 3D
+    box and location strings once for the grounding and phase-2 stages.
+    Raises ValueError naming the first entry of `stages` not in STAGES.
     """
-    locations = None
-    if "grounding" in stages or "phase2" in stages:
-        locations = _object_locations(ann, inflation)
-    result = BuildResult((), 0)
-    if "grounding" in stages:
-        result += _grounding_samples(ann, templates, locations)
-    if "sqa" in stages:
-        result += build_sqa_samples(ann, templates)
-    if "phase2" in stages:
-        result += _phase2_samples(ann, templates, aux_format, locations)
-    return result
+    for stage in stages:
+        if stage not in STAGES:
+            raise ValueError(f"unknown stage {stage!r}; stages are {', '.join(STAGES)}")
+    grounding, sqa, phase2 = (name in stages for name in STAGES)
+    if phase2 and aux_format not in ("hbb", "obb"):
+        raise ValueError(f"aux_format must be 'hbb' or 'obb', got {aux_format!r}")
+    grounding_out: list[InstructionSample] = []
+    sqa_out: list[InstructionSample] = []
+    phase2_out: list[InstructionSample] = []
+    skipped = 0
+    image, camera = ann.image, ann.camera
+    for obj in ann.objects:
+        desc = describe_object(obj)
+        if sqa:
+            try:
+                values = sqa_values(obj, camera)
+            except RayMissesGround:
+                skipped += 1
+            else:
+                for task in SQA_TASKS:
+                    sqa_out.append(InstructionSample(
+                        image, templates.sqa[task].format(target=desc), None,
+                        f"{values[task]:.2f} m", "SQA", task,
+                    ))
+        if not (grounding or phase2):
+            continue
+        try:
+            box3d = derive_box3d(obj.obb, obj.dims_m, camera, inflation)
+        except (RayMissesGround, DegenerateYaw):
+            skipped += grounding + phase2
+            continue
+        hbb = serialize_location(obb_to_hbb(obj.obb))
+        obb = serialize_location(obj.obb)
+        loc3d = serialize_location(box3d)
+        if grounding:
+            for fmt, target in zip(GROUNDING_FORMATS, (hbb, obb, loc3d)):
+                kind = "GROUND_3D" if fmt == "box3d" else "GROUND_2D"
+                for template in templates.grounding[fmt]:
+                    grounding_out.append(InstructionSample(
+                        image, template.format(target=desc), None, target, kind, None
+                    ))
+        if phase2:
+            loc2d = hbb if aux_format == "hbb" else obb
+            for key, aux, target in (
+                ("ground_2d", None, loc2d), ("ground_3d", None, loc3d), ("asl", loc2d, loc3d)
+            ):
+                for template in templates.phase2[key]:
+                    phase2_out.append(InstructionSample(
+                        image, template.format(target=desc), aux, target, key.upper(), None
+                    ))
+            for template in templates.phase2["gml"]:  # text-only geometric mapping, no image
+                phase2_out.append(InstructionSample(
+                    None, template.format(target=desc, loc3d=loc3d), None, loc2d, "GML", None
+                ))
+    return BuildResult((*grounding_out, *sqa_out, *phase2_out), skipped)
 
 
 def write_samples(samples: Iterable[InstructionSample], path: str | Path) -> int:

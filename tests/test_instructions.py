@@ -7,7 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aerial3d import instructions
-from aerial3d.boxes import Box3D, HorizontalBox2D, OrientedBox2D, derive_box3d, parse_location
+from aerial3d.boxes import (
+    Box3D,
+    HorizontalBox2D,
+    OrientedBox2D,
+    derive_box3d,
+    parse_location,
+    serialize_location,
+)
 from aerial3d.cli import main
 from aerial3d.errors import ParseError
 from aerial3d.evaluation import SQA_TASKS, annotation_from_dict, load_annotations, sqa_ground_truth
@@ -18,6 +25,7 @@ from aerial3d.instructions import (
     build_grounding_samples,
     build_phase2_samples,
     build_sqa_samples,
+    describe_object,
     load_templates,
     read_samples,
     write_samples,
@@ -306,6 +314,31 @@ class TestBuildAllStages:
         monkeypatch.setattr(instructions, "derive_box3d", counting)
         build_all(ann, templates)
         assert calls == [obj.obb for obj in ann.objects]
+
+    def test_describes_and_serializes_each_object_once(self, ann, templates, monkeypatch):
+        described, serialized = [], []
+
+        def describing(obj):
+            described.append(obj.id)
+            return describe_object(obj)
+
+        def serializing(loc):
+            serialized.append(loc)
+            return serialize_location(loc)
+
+        monkeypatch.setattr(instructions, "describe_object", describing)
+        monkeypatch.setattr(instructions, "serialize_location", serializing)
+        build_all(ann, templates)
+        assert described == [obj.id for obj in ann.objects]
+        assert len(serialized) == 3 * len(ann.objects)
+
+    @pytest.mark.parametrize(
+        "stages, unknown",
+        [(("grounding", "sqa_"), "sqa_"), (("Phase2",), "Phase2"), ("sqa", "s")],
+    )
+    def test_unknown_stage_rejected(self, ann, templates, stages, unknown):
+        with pytest.raises(ValueError, match=f"unknown stage {unknown!r}"):
+            build_all(ann, templates, stages=stages)
 
 
 class TestSampleRecord:
