@@ -59,6 +59,7 @@ from .boxes import (
 )
 from .camera import CameraModel, PixelPoint, backproject_to_ground, spatial_measures
 from .errors import (
+    DegenerateBox,
     DegenerateVariance,
     IdMismatch,
     LengthMismatch,
@@ -116,8 +117,9 @@ def validate_annotation(data: dict) -> None:
     finite (nan and inf are rejected) and bools are not numbers. When a
     document has several violations, the pointer names the first one in
     document order: fields in the order the format lists them, objects by
-    index. Object ids must be non-empty and unique, and each box must lie
-    within the image bounds plus a margin.
+    index. Object ids must be non-empty and unique, and each box must have
+    a pixel hull of positive width and height that lies within the image
+    bounds plus a margin.
     """
     annotation_from_dict(data)
 
@@ -196,7 +198,11 @@ def annotation_from_dict(data: dict) -> AnnotationFile:
             raise SchemaError(f"/objects/{i}/id", f"duplicate object id {obj_id!r}")
         seen_ids.add(obj_id)
         obb = OrientedBox2D.normalized(*obb_fields)
-        if not obb_within_image(obb, width, height):
+        try:
+            within = obb_within_image(obb, width, height)
+        except DegenerateBox as exc:  # a pixel hull with no width or height
+            raise SchemaError(f"/objects/{i}/obb", str(exc)) from None
+        if not within:
             raise SchemaError(
                 f"/objects/{i}/obb",
                 f"box extends past the image bounds by more than {OBB_BOUNDS_MARGIN:.0%}",

@@ -254,6 +254,22 @@ class TestDerive3dAndProject:
         assert capsys.readouterr().out == ""
         assert set(json.loads(out.read_text())) == {"car0", "car1"}
 
+    def test_box_without_pixel_extent_names_its_pointer(self, tmp_path, annotation_dict, capsys):
+        # A 1e-14 px side vanishes in the corner sums, so the box's pixel
+        # hull has no height.
+        annotation_dict["objects"][1]["obb"] = {
+            "cx": 500.0, "cy": 500.0, "w": 90.0, "h": 1e-14, "angle_deg": 0.0
+        }
+        path = tmp_path / "annotation.json"
+        path.write_text(json.dumps(annotation_dict))
+        assert run(["derive3d", "--annotations", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: /objects/1/obb: degenerate box [455.0,500.0,545.0,500.0]: "
+            "need x1 < x2 and y1 < y2\n"
+        )
+
 
 @pytest.mark.parametrize("command", ["derive3d", "build-instr"])
 def test_inflation_below_the_wire_resolution_is_domain_error(

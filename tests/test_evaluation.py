@@ -282,6 +282,16 @@ class TestAnnotationValidation:
         with pytest.raises(SchemaError, match="bounds"):
             validate_annotation(annotation_dict)
 
+    @pytest.mark.parametrize("angle_deg", [0.0, 90.0])
+    def test_box_without_pixel_extent_rejected_with_pointer(self, annotation_dict, angle_deg):
+        annotation_dict["objects"][1]["obb"] = {
+            "cx": 500.0, "cy": 500.0, "w": 90.0, "h": 1e-14, "angle_deg": angle_deg
+        }
+        for check in (annotation_from_dict, validate_annotation):
+            with pytest.raises(SchemaError, match="degenerate box") as info:
+                check(annotation_dict)
+            assert info.value.pointer == "/objects/1/obb"
+
     def test_pitch_above_90_rejected(self, annotation_dict):
         annotation_dict["camera"]["pitch_deg"] = 95.0
         with pytest.raises(SchemaError):
