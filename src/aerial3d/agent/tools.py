@@ -4,6 +4,7 @@ Tools take already-resolved argument dicts and return JSON-serializable
 outputs that later steps and the summarizer consume:
 
     spatial_understanding  mode=dims    -> {length_m, width_m, height_m}
+                                           (an answer in mm or cm is converted)
                            mode=locate  -> {box3d, hbb}   (wire strings)
     image_understanding                 -> {attribute, value}
     query_table            mode=match | mode=lookup -> vehicle record dict
@@ -19,8 +20,9 @@ from typing import Any
 
 from ..boxes import Box3D, HorizontalBox2D, scan_locations, serialize_location
 from ..errors import EmptyTable
+from ..evaluation import _NUMBER, _in_meters
 from ..vehicles import VehicleTable, lookup, match_dimensions
-from .backends import Backend, _floats
+from .backends import Backend
 from .planning import VALID_TOOLS
 
 BackendCallRecorder = list  # list of {"backend","prompt","image","response"} dicts
@@ -84,7 +86,9 @@ class Toolbox:
                 "height in meters."
             )
             answer = self._ask(self.vlm, "vlm", prompt, image, recorder)
-            values = _floats(answer)
+            # Thousands separators are not stripped: a comma between digits
+            # may separate the three values.
+            values = [_in_meters(match) for match in _NUMBER.finditer(answer)]
             if len(values) < 3:
                 raise ValueError(f"could not read three dimensions from {answer!r}")
             return {

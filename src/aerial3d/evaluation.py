@@ -265,8 +265,11 @@ def numeric_in_meters(answer: str | None) -> float | None:
     the text do not apply to it.
     """
     match = _first_number(answer)
-    if match is None:
-        return None
+    return None if match is None else _in_meters(match)
+
+
+def _in_meters(match: re.Match[str]) -> float:
+    """A number matched in an answer, in meters by numeric_in_meters' unit rule."""
     value = float(match.group())
     unit = _SUBUNIT.match(match.string, match.end())
     if unit is None:

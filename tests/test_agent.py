@@ -504,6 +504,22 @@ class TestExecution:
         out = toolbox.invoke("spatial_understanding", {"mode": "dims"}, None, [])
         assert out == {"length_m": 4500.0, "width_m": 1.8, "height_m": 1.5}
 
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            "length 4694 mm, width 1850 mm, height 1443 mm",
+            "length 469.4 cm, width 185 cm, height 144.3 centimeters",
+            "length 4694mm, width 1.85 m, height 1443 Millimetres",
+            "4.694,1.850,1.443",  # a comma between digits separates values here
+        ],
+    )
+    def test_dims_reply_reads_sub_meter_units(self, table, reply):
+        toolbox = Toolbox(table=table, vlm=ScriptedBackend([reply]))
+        out = toolbox.invoke("spatial_understanding", {"mode": "dims"}, None, [])
+        assert out == pytest.approx({"length_m": 4.694, "width_m": 1.85, "height_m": 1.443})
+        record = toolbox.invoke("query_table", {"mode": "match", **out}, None, [])
+        assert (record["brand"], record["model"]) == ("Tesla", "Model 3")
+
 
 class TestMockVLM:
     @pytest.mark.parametrize(
