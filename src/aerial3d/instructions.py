@@ -253,12 +253,14 @@ def build_all(
                     ))
         if phase2:
             loc2d = hbb if aux_format == "hbb" else obb
-            for key, aux, target in (
-                ("ground_2d", None, loc2d), ("ground_3d", None, loc3d), ("asl", loc2d, loc3d)
+            for key, kind, aux, target in (
+                ("ground_2d", "GROUND_2D", None, loc2d),
+                ("ground_3d", "GROUND_3D", None, loc3d),
+                ("asl", "ASL", loc2d, loc3d),
             ):
                 for template in templates.phase2[key]:
                     phase2_out.append(InstructionSample(
-                        image, template.format(target=desc), aux, target, key.upper(), None
+                        image, template.format(target=desc), aux, target, kind, None
                     ))
             for template in templates.phase2["gml"]:  # text-only geometric mapping, no image
                 phase2_out.append(InstructionSample(
