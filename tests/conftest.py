@@ -84,6 +84,27 @@ def make_annotation_dict(pitch_deg: float = 90.0, agl: float = 50.0) -> dict:
     }
 
 
+def above_horizon_dict() -> dict:
+    """10-degree pitch record: car0's OBB center lies above the horizon
+    (its ray misses the ground), car1 sits safely below it."""
+    data = make_annotation_dict(pitch_deg=10.0, agl=50.0)
+    data["objects"][0]["obb"]["cy"] = 30.0
+    data["objects"][0]["obb"]["cx"] = 500.0
+    data["objects"][1]["obb"]["cy"] = 900.0
+    return data
+
+
+def degenerate_yaw_dict() -> dict:
+    """Nadir record with one object whose OBB is a 90 px segment: its pixel
+    hull is valid, but both yaw probe points land on one ground point."""
+    data = make_annotation_dict()
+    data["objects"] = data["objects"][:1]
+    data["objects"][0]["obb"] = {
+        "cx": 500.0, "cy": 500.0, "w": 90.0, "h": 1e-12, "angle_deg": 90.0
+    }
+    return data
+
+
 @pytest.fixture
 def annotation_dict() -> dict:
     return make_annotation_dict()

@@ -17,7 +17,7 @@ from aerial3d.evaluation import (
 from aerial3d.instructions import packaged_templates_path
 from aerial3d.synth import MAX_REJECTIONS
 
-from conftest import make_annotation_dict
+from conftest import above_horizon_dict, degenerate_yaw_dict, make_annotation_dict
 
 
 @pytest.fixture
@@ -448,6 +448,31 @@ class TestBuildInstrCli:
         run(["build-instr", "--annotations", ann_path, "--out", str(out),
              "--stage", "sqa"])
         assert json.loads(capsys.readouterr().out)["written"] == 10
+
+
+class TestUnderivableObjects:
+    """Each command's policy for an object without a ground center or 3D box."""
+
+    @pytest.fixture
+    def write(self, tmp_path):
+        def write(data: dict) -> str:
+            path = tmp_path / "annotation.json"
+            path.write_text(json.dumps(data))
+            return str(path)
+
+        return write
+
+    @pytest.mark.parametrize(
+        "record, written, skipped",
+        [(above_horizon_dict, 40, 3), (degenerate_yaw_dict, 5, 2)],
+        ids=["above-horizon", "degenerate-yaw"],
+    )
+    def test_build_instr_counts_skips(self, tmp_path, write, capsys, record, written, skipped):
+        out = str(tmp_path / "o.jsonl")
+        assert run(["build-instr", "--annotations", write(record()), "--out", out]) == 0
+        assert capsys.readouterr().out == json.dumps(
+            {"written": written, "objects_skipped": skipped, "out": out}
+        ) + "\n"
 
 
 class TestEvalCli:

@@ -16,8 +16,10 @@ from aerial3d.camera import CameraPoint
 from aerial3d.cli import _load_search_fixtures
 from aerial3d.errors import (
     DegenerateVariance,
+    DegenerateYaw,
     LengthMismatch,
     ParseError,
+    RayMissesGround,
     SchemaError,
 )
 from aerial3d.evaluation import (
@@ -45,6 +47,7 @@ from aerial3d.evaluation import (
 )
 from aerial3d.instructions import load_templates, read_samples
 from aerial3d.vehicles import load_table
+from conftest import above_horizon_dict, degenerate_yaw_dict
 from oracles import jsonschema_pointers
 
 
@@ -675,3 +678,20 @@ class TestFileLevelEvaluation:
         report = evaluate_grounding_file(ann, {}).to_dict()
         text = render_report_table(report)
         assert "grounding" in text and "acc_at_05" in text
+
+
+class TestGroundTruthWithoutGeometry:
+    """Eval fails on an object that lacks the geometry its task needs."""
+
+    def test_degenerate_yaw_has_sqa_truth_but_no_box(self):
+        ann = annotation_from_dict(degenerate_yaw_dict())
+        assert list(sqa_ground_truth(ann)) == [
+            f"car0:{task}" for task in ("depth", "distance", "length", "width", "height")
+        ]
+        with pytest.raises(DegenerateYaw):
+            retrieval_ground_truth(ann)
+
+    @pytest.mark.parametrize("ground_truth", [sqa_ground_truth, retrieval_ground_truth])
+    def test_center_above_horizon_has_neither(self, ground_truth):
+        with pytest.raises(RayMissesGround):
+            ground_truth(annotation_from_dict(above_horizon_dict()))

@@ -31,7 +31,7 @@ from aerial3d.instructions import (
     write_samples,
 )
 
-from conftest import make_annotation_dict
+from conftest import above_horizon_dict, degenerate_yaw_dict, make_annotation_dict
 
 
 @pytest.fixture(scope="module")
@@ -45,24 +45,11 @@ def ann(annotation_dict):
 
 
 def _above_horizon_record():
-    """10-degree pitch record: car0's OBB center lies above the horizon
-    (its ray misses the ground), car1 sits safely below it."""
-    data = make_annotation_dict(pitch_deg=10.0, agl=50.0)
-    data["objects"][0]["obb"]["cy"] = 30.0
-    data["objects"][0]["obb"]["cx"] = 500.0
-    data["objects"][1]["obb"]["cy"] = 900.0
-    return annotation_from_dict(data)
+    return annotation_from_dict(above_horizon_dict())
 
 
 def _degenerate_yaw_record():
-    """Nadir record with one object whose OBB is a 90 px segment: its pixel
-    hull is valid, but both yaw probe points land on one ground point."""
-    data = make_annotation_dict()
-    data["objects"] = data["objects"][:1]
-    data["objects"][0]["obb"] = {
-        "cx": 500.0, "cy": 500.0, "w": 90.0, "h": 1e-12, "angle_deg": 90.0
-    }
-    return annotation_from_dict(data)
+    return annotation_from_dict(degenerate_yaw_dict())
 
 
 class TestTemplates:
