@@ -58,21 +58,24 @@ def _load_search_fixtures(path: str) -> dict[str, str]:
 
 
 def _cmd_derive3d(args: argparse.Namespace) -> int:
-    from .boxes import derive_box3d, serialize_location
-    from .evaluation import load_annotations
+    from dataclasses import replace
+
+    from .boxes import serialize_location
+    from .evaluation import derive_objects, load_annotations
 
     ann = load_annotations(args.annotations)
-    objects = ann.objects
     if args.id is not None:
-        objects = tuple(o for o in objects if o.id == args.id)
-        if not objects:
+        ann = replace(ann, objects=tuple(o for o in ann.objects if o.id == args.id))
+        if not ann.objects:
             raise NotFound(f"no object with id {args.id!r} in {args.annotations}")
-    results = {
-        obj.id: serialize_location(
-            derive_box3d(obj.obb, obj.dims_m, ann.camera, args.inflation)
-        )
-        for obj in objects
-    }
+    results = {}
+    for obj, _, box3d, error in derive_objects(ann, args.inflation):
+        if box3d is not None:
+            results[obj.id] = serialize_location(box3d)
+        elif args.id is not None:
+            raise error
+        else:
+            print(f"skipped: {error}", file=sys.stderr)
     _emit(json.dumps(results, indent=2), args.out)
     return 0
 
@@ -149,6 +152,8 @@ def _cmd_build_instr(args: argparse.Namespace) -> int:
         result = build_all(ann, templates, args.aux_format, args.inflation, stages)
         samples.extend(result.samples)
         skipped += result.n_skipped
+        for reason in result.skipped:
+            print(f"skipped: {path}: {reason}", file=sys.stderr)
     written = write_samples(samples, args.out)
     print(json.dumps({"written": written, "objects_skipped": skipped, "out": args.out}))
     return 0

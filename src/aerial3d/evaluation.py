@@ -57,13 +57,15 @@ from .boxes import (
     obb_within_image,
     scan_locations,
 )
-from .camera import CameraModel, PixelPoint, backproject_to_ground, spatial_measures
+from .camera import CameraModel, CameraPoint, PixelPoint, backproject_to_ground, spatial_measures
 from .errors import (
     DegenerateBox,
     DegenerateVariance,
+    DegenerateYaw,
     IdMismatch,
     LengthMismatch,
     ParseError,
+    RayMissesGround,
     SchemaError,
 )
 
@@ -436,24 +438,56 @@ def grounding_ground_truth(ann: AnnotationFile) -> dict[str, HorizontalBox2D]:
     return {obj.id: obb_to_hbb(obj.obb) for obj in ann.objects}
 
 
+class DerivedObject(NamedTuple):
+    obj: AnnotatedObject
+    center: CameraPoint | None
+    box3d: Box3D | None
+    error: RayMissesGround | DegenerateYaw | None
+
+
+def derive_objects(ann: AnnotationFile, inflation: float = 1.0) -> list[DerivedObject]:
+    """Each object's ground center (its back-projected OBB center) and `derive_box3d` box.
+
+    The one place that decides which objects have geometry. A center at or
+    above the horizon gives neither; yaw probes that miss the ground or meet
+    give only the center. `error` then names the object. ValueError from
+    `derive_box3d` (a bad inflation or dims) propagates.
+    """
+    derived = []
+    for obj in ann.objects:
+        box3d = error = None
+        try:
+            box3d = derive_box3d(obj.obb, obj.dims_m, ann.camera, inflation)
+        except (RayMissesGround, DegenerateYaw) as exc:
+            error = type(exc)(f"object {obj.id!r}: {exc}")
+        try:
+            center = backproject_to_ground(PixelPoint(obj.obb.cx, obj.obb.cy), ann.camera)
+        except RayMissesGround:  # derive_box3d raised it first, so `error` holds it
+            center = None
+        derived.append(DerivedObject(obj, center, box3d, error))
+    return derived
+
+
 def retrieval_ground_truth(
     ann: AnnotationFile, inflation: float = 1.0
 ) -> dict[str, Box3D]:
-    """Per-object 3D ground truth derived from the OBB + dimensions."""
-    return {
-        obj.id: derive_box3d(obj.obb, obj.dims_m, ann.camera, inflation)
-        for obj in ann.objects
-    }
+    """Per-object 3D ground truth derived from the OBB + dimensions. Raises
+    the `error` of the first object without a box (see derive_objects)."""
+    gts = {}
+    for obj, _, box3d, error in derive_objects(ann, inflation):
+        if box3d is None:
+            raise error
+        gts[obj.id] = box3d
+    return gts
 
 
-def sqa_values(obj: AnnotatedObject, camera: CameraModel) -> dict[str, float]:
+def sqa_values(obj: AnnotatedObject, center: CameraPoint) -> dict[str, float]:
     """One object's five spatial-QA quantities, keyed by task in SQA_TASKS order.
 
-    Depth and distance are measured to the object's ground center; length,
-    width, and height are the metric dimensions. All values in meters.
-    Raises RayMissesGround when the OBB center is at or above the horizon.
+    Depth and distance are measured to the object's ground center (see
+    derive_objects); length, width, and height are the metric dimensions.
+    All values in meters.
     """
-    center = backproject_to_ground(PixelPoint(obj.obb.cx, obj.obb.cy), camera)
     measures = spatial_measures(center)
     dims = obj.dims_m
     return {
@@ -466,12 +500,15 @@ def sqa_values(obj: AnnotatedObject, camera: CameraModel) -> dict[str, float]:
 
 
 def sqa_ground_truth(ann: AnnotationFile) -> dict[str, float]:
-    """Ground truth for the five spatial-QA tasks, keyed `<id>:<task>` (see sqa_values)."""
-    return {
-        f"{obj.id}:{task}": value
-        for obj in ann.objects
-        for task, value in sqa_values(obj, ann.camera).items()
-    }
+    """Ground truth for the five spatial-QA tasks, keyed `<id>:<task>` (see sqa_values).
+    Raises the `error` of the first object without a center (see derive_objects)."""
+    gts = {}
+    for obj, center, _, error in derive_objects(ann):
+        if center is None:
+            raise error
+        for task, value in sqa_values(obj, center).items():
+            gts[f"{obj.id}:{task}"] = value
+    return gts
 
 
 def attribute_ground_truth(ann: AnnotationFile) -> dict[str, str]:

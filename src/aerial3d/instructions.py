@@ -25,9 +25,9 @@ object order, format/kind order, template index), so rebuilds are
 byte-identical.
 
 An object a stage cannot use is skipped by that stage and counted once for
-it, never silently dropped: an OBB center that back-projects above the
-horizon has no 3D box and no depth (all three stages), and a box whose yaw
-probes meet at one ground point has no 3D box (grounding and phase 2).
+it, never silently dropped: SQA needs the ground center and grounding and
+phase 2 the 3D box that `evaluation.derive_objects` gives each object.
+`BuildResult.skipped` holds each skipped object's reason once.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from ._fsio import DATA_DIR, read_json, read_jsonl, write_text_atomic
-from .boxes import derive_box3d, obb_to_hbb, serialize_location
-from .errors import DegenerateYaw, ParseError, RayMissesGround
-from .evaluation import SQA_TASKS, AnnotatedObject, AnnotationFile, sqa_values
+from .boxes import obb_to_hbb, serialize_location
+from .errors import ParseError
+from .evaluation import SQA_TASKS, AnnotatedObject, AnnotationFile, derive_objects, sqa_values
 
 GROUNDING_FORMATS = ("hbb", "obb", "box3d")
 PHASE2_KINDS = ("ground_2d", "ground_3d", "asl", "gml")
@@ -90,6 +90,7 @@ _NULLABLE_FIELDS = frozenset({"image", "aux", "task"})
 class BuildResult:
     samples: tuple[InstructionSample, ...]
     n_skipped: int
+    skipped: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -219,27 +220,23 @@ def build_all(
     grounding_out: list[InstructionSample] = []
     sqa_out: list[InstructionSample] = []
     phase2_out: list[InstructionSample] = []
-    skipped = 0
-    image, camera = ann.image, ann.camera
-    for obj in ann.objects:
+    n_skipped = 0
+    skipped: list[str] = []
+    image = ann.image
+    for obj, center, box3d, error in derive_objects(ann, inflation):
         desc = describe_object(obj)
-        if sqa:
-            try:
-                values = sqa_values(obj, camera)
-            except RayMissesGround:
-                skipped += 1
-            else:
-                for task in SQA_TASKS:
-                    sqa_out.append(InstructionSample(
-                        image, templates.sqa[task].format(target=desc), None,
-                        f"{values[task]:.2f} m", "SQA", task,
-                    ))
-        if not (grounding or phase2):
-            continue
-        try:
-            box3d = derive_box3d(obj.obb, obj.dims_m, camera, inflation)
-        except (RayMissesGround, DegenerateYaw):
-            skipped += grounding + phase2
+        unused = (sqa and center is None) + (grounding + phase2) * (box3d is None)
+        if unused:
+            n_skipped += unused
+            skipped.append(str(error))
+        if sqa and center is not None:
+            values = sqa_values(obj, center)
+            for task in SQA_TASKS:
+                sqa_out.append(InstructionSample(
+                    image, templates.sqa[task].format(target=desc), None,
+                    f"{values[task]:.2f} m", "SQA", task,
+                ))
+        if box3d is None or not (grounding or phase2):
             continue
         hbb = serialize_location(obb_to_hbb(obj.obb))
         obb = serialize_location(obj.obb)
@@ -266,7 +263,7 @@ def build_all(
                 phase2_out.append(InstructionSample(
                     None, template.format(target=desc, loc3d=loc3d), None, loc2d, "GML", None
                 ))
-    return BuildResult((*grounding_out, *sqa_out, *phase2_out), skipped)
+    return BuildResult((*grounding_out, *sqa_out, *phase2_out), n_skipped, tuple(skipped))
 
 
 def write_samples(samples: Iterable[InstructionSample], path: str | Path) -> int:

@@ -1,15 +1,23 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aerial3d
-from aerial3d.boxes import Box3D, parse_location
+from aerial3d.boxes import Box3D, derive_box3d, parse_location
+from aerial3d.camera import PixelPoint, backproject_to_ground
 from aerial3d.cli import main
+from aerial3d.errors import DegenerateYaw, RayMissesGround
 from aerial3d.evaluation import (
+    annotation_from_dict,
     attribute_ground_truth,
     load_annotations,
     sqa_ground_truth,
@@ -450,6 +458,10 @@ class TestBuildInstrCli:
         assert json.loads(capsys.readouterr().out)["written"] == 10
 
 
+_ABOVE_HORIZON = "pixel (500.0, 30.0) is at or above the horizon (denominator -2.892e-03)"
+_DEGENERATE_YAW = "yaw probes around (500.0, 500.0) back-project to coincident points"
+
+
 class TestUnderivableObjects:
     """Each command's policy for an object without a ground center or 3D box."""
 
@@ -473,6 +485,143 @@ class TestUnderivableObjects:
         assert capsys.readouterr().out == json.dumps(
             {"written": written, "objects_skipped": skipped, "out": out}
         ) + "\n"
+
+    @pytest.mark.parametrize(
+        "record, reason",
+        [(above_horizon_dict, _ABOVE_HORIZON), (degenerate_yaw_dict, _DEGENERATE_YAW)],
+        ids=["above-horizon", "degenerate-yaw"],
+    )
+    def test_build_instr_names_each_skipped_object(self, tmp_path, write, capsys, record, reason):
+        path = write(record())
+        assert run(["build-instr", "--annotations", path, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == f"skipped: {path}: object 'car0': {reason}\n"
+
+    def test_build_instr_sqa_stage_checks_inflation(self, tmp_path, write, capsys):
+        out = tmp_path / "o.jsonl"
+        code = run(["build-instr", "--annotations", write(make_annotation_dict()),
+                    "--out", str(out), "--stage", "sqa", "--inflation", "inf"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: inflated dimensions must be positive and finite"
+        )
+        assert not out.exists()
+
+    def test_derive3d_writes_what_derives_and_names_the_rest(self, write, capsys):
+        assert run(["derive3d", "--annotations", write(above_horizon_dict())]) == 0
+        captured = capsys.readouterr()
+        assert list(json.loads(captured.out)) == ["car1"]
+        assert captured.err == f"skipped: object 'car0': {_ABOVE_HORIZON}\n"
+
+    def test_derive3d_degenerate_yaw_among_good_cars(self, annotation_dict, write, capsys):
+        annotation_dict["objects"].append({
+            **annotation_dict["objects"][0],
+            "id": "car2",
+            "obb": {"cx": 500.0, "cy": 500.0, "w": 90.0, "h": 1e-12, "angle_deg": 90.0},
+        })
+        assert run(["derive3d", "--annotations", write(annotation_dict)]) == 0
+        captured = capsys.readouterr()
+        assert list(json.loads(captured.out)) == ["car0", "car1"]
+        assert captured.err == f"skipped: object 'car2': {_DEGENERATE_YAW}\n"
+
+    def test_derive3d_id_without_box_is_domain_error(self, write, capsys):
+        path = write(above_horizon_dict())
+        assert run(["derive3d", "--annotations", path, "--id", "car0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: object 'car0': {_ABOVE_HORIZON}\n"
+
+    @pytest.mark.parametrize("task", ["retrieval", "sqa"])
+    def test_eval_names_the_object(self, tmp_path, write, capsys, task):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("")
+        path = write(above_horizon_dict())
+        assert run(["eval", "--task", task, "--pred", str(preds), "--gt", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: object 'car0': {_ABOVE_HORIZON}\n"
+
+
+# About half the boxes are segments whose yaw probes meet at one ground point.
+_FUZZ_OBB = st.fixed_dictionaries({
+    "cx": st.floats(100, 900),
+    "cy": st.floats(60, 940),
+    "w": st.floats(40, 120),
+    "h": st.one_of(st.just(1e-12), st.floats(10, 40)),
+    "angle_deg": st.floats(-90, 90),
+})
+
+
+@st.composite
+def _fuzz_records(draw) -> dict:
+    """Pitch 10-90 degrees and a focal length of 10-1000 px, so that the
+    horizon crosses the frame in many records and some centers lie above it."""
+    data = make_annotation_dict(pitch_deg=draw(st.floats(10, 90)), agl=draw(st.floats(20, 100)))
+    data["camera"]["focal_length_m"] = 10 ** draw(st.floats(-4, -2))
+    car = data["objects"][0]
+    obbs = draw(st.lists(_FUZZ_OBB, min_size=1, max_size=4))
+    data["objects"] = [{**car, "id": f"car{i}", "obb": obb} for i, obb in enumerate(obbs)]
+    return data
+
+
+def _has_center_and_box(obj, cam) -> tuple[bool, bool]:
+    """Whether the camera and box primitives give the object a ground center
+    and a 3D box."""
+    try:
+        backproject_to_ground(PixelPoint(obj.obb.cx, obj.obb.cy), cam)
+    except RayMissesGround:
+        return False, False
+    try:
+        derive_box3d(obj.obb, obj.dims_m, cam)
+    except (RayMissesGround, DegenerateYaw):
+        return True, False
+    return True, True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_fuzz_records())
+def test_fuzz_each_command_applies_its_policy_to_underivable_objects(data):
+    ann = annotation_from_dict(data)
+    has = {obj.id: _has_center_and_box(obj, ann.camera) for obj in ann.objects}
+    boxed = [obj_id for obj_id, (_, box) in has.items() if box]
+    unboxed = [obj_id for obj_id, (_, box) in has.items() if not box]
+    uncentered = [obj_id for obj_id, (center, _) in has.items() if not center]
+    center_only = len(unboxed) - len(uncentered)
+
+    def cli(*argv: str) -> tuple[int, str, list[str]]:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        return code, out.getvalue(), err.getvalue().splitlines()
+
+    def names(lines: list[str], prefix: str, ids: list[str]) -> bool:
+        return len(lines) == len(ids) and all(
+            line.startswith(f"{prefix}object {obj_id!r}: ") for line, obj_id in zip(lines, ids)
+        )
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path, preds, out_path = (os.path.join(tmp, n) for n in ("a.json", "p.jsonl", "o.jsonl"))
+        Path(path).write_text(json.dumps(data))
+        Path(preds).write_text("")
+
+        code, out, err = cli("derive3d", "--annotations", path)
+        assert code == 0 and list(json.loads(out)) == boxed
+        assert names(err, "skipped: ", unboxed)
+
+        code, out, err = cli("build-instr", "--annotations", path, "--out", out_path)
+        assert code == 0
+        assert json.loads(out) == {
+            "written": 40 * len(boxed) + 5 * center_only,
+            "objects_skipped": 3 * len(uncentered) + 2 * center_only,
+            "out": out_path,
+        }
+        assert names(err, f"skipped: {path}: ", unboxed)
+
+        for task, missing in (("retrieval", unboxed), ("sqa", uncentered)):
+            code, out, err = cli("eval", "--task", task, "--pred", preds, "--gt", path)
+            assert code == (1 if missing else 0)
+            assert names(err, "error: ", missing[:1])
 
 
 class TestEvalCli:

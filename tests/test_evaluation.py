@@ -11,8 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aerial3d.agent import load_planner_prompt
-from aerial3d.boxes import Box3D, HorizontalBox2D, OrientedBox2D, serialize_location
-from aerial3d.camera import CameraPoint
+from aerial3d.boxes import Box3D, HorizontalBox2D, OrientedBox2D, derive_box3d, serialize_location
+from aerial3d.camera import CameraPoint, PixelPoint, backproject_to_ground
 from aerial3d.cli import _load_search_fixtures
 from aerial3d.errors import (
     DegenerateVariance,
@@ -26,6 +26,7 @@ from aerial3d.evaluation import (
     EvalReport,
     annotation_from_dict,
     attribute_ground_truth,
+    derive_objects,
     eval_attributes,
     eval_grounding,
     eval_regression,
@@ -695,3 +696,53 @@ class TestGroundTruthWithoutGeometry:
     def test_center_above_horizon_has_neither(self, ground_truth):
         with pytest.raises(RayMissesGround):
             ground_truth(annotation_from_dict(above_horizon_dict()))
+
+
+class TestDeriveObjects:
+    def test_center_and_box_are_the_primitives(self, annotation_dict):
+        ann = annotation_from_dict(annotation_dict)
+        derived = derive_objects(ann, 1.1)
+        assert [d.obj for d in derived] == list(ann.objects)
+        for obj, center, box3d, error in derived:
+            assert center == backproject_to_ground(PixelPoint(obj.obb.cx, obj.obb.cy), ann.camera)
+            assert box3d == derive_box3d(obj.obb, obj.dims_m, ann.camera, 1.1)
+            assert error is None
+
+    def test_center_above_horizon_has_neither(self):
+        car0, car1 = derive_objects(annotation_from_dict(above_horizon_dict()))
+        assert (car0.center, car0.box3d) == (None, None)
+        assert type(car0.error) is RayMissesGround
+        assert str(car0.error) == (
+            "object 'car0': pixel (500.0, 30.0) is at or above the horizon "
+            "(denominator -2.892e-03)"
+        )
+        assert (car1.center is None, car1.box3d is None, car1.error) == (False, False, None)
+
+    def test_degenerate_yaw_keeps_the_center(self):
+        (car0,) = derive_objects(annotation_from_dict(degenerate_yaw_dict()))
+        assert car0.center is not None and car0.box3d is None
+        assert type(car0.error) is DegenerateYaw
+        assert str(car0.error) == (
+            "object 'car0': yaw probes around (500.0, 500.0) back-project to coincident points"
+        )
+
+    def test_yaw_probe_above_horizon_keeps_the_center(self):
+        # At 10 degrees pitch the horizon is near y = 323.7 px: the center
+        # at y = 330 is below it, the probe 9 px up the long axis above it.
+        data = above_horizon_dict()
+        data["objects"][0]["obb"].update(cy=330.0, angle_deg=90.0)
+        car0, _ = derive_objects(annotation_from_dict(data))
+        assert car0.center is not None and car0.box3d is None
+        assert type(car0.error) is RayMissesGround
+        assert str(car0.error).startswith("object 'car0': pixel (500.0, 321.0) is at or above")
+
+    def test_bad_inflation_fails_on_an_object_without_a_center(self):
+        data = above_horizon_dict()
+        data["objects"] = data["objects"][:1]
+        with pytest.raises(ValueError, match="inflated dimensions must be positive and finite"):
+            derive_objects(annotation_from_dict(data), math.inf)
+
+    def test_sqa_truth_fails_on_width_above_length(self, annotation_dict):
+        annotation_dict["objects"][1]["dims_mm"] = {"length": 1800, "width": 4500, "height": 1500}
+        with pytest.raises(ValueError, match="need length >= width > 0"):
+            sqa_ground_truth(annotation_from_dict(annotation_dict))

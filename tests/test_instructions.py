@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aerial3d import instructions
+from aerial3d import evaluation, instructions
 from aerial3d.boxes import (
     Box3D,
     HorizontalBox2D,
@@ -261,6 +261,25 @@ class TestSkipPolicy:
         assert parts[1].samples == result.samples
 
 
+    @pytest.mark.parametrize(
+        "stages, n_skipped",
+        [(STAGES, 2), (("sqa",), 0), (("grounding",), 1), (("sqa", "phase2"), 1)],
+    )
+    def test_skipped_names_each_object_once(self, templates, stages, n_skipped):
+        result = build_all(_degenerate_yaw_record(), templates, stages=stages)
+        assert result.n_skipped == n_skipped
+        assert result.skipped == (
+            ("object 'car0': yaw probes around (500.0, 500.0) back-project to coincident points",)
+            if n_skipped else ()
+        )
+
+    def test_skipped_names_an_object_above_the_horizon_once(self, ann, templates):
+        assert build_all(ann, templates).skipped == ()
+        result = build_all(_above_horizon_record(), templates)
+        assert (result.n_skipped, len(result.skipped)) == (3, 1)
+        assert result.skipped[0].startswith("object 'car0': pixel (500.0, 30.0) is at or above")
+
+
 class TestBuildAllStages:
     @pytest.mark.parametrize(
         "stages", [("grounding",), ("sqa",), ("phase2",), ("phase2", "grounding")]
@@ -298,7 +317,7 @@ class TestBuildAllStages:
             calls.append(args[0])
             return derive_box3d(*args, **kwargs)
 
-        monkeypatch.setattr(instructions, "derive_box3d", counting)
+        monkeypatch.setattr(evaluation, "derive_box3d", counting)
         build_all(ann, templates)
         assert calls == [obj.obb for obj in ann.objects]
 
