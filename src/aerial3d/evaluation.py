@@ -449,9 +449,9 @@ def derive_objects(ann: AnnotationFile, inflation: float = 1.0) -> list[DerivedO
     """Each object's ground center (its back-projected OBB center) and `derive_box3d` box.
 
     The one place that decides which objects have geometry. A center at or
-    above the horizon gives neither; yaw probes that miss the ground or meet
-    give only the center. `error` then names the object. ValueError from
-    `derive_box3d` (a bad inflation or dims) propagates.
+    above the horizon gives neither, and yaw probes that miss the ground or
+    coincide give only the center; `error` then names the object. ValueError
+    from `derive_box3d` (a bad inflation or dims) propagates.
     """
     derived = []
     for obj in ann.objects:
@@ -472,7 +472,7 @@ def retrieval_ground_truth(
     ann: AnnotationFile, inflation: float = 1.0
 ) -> dict[str, Box3D]:
     """Per-object 3D ground truth derived from the OBB + dimensions. Raises
-    the `error` of the first object without a box (see derive_objects)."""
+    the derive_objects `error` of the first object without a box."""
     gts = {}
     for obj, _, box3d, error in derive_objects(ann, inflation):
         if box3d is None:
@@ -500,8 +500,8 @@ def sqa_values(obj: AnnotatedObject, center: CameraPoint) -> dict[str, float]:
 
 
 def sqa_ground_truth(ann: AnnotationFile) -> dict[str, float]:
-    """Ground truth for the five spatial-QA tasks, keyed `<id>:<task>` (see sqa_values).
-    Raises the `error` of the first object without a center (see derive_objects)."""
+    """Ground truth for the five spatial-QA tasks, keyed `<id>:<task>` (see
+    sqa_values). Raises the derive_objects `error` of the first object without a center."""
     gts = {}
     for obj, center, _, error in derive_objects(ann):
         if center is None:
