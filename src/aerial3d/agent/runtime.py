@@ -12,7 +12,7 @@ The trace is a plain JSON-serializable dict recording the parsed plan,
 each step's resolved arguments, output or error and the prompt/response of
 every backend call its tool made, the summarizer's prompt and response,
 and the final answer. The planner's prompt, reply and retry are not
-recorded yet (ROADMAP item 3). With mock backends and fixed seeds,
+recorded yet (ROADMAP item 5). With mock backends and fixed seeds,
 identical queries produce byte-identical traces
 (`json.dumps(trace, sort_keys=True)`).
 """

@@ -613,33 +613,63 @@ def serialize_location(loc: Location) -> str:
             )
         return f"<{x:.2f},{y:.2f},{z:.2f},{length:.2f},{width:.2f},{height:.2f},{yaw:.2f}>"
     if isinstance(loc, OrientedBox2D):
-        ints = (loc.cx, loc.cy, loc.width, loc.height)
         angle_deg = round(math.degrees(loc.angle), 2) + 0.0
         return (
-            "["
-            + ",".join(str(int(round(v))) for v in ints)
-            + f",{angle_deg:.2f}]"
+            f"[{round(loc.cx)},{round(loc.cy)},{round(loc.width)},{round(loc.height)},"
+            f"{angle_deg:.2f}]"
         )
     if isinstance(loc, HorizontalBox2D):
-        return (
-            "["
-            + ",".join(str(int(round(v))) for v in (loc.x1, loc.y1, loc.x2, loc.y2))
-            + "]"
-        )
+        # round() of a float is already an int, so it prints without a ".0".
+        return f"[{round(loc.x1)},{round(loc.y1)},{round(loc.x2)},{round(loc.y2)}]"
     raise TypeError(f"not a serializable location: {type(loc).__name__}")
 
 
 def _parse_fields(body: str, where: str) -> list[float]:
-    parts = [p.strip() for p in body.split(",")]
-    if any(not p for p in parts):
-        raise ParseError(f"empty field in location {where!r}")
+    # float() strips the whitespace str.strip() does, so a well-formed body
+    # converts in one pass; only a failure takes the per-field loop that
+    # says which rule the body broke.
     try:
-        vals = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ParseError(f"non-numeric field in location {where!r}: {exc}") from None
+        vals = [float(p) for p in body.split(",")]
+    except ValueError:
+        parts = [p.strip() for p in body.split(",")]
+        if any(not p for p in parts):
+            raise ParseError(f"empty field in location {where!r}") from None
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ParseError(f"non-numeric field in location {where!r}: {exc}") from None
     if not all(map(math.isfinite, vals)):
         raise ParseError(f"non-finite field in location {where!r}")
     return vals
+
+
+def _location_from(match: re.Match) -> Location:
+    """The location one bracketed match spells; the one site of the format's
+    rules, for `parse_location` and `scan_locations` alike."""
+    where = match.group(0)
+    vals = _parse_fields(match.group(1), where)
+    if match.re is _ANGLE_BRACKETS:
+        if len(vals) != 7:
+            raise ParseError(f"3D location needs 7 fields, got {len(vals)} in {where!r}")
+        x, y, z, length, width, height, yaw_deg = vals
+        try:
+            return Box3D(
+                CameraPoint(x, y, z), length, width, height,
+                wrap_angle_half_pi(math.radians(yaw_deg)),
+            )
+        except ValueError as exc:
+            raise ParseError(f"invalid 3D box {where!r}: {exc}") from None
+    try:
+        if len(vals) == 4:
+            return HorizontalBox2D(*vals)
+        if len(vals) == 5:
+            cx, cy, w, h, angle_deg = vals
+            return OrientedBox2D.normalized(cx, cy, w, h, math.radians(angle_deg))
+    except ValueError as exc:
+        raise ParseError(f"invalid 2D box {where!r}: {exc}") from None
+    raise ParseError(
+        f"2D location needs 4 (HBB) or 5 (OBB) fields, got {len(vals)} in {where!r}"
+    )
 
 
 def parse_location(text: str) -> Location:
@@ -649,44 +679,32 @@ def parse_location(text: str) -> Location:
     selects HBB (4) vs OBB (5). Anything else raises ParseError.
     """
     stripped = text.strip()
-    m = _ANGLE_BRACKETS.fullmatch(stripped)
-    if m:
-        vals = _parse_fields(m.group(1), stripped)
-        if len(vals) != 7:
-            raise ParseError(
-                f"3D location needs 7 fields, got {len(vals)} in {stripped!r}"
-            )
-        x, y, z, length, width, height, yaw_deg = vals
-        try:
-            return Box3D(
-                CameraPoint(x, y, z), length, width, height,
-                wrap_angle_half_pi(math.radians(yaw_deg)),
-            )
-        except ValueError as exc:
-            raise ParseError(f"invalid 3D box {stripped!r}: {exc}") from None
-    m = _SQUARE_BRACKETS.fullmatch(stripped)
-    if m:
-        vals = _parse_fields(m.group(1), stripped)
-        try:
-            if len(vals) == 4:
-                return HorizontalBox2D(*vals)
-            if len(vals) == 5:
-                cx, cy, w, h, angle_deg = vals
-                return OrientedBox2D.normalized(cx, cy, w, h, math.radians(angle_deg))
-        except ValueError as exc:
-            raise ParseError(f"invalid 2D box {stripped!r}: {exc}") from None
-        raise ParseError(
-            f"2D location needs 4 (HBB) or 5 (OBB) fields, got {len(vals)} in {stripped!r}"
-        )
-    raise ParseError(f"no bracketed location in {text!r}")
+    match = _ANGLE_BRACKETS.fullmatch(stripped) or _SQUARE_BRACKETS.fullmatch(stripped)
+    if match is None:
+        raise ParseError(f"no bracketed location in {text!r}")
+    return _location_from(match)
 
 
 def scan_locations(text: str) -> Iterator[Location]:
-    """Every parseable location embedded in free text, in order of position."""
-    matches = [*_ANGLE_BRACKETS.finditer(text), *_SQUARE_BRACKETS.finditer(text)]
-    for match in sorted(matches, key=re.Match.start):
+    """Every parseable location embedded in free text, in order of position.
+
+    Every bracketed candidate of either kind (`<...>` or `[...]`, with no
+    bracket of its own kind inside) is tried in order of its start, nested
+    ones included: `"<[1,2,3,4]>"` yields the HBB inside the `<...>`
+    candidate that fails to parse. Candidates that fail are skipped.
+    """
+    if "<" not in text:
+        matches = _SQUARE_BRACKETS.finditer(text)
+    elif "[" not in text:
+        matches = _ANGLE_BRACKETS.finditer(text)
+    else:
+        matches = sorted(
+            [*_ANGLE_BRACKETS.finditer(text), *_SQUARE_BRACKETS.finditer(text)],
+            key=re.Match.start,
+        )
+    for match in matches:
         try:
-            yield parse_location(match.group(0))
+            yield _location_from(match)
         except ParseError:
             continue
 

@@ -119,9 +119,10 @@ def validate_annotation(data: dict) -> None:
     finite (nan and inf are rejected) and bools are not numbers. When a
     document has several violations, the pointer names the first one in
     document order: fields in the order the format lists them, objects by
-    index. Object ids must be non-empty and unique, and each box must have
-    a pixel hull of positive width and height that lies within the image
-    bounds plus a margin.
+    index. Object ids must be non-empty and unique, each box must have a
+    pixel hull of positive width and height that lies within the image
+    bounds plus a margin, and each `dims_mm` width must not exceed its
+    length.
     """
     annotation_from_dict(data)
 
@@ -151,7 +152,8 @@ def annotation_from_dict(data: dict) -> AnnotationFile:
     """Validate and convert a raw dict (degrees/mm) to typed form (radians/m).
 
     Each field is read once and checked as `validate_annotation` documents;
-    the duplicate-id and bounds checks then run over the typed objects.
+    the duplicate-id, bounds and length-before-width checks then run over
+    the typed objects.
     """
     _check(data, "", "object")
     image = _field(data, "", "image", "string")
@@ -208,6 +210,12 @@ def annotation_from_dict(data: dict) -> AnnotationFile:
             raise SchemaError(
                 f"/objects/{i}/obb",
                 f"box extends past the image bounds by more than {OBB_BOUNDS_MARGIN:.0%}",
+            )
+        length_mm, width_mm, _ = dims_mm
+        if width_mm > length_mm:  # a 3D box needs length >= width
+            raise SchemaError(
+                f"/objects/{i}/dims_mm",
+                f"width {width_mm!r} mm exceeds length {length_mm!r} mm",
             )
         objects.append(AnnotatedObject(obj_id, obb, dims_mm, dict(attributes)))
     return AnnotationFile(image, width, height, camera, tuple(objects))

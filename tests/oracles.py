@@ -7,6 +7,13 @@ the annotation oracle runs the format's JSON Schema through `jsonschema`.
 Agreement between a closed form and its oracle is evidence both are right;
 sharing code between them would prove nothing.
 
+The wire parser oracle is the straightforward text parser `aerial3d.boxes`
+once had: every bracketed candidate of both kinds collected and sorted by
+position, each re-stripped and re-matched by `parse_location`, each field
+stripped and converted one by one, and 2D boxes joined field by field. The
+library's parser takes one regex pass and one float pass per location; it
+must give the same locations, the same errors and the same bytes.
+
 It also keeps the camera's image-plane pieces (`ImagePoint`,
 `pixel_to_image`, `image_to_pixel`, `ground_denominator`,
 `ground_plane_residual`). The library writes their arithmetic out inline in
@@ -17,11 +24,20 @@ match.
 from __future__ import annotations
 
 import math
-from typing import Any, NamedTuple
+import re
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
+from aerial3d.boxes import (
+    Box3D,
+    HorizontalBox2D,
+    Location,
+    OrientedBox2D,
+    wrap_angle_half_pi,
+)
 from aerial3d.camera import CameraModel, CameraPoint, PixelPoint
+from aerial3d.errors import ParseError
 
 
 class ImagePoint(NamedTuple):
@@ -225,3 +241,92 @@ def jsonschema_pointers(doc: Any) -> tuple[str | None, set[str]]:
         return None, set()
     best = jsonschema.exceptions.best_match(errors)
     return _pointer(best), {_pointer(e) for e in errors}
+
+
+# --------------------------------------------------------------------------
+# Reference wire parser
+# --------------------------------------------------------------------------
+
+_ANGLE_BRACKETS = re.compile(r"<([^<>]*)>")
+_SQUARE_BRACKETS = re.compile(r"\[([^\[\]]*)\]")
+
+
+def serialize_location(loc: Location) -> str:
+    """The 2D branches of the reference serializer (HBB and OBB only)."""
+    if isinstance(loc, OrientedBox2D):
+        ints = (loc.cx, loc.cy, loc.width, loc.height)
+        angle_deg = round(math.degrees(loc.angle), 2) + 0.0
+        return (
+            "["
+            + ",".join(str(int(round(v))) for v in ints)
+            + f",{angle_deg:.2f}]"
+        )
+    if isinstance(loc, HorizontalBox2D):
+        return (
+            "["
+            + ",".join(str(int(round(v))) for v in (loc.x1, loc.y1, loc.x2, loc.y2))
+            + "]"
+        )
+    raise TypeError(f"not a serializable location: {type(loc).__name__}")
+
+
+def _parse_fields(body: str, where: str) -> list[float]:
+    parts = [p.strip() for p in body.split(",")]
+    if any(not p for p in parts):
+        raise ParseError(f"empty field in location {where!r}")
+    try:
+        vals = [float(p) for p in parts]
+    except ValueError as exc:
+        raise ParseError(f"non-numeric field in location {where!r}: {exc}") from None
+    if not all(map(math.isfinite, vals)):
+        raise ParseError(f"non-finite field in location {where!r}")
+    return vals
+
+
+def parse_location(text: str) -> Location:
+    """Parse a serialized HBB, OBB, or Box3D; inverse of serialize_location.
+
+    Bracket style selects the family (<> = 3D, [] = 2D) and the field count
+    selects HBB (4) vs OBB (5). Anything else raises ParseError.
+    """
+    stripped = text.strip()
+    m = _ANGLE_BRACKETS.fullmatch(stripped)
+    if m:
+        vals = _parse_fields(m.group(1), stripped)
+        if len(vals) != 7:
+            raise ParseError(
+                f"3D location needs 7 fields, got {len(vals)} in {stripped!r}"
+            )
+        x, y, z, length, width, height, yaw_deg = vals
+        try:
+            return Box3D(
+                CameraPoint(x, y, z), length, width, height,
+                wrap_angle_half_pi(math.radians(yaw_deg)),
+            )
+        except ValueError as exc:
+            raise ParseError(f"invalid 3D box {stripped!r}: {exc}") from None
+    m = _SQUARE_BRACKETS.fullmatch(stripped)
+    if m:
+        vals = _parse_fields(m.group(1), stripped)
+        try:
+            if len(vals) == 4:
+                return HorizontalBox2D(*vals)
+            if len(vals) == 5:
+                cx, cy, w, h, angle_deg = vals
+                return OrientedBox2D.normalized(cx, cy, w, h, math.radians(angle_deg))
+        except ValueError as exc:
+            raise ParseError(f"invalid 2D box {stripped!r}: {exc}") from None
+        raise ParseError(
+            f"2D location needs 4 (HBB) or 5 (OBB) fields, got {len(vals)} in {stripped!r}"
+        )
+    raise ParseError(f"no bracketed location in {text!r}")
+
+
+def scan_locations(text: str) -> Iterator[Location]:
+    """Every parseable location embedded in free text, in order of position."""
+    matches = [*_ANGLE_BRACKETS.finditer(text), *_SQUARE_BRACKETS.finditer(text)]
+    for match in sorted(matches, key=re.Match.start):
+        try:
+            yield parse_location(match.group(0))
+        except ParseError:
+            continue

@@ -31,6 +31,7 @@ from aerial3d.boxes import (
 from aerial3d.camera import CameraModel, CameraPoint
 from aerial3d.errors import ParseError
 
+import oracles
 from oracles import ground_plane_residual
 
 # Location-like text: the three wire shapes with numbers of any size or kind
@@ -557,3 +558,129 @@ class TestSerialization:
         )
         wire = serialize_location(box)
         assert serialize_location(parse_location(wire)) == wire
+
+
+# Wire-format fragments: both bracket kinds, separators, Unicode whitespace
+# that str.strip and float both strip, signs, and every number spelling float
+# accepts or rejects near the fast path, plus canonical wire strings.
+_WIRE_FIELD = st.one_of(
+    st.sampled_from(
+        ["0", "1", "7", "30", "-2", "+3", ".5", "1e3", "1_0", "2.50", "nan", "inf", "-inf",
+         "", "x", "1 2", "_1", "1__0", "١"]
+    ),
+    st.builds(
+        lambda pad, f, tail: pad + f + tail,
+        st.sampled_from(["", " ", "\t", "\x1c", "\u3000"]),
+        st.sampled_from(["1", "20", "4.5", "-35.45", ".5", "1e3", "nan"]),
+        st.sampled_from(["", " ", "\t", "\x1c", "\u3000", "\x00"]),
+    ),
+)
+_WIRE_NUMBER = st.builds(
+    lambda pad, f, tail: pad + f + tail,
+    st.sampled_from(["", " ", "\t", "\u3000"]),
+    st.sampled_from(["9", "20", "4.5", "+3", "1e1", "1_0", "-35.45", ".5"]),
+    st.sampled_from(["", " ", "\x1c"]),
+)
+_WIRE_CANDIDATE = st.one_of(
+    st.builds(
+        lambda brackets, fields: brackets[0] + ",".join(fields) + brackets[1],
+        st.sampled_from(["<>", "[]", "<]", "[>"]),
+        st.lists(_WIRE_FIELD, min_size=3, max_size=8),
+    ),
+    st.builds(
+        lambda brackets, fields: brackets[0] + ",".join(fields) + brackets[1],
+        st.sampled_from(["<>", "[]"]),
+        st.integers(4, 7).flatmap(lambda n: st.lists(_WIRE_NUMBER, min_size=n, max_size=n)),
+    ),
+)
+_WIRE_TOKEN = st.one_of(
+    st.sampled_from(
+        ["<", ">", "[", "]", ",", " ", "\t", "\x1c", "\u3000", "+", "-", "a",
+         "[675,431,777,520]", "[540,440,90,36,-30.00]",
+         "<11.29,-1.22,49.14,4.87,1.95,1.73,-35.45>", "<2.00,-3.00,49.25,4.50,1.80,1.50,30.00>"]
+    ),
+    _WIRE_FIELD,
+    _WIRE_CANDIDATE,
+)
+# Free text, or one candidate padded with whitespace (for parse_location).
+_WIRE_TEXT = st.one_of(
+    st.lists(_WIRE_TOKEN, max_size=8).map("".join),
+    st.builds(
+        lambda pad, text: pad + text + pad,
+        st.sampled_from(["", " ", "\t\u3000", "\x1c"]),
+        _WIRE_CANDIDATE,
+    ),
+)
+_HALF_PIXEL = st.integers(-4000, 4000).map(lambda n: n / 2)
+
+
+def _outcome(fn, *args):
+    """What a call returns (by repr, so -0.0 and 0.0 differ) or raises."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return "raises", type(exc), str(exc)
+    return "returns", repr(result)
+
+
+class TestWireEquivalence:
+    """The one-pass parser agrees with the reference parser in `oracles`."""
+
+    @given(_WIRE_TEXT)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_scan_and_parse_agree_with_the_reference(self, text):
+        assert _outcome(lambda t: list(scan_locations(t)), text) == _outcome(
+            lambda t: list(oracles.scan_locations(t)), text
+        )
+        assert _outcome(extract_location, text) == _outcome(
+            lambda t: next(oracles.scan_locations(t), None), text
+        )
+        assert _outcome(parse_location, text) == _outcome(oracles.parse_location, text)
+
+    @given(
+        x1=_HALF_PIXEL, y1=_HALF_PIXEL, dx=st.integers(1, 800), dy=st.integers(1, 800),
+        half=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_hbb_bytes_agree_with_the_reference(self, x1, y1, dx, dy, half):
+        x2, y2 = x1 + dx + 0.5 * half, y1 + dy
+        for box in (HorizontalBox2D(x1, y1, x2, y2), HorizontalBox2D(int(x1), int(y1), int(x2), int(y2) + 1)):
+            assert serialize_location(box) == oracles.serialize_location(box)
+
+    @given(
+        cx=_HALF_PIXEL, cy=_HALF_PIXEL, h=st.integers(1, 400).map(lambda n: n / 2),
+        extra=_HALF_PIXEL.map(abs), angle=st.floats(-math.pi / 2, math.pi / 2, exclude_max=True),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_obb_bytes_agree_with_the_reference(self, cx, cy, h, extra, angle):
+        box = OrientedBox2D(cx, cy, h + extra, h, angle)
+        assert serialize_location(box) == oracles.serialize_location(box)
+
+    @pytest.mark.parametrize(
+        "text, kinds",
+        [
+            ("<[1,2,3,4]>", [HorizontalBox2D]),
+            ("[<1,2,30,5,4,3,7>]", [Box3D]),
+            ("[1,2,3,4] <1,2,30,5,4,3,7> [5,6,7,8]", [HorizontalBox2D, Box3D, HorizontalBox2D]),
+            ("<a[1,2,3,4>5]", []),
+        ],
+    )
+    def test_scan_tries_every_candidate_of_either_kind_in_start_order(self, text, kinds):
+        assert [type(loc) for loc in scan_locations(text)] == kinds
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1,,3,4]", "empty field in location '[1,,3,4]'"),
+            ("[1, ,3,4]", "empty field in location '[1, ,3,4]'"),
+            (
+                "[1,x,3,4]",
+                "non-numeric field in location '[1,x,3,4]': could not convert string to float: 'x'",
+            ),
+            ("[1,nan,3,4]", "non-finite field in location '[1,nan,3,4]'"),
+        ],
+    )
+    def test_field_error_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_location(text)
+        assert str(info.value) == message

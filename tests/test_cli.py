@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -341,8 +342,44 @@ class TestSynthCli:
         assert payloads[0] == payloads[1]
 
 
+# The README demo's two `agent run` queries: per query, the printed answer,
+# the sha256 of `json.dumps(trace, sort_keys=True)`, and the sha256 of the
+# file `--trace demo/trace.json` writes, which CI's no-deps job checks for
+# the first query. The trace holds the image path, so the queries run from
+# the demo's parent directory with the README's relative paths.
+DEMO_AGENT_PINS = {
+    "What are the brand and model of the vehicle at [675,431,777,520]?": (
+        "brand: BYD; model: Tang",
+        "ce155eba091c028c576c7053aa2775de17a9048a919572016f4bef2c48cf8149",
+        "fcb8a05c059d4696a3a92f9039b9918a63b49d04df01e1351e23765562dcd78f",
+    ),
+    "Find the BYD Tang in the image.": (
+        "location: <11.29,-1.22,49.14,4.87,1.95,1.73,-35.45>; image box: [675,431,777,520]",
+        "e3b23feb7da9a6856b5e277da2f9b4dbf46b25a08efb1ba1648d7bf4176f53e2",
+        "14594fb43e003b9e7e38fef9bff267c29d90f309121f543909109316028c2c54",
+    ),
+}
+
+
 class TestReadmeWalkthrough:
     """The README's CLI walkthrough, run in order from a fresh directory."""
+
+    def test_agent_answers_and_trace_bytes_are_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["synth", "--n", "6", "--seed", "7", "--out", "demo/scene"]) == 0
+        agent = ["agent", "run", "--backend", "mock", "--image", "demo/scene/scene_00007.png",
+                 "--annotations", "demo/scene/annotation.json"]
+        for query, (answer, trace_sha, file_sha) in DEMO_AGENT_PINS.items():
+            capsys.readouterr()
+            assert run([*agent, "--query", query, "--trace", "demo/trace.json"]) == 0
+            assert capsys.readouterr().out == answer + "\n"
+            raw = Path("demo/trace.json").read_bytes()
+            trace = json.loads(raw)
+            assert trace["answer"] == answer
+            compact = json.dumps(trace, sort_keys=True).encode()
+            assert (hashlib.sha256(compact).hexdigest(), hashlib.sha256(raw).hexdigest()) == (
+                trace_sha, file_sha
+            )
 
     def test_printed_strings(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -575,6 +612,24 @@ def _has_center_and_box(obj, cam) -> tuple[bool, bool]:
     except (RayMissesGround, DegenerateYaw):
         return True, False
     return True, True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["derive3d"], ["build-instr", "--out", "o.jsonl"], ["eval", "--task", "sqa", "--pred", "p.jsonl"]],
+    ids=["derive3d", "build-instr", "eval-sqa"],
+)
+def test_dims_wider_than_long_is_named_by_its_pointer(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    data = make_annotation_dict()
+    data["objects"][1]["dims_mm"] = {"length": 1800, "width": 4500, "height": 1500}
+    Path("a.json").write_text(json.dumps(data))
+    Path("p.jsonl").write_text('{"id": "car0:length", "answer": "4.5 m"}\n')
+    flag = "--gt" if argv[0] == "eval" else "--annotations"
+    assert run([*argv, flag, "a.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: /objects/1/dims_mm: width 4500 mm exceeds length 1800 mm\n"
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

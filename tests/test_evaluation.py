@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -296,6 +297,21 @@ class TestAnnotationValidation:
                 check(annotation_dict)
             assert info.value.pointer == "/objects/1/obb"
 
+    def test_dims_wider_than_long_rejected_with_pointer(self, annotation_dict):
+        # A 3D box needs length >= width, so no derive path could take it.
+        annotation_dict["objects"][1]["dims_mm"] = {"length": 1800, "width": 4500.5, "height": 1500}
+        for check in (annotation_from_dict, validate_annotation):
+            with pytest.raises(SchemaError) as info:
+                check(annotation_dict)
+            assert info.value.pointer == "/objects/1/dims_mm"
+            assert str(info.value) == (
+                "/objects/1/dims_mm: width 4500.5 mm exceeds length 1800 mm"
+            )
+
+    def test_dims_as_wide_as_long_accepted(self, annotation_dict):
+        annotation_dict["objects"][1]["dims_mm"] = {"length": 1800, "width": 1800, "height": 1500}
+        assert annotation_from_dict(annotation_dict).objects[1].dims_mm == (1800, 1800, 1500)
+
     def test_pitch_above_90_rejected(self, annotation_dict):
         annotation_dict["camera"]["pitch_deg"] = 95.0
         with pytest.raises(SchemaError):
@@ -442,8 +458,11 @@ def _check_against_oracle(doc, exact: bool):
     best, pointers = jsonschema_pointers(doc)
     pointer, message = _outcome(doc)
     if best is None:
-        # Schema-valid: only the duplicate-id and bounds checks may reject it.
-        assert pointer is None or "duplicate" in message or "bounds" in message, message
+        # Schema-valid: only the duplicate-id, bounds and dims_mm width-over-
+        # length checks may reject it.
+        assert pointer is None or any(
+            rule in message for rule in ("duplicate", "bounds", "exceeds length")
+        ), message
     elif exact:
         assert pointer == best, (pointer, best)
     else:
@@ -743,6 +762,9 @@ class TestDeriveObjects:
             derive_objects(annotation_from_dict(data), math.inf)
 
     def test_sqa_truth_fails_on_width_above_length(self, annotation_dict):
-        annotation_dict["objects"][1]["dims_mm"] = {"length": 1800, "width": 4500, "height": 1500}
+        # The loader rejects such dims_mm, so the record is built in code.
+        ann = annotation_from_dict(annotation_dict)
+        objects = list(ann.objects)
+        objects[1] = dataclasses.replace(objects[1], dims_mm=(1800, 4500, 1500))
         with pytest.raises(ValueError, match="need length >= width > 0"):
-            sqa_ground_truth(annotation_from_dict(annotation_dict))
+            sqa_ground_truth(dataclasses.replace(ann, objects=tuple(objects)))
