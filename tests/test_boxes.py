@@ -644,7 +644,12 @@ class TestWireEquivalence:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     def test_hbb_bytes_agree_with_the_reference(self, x1, y1, dx, dy, half):
         x2, y2 = x1 + dx + 0.5 * half, y1 + dy
-        for box in (HorizontalBox2D(x1, y1, x2, y2), HorizontalBox2D(int(x1), int(y1), int(x2), int(y2) + 1)):
+        # Float fields (halves included) and int fields: dx, dy >= 1 keeps the
+        # floored box non-degenerate.
+        for box in (
+            HorizontalBox2D(x1, y1, x2, y2),
+            HorizontalBox2D(*(math.floor(v) for v in (x1, y1, x2, y2))),
+        ):
             assert serialize_location(box) == oracles.serialize_location(box)
 
     @given(
