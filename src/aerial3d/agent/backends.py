@@ -182,6 +182,24 @@ _OUTPUTS_HEADER = "\nTool outputs (JSON):\n"
 _JSON = json.JSONDecoder()
 
 
+def _asked_fields(lowered: str) -> list[str]:
+    """The table fields a lowered query asks for, in ATTRIBUTE_WORDS order.
+
+    "price", "cost" and "how much" each ask for the price; "how much" alone
+    puts it last. The planner reads the same list: a query that asks for
+    any field is a zero-shot recognition, and one that asks for the price
+    searches the web for it.
+    """
+    asked = []
+    for word in ATTRIBUTE_WORDS:
+        field = "price" if word == "cost" else word
+        if word in lowered and field not in asked:
+            asked.append(field)
+    if "how much" in lowered and "price" not in asked:
+        asked.append("price")
+    return asked
+
+
 class MockPlannerBackend:
     """Keyword classifier that emits the canonical plan for a query.
 
@@ -250,7 +268,8 @@ class MockPlannerBackend:
                     {"tool": "image_understanding", "args": args, "output_name": "visual"},
                     summarize,
                 ]
-        if any(word in lowered for word in ATTRIBUTE_WORDS) or "how much" in lowered:
+        asked = _asked_fields(lowered)
+        if asked:
             steps = [
                 {
                     "tool": "spatial_understanding",
@@ -268,7 +287,7 @@ class MockPlannerBackend:
                     "output_name": "record",
                 },
             ]
-            if "price" in lowered or "cost" in lowered or "how much" in lowered:
+            if "price" in asked:
                 steps.append(
                     {
                         "tool": "web_search",
@@ -315,13 +334,8 @@ class MockSummarizerBackend:
             name = f"{record.get('brand')} {record.get('model')}"
             if name.lower() in query and any(word in query for word in RETRIEVAL_WORDS):
                 return f"error: could not locate the {name}"
-            asked = [w for w in ATTRIBUTE_WORDS if w in query and w != "cost"]
-            if "how much" in query and "price" not in asked:
-                asked.append("price")
-            if not asked:
-                asked = ["brand", "model"]
             parts = []
-            for attr in asked:
+            for attr in _asked_fields(query) or ["brand", "model"]:
                 value = record.get(attr)
                 if attr == "price":
                     web = outputs.get("web_price")

@@ -14,15 +14,11 @@ A cuboid's yaw is the rotation of its length axis within the ground plane,
 measured from e_lat, and is reported modulo pi (vehicles carry no heading
 annotation, so direction is ambiguous).
 
-`ground_basis` returns this frame and remains its reference. The per-box
-kernels (`ground_uv`, `Box3D.resting_on`, `derive_box3d`, `box3d_corners`,
-`project_box3d`, `bev_footprint`, `bev_overlaps`) expand it term by term as
-scalar code, keeping every product with 0.0 and 1.0 and the operation order
-of the vector form, so their results are bit-identical to composing
-`ground_basis` with the camera transforms. `bev_iou` clips one footprint
-polygon by the other; `bev_overlaps` answers whether that IoU is positive
-with a separating-axis test, and clips only pairs within a rounding band of
-touching.
+`ground_basis` returns this frame, and the per-box kernels write it in
+closed form: a point's in-plane coordinates are u = x, v = -sin(p)*y +
+cos(p)*z. `bev_iou` clips one footprint polygon by the other;
+`bev_overlaps` answers whether that IoU is positive with a separating-axis
+test, and clips only pairs within a rounding band of touching.
 
 Annotation convention
 ---------------------
@@ -193,7 +189,7 @@ class Box3D:
         c, s = math.cos(cam.pitch), math.sin(cam.pitch)
         lift = height / 2.0
         gx, gy, gz = ground
-        center = CameraPoint(gx + lift * 0.0, gy + lift * -c, gz + lift * -s)
+        center = CameraPoint(gx, gy - lift * c, gz - lift * s)
         return cls(center, length, width, height, yaw)
 
 
@@ -223,7 +219,7 @@ def ground_uv(pt: CameraPoint, cam: CameraModel) -> tuple[float, float]:
     """
     x, y, z = pt
     c, s = math.cos(cam.pitch), math.sin(cam.pitch)
-    return x * 1.0 + y * 0.0 + z * 0.0, x * 0.0 + y * -s + z * c
+    return float(x), y * -s + z * c
 
 
 def derive_box3d(
@@ -262,10 +258,9 @@ def derive_box3d(
     probe_back = backproject_to_ground(
         PixelPoint(obb.cx - delta * ca, obb.cy - delta * sa), cam
     )
-    dx = probe_fwd.x - probe_back.x
-    dy = probe_fwd.y - probe_back.y
-    dz = probe_fwd.z - probe_back.z
-    u, v = dx * 1.0 + dy * 0.0 + dz * 0.0, dx * 0.0 + dy * -s + dz * c
+    # ground_uv of the probes' displacement.
+    u = probe_fwd.x - probe_back.x
+    v = (probe_fwd.y - probe_back.y) * -s + (probe_fwd.z - probe_back.z) * c
     if math.hypot(u, v) < _YAW_BASELINE_EPS:
         raise DegenerateYaw(
             f"yaw probes around ({obb.cx}, {obb.cy}) back-project to coincident points"
@@ -288,31 +283,27 @@ def _corner_coords(box: Box3D, cam: CameraModel) -> list[tuple[float, float, flo
 
     Corner = center + dl*d_yaw + dw*d_perp + dh*n with dl = +-L/2,
     dw = +-W/2, dh = +-H/2, d_yaw = cos(yaw)*e_lat + sin(yaw)*e_lon and
-    d_perp = -sin(yaw)*e_lat + cos(yaw)*e_lon. Negating a factor negates
-    its product exactly, so each signed term is one precomputed product
-    added or subtracted in the same order.
+    d_perp = -sin(yaw)*e_lat + cos(yaw)*e_lon; the normal has no x term.
+    Negating a factor negates its product exactly, so each signed term is
+    one precomputed product added or subtracted in the same order.
     """
     c, s = math.cos(cam.pitch), math.sin(cam.pitch)
     ca, sa = math.cos(box.yaw), math.sin(box.yaw)
     hl, hw, hh = box.length / 2.0, box.width / 2.0, box.height / 2.0
-    lx = hl * (ca * 1.0 + sa * 0.0)
-    ly = hl * (ca * 0.0 + sa * -s)
-    lz = hl * (ca * 0.0 + sa * c)
-    wx = hw * (-sa * 1.0 + ca * 0.0)
-    wy = hw * (-sa * 0.0 + ca * -s)
-    wz = hw * (-sa * 0.0 + ca * c)
-    hx, hy, hz = hh * 0.0, hh * -c, hh * -s
+    lx, ly, lz = hl * ca, hl * (sa * -s), hl * (sa * c)
+    wx, wy, wz = hw * -sa, hw * (ca * -s), hw * (ca * c)
+    hy, hz = hh * -c, hh * -s
     x, y, z = box.center
     return [
         # Bottom face (away from the camera) first, then the top face.
-        (x + lx + wx - hx, y + ly + wy - hy, z + lz + wz - hz),
-        (x - lx + wx - hx, y - ly + wy - hy, z - lz + wz - hz),
-        (x - lx - wx - hx, y - ly - wy - hy, z - lz - wz - hz),
-        (x + lx - wx - hx, y + ly - wy - hy, z + lz - wz - hz),
-        (x + lx + wx + hx, y + ly + wy + hy, z + lz + wz + hz),
-        (x - lx + wx + hx, y - ly + wy + hy, z - lz + wz + hz),
-        (x - lx - wx + hx, y - ly - wy + hy, z - lz - wz + hz),
-        (x + lx - wx + hx, y + ly - wy + hy, z + lz - wz + hz),
+        (x + lx + wx, y + ly + wy - hy, z + lz + wz - hz),
+        (x - lx + wx, y - ly + wy - hy, z - lz + wz - hz),
+        (x - lx - wx, y - ly - wy - hy, z - lz - wz - hz),
+        (x + lx - wx, y + ly - wy - hy, z + lz - wz - hz),
+        (x + lx + wx, y + ly + wy + hy, z + lz + wz + hz),
+        (x - lx + wx, y - ly + wy + hy, z - lz + wz + hz),
+        (x - lx - wx, y - ly - wy + hy, z - lz - wz + hz),
+        (x + lx - wx, y + ly - wy + hy, z + lz - wz + hz),
     ]
 
 
@@ -442,10 +433,9 @@ def bev_overlaps(a: Box3D, b: Box3D, cam: CameraModel) -> bool:
     """
     c, s = math.cos(cam.pitch), math.sin(cam.pitch)
     # ground_uv of both centers.
-    x, y, z = a.center
-    ua, va = x * 1.0 + y * 0.0 + z * 0.0, x * 0.0 + y * -s + z * c
-    x, y, z = b.center
-    ub, vb = x * 1.0 + y * 0.0 + z * 0.0, x * 0.0 + y * -s + z * c
+    ua, ya, za = a.center
+    ub, yb, zb = b.center
+    va, vb = ya * -s + za * c, yb * -s + zb * c
     ca, sa = math.cos(a.yaw), math.sin(a.yaw)
     cb, sb = math.cos(b.yaw), math.sin(b.yaw)
     hla, hwa, hlb, hwb = a.length / 2.0, a.width / 2.0, b.length / 2.0, b.width / 2.0

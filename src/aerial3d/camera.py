@@ -28,6 +28,7 @@ All functions are pure and operate on immutable inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
@@ -93,6 +94,12 @@ class CameraModel:
         if self.image_width < 1 or self.image_height < 1:
             raise ValueError(
                 f"image size must be >= 1x1, got {self.image_width}x{self.image_height}"
+            )
+        # The frame is measured in floats, which an int past their range breaks.
+        if max(self.image_width, self.image_height) > sys.float_info.max:
+            raise ValueError(
+                f"image size must be at most {sys.float_info.max:g} px per side, got "
+                f"{self.image_width}x{self.image_height}"
             )
         if not 0 < self.pitch <= math.pi / 2:
             raise ValueError(f"pitch must be in (0, pi/2], got {self.pitch}")

@@ -7,6 +7,8 @@ vehicle's metric dimensions, find the closest catalog entry) and retrieval
 CSV schema, header required, UTF-8, no embedded commas in text fields:
 
     brand,model,length_mm,width_mm,height_mm,powertrain,price,doors,seats
+
+Every data row has exactly these nine fields, and every number is finite.
 """
 
 from __future__ import annotations
@@ -52,9 +54,13 @@ class VehicleRecord:
     def __post_init__(self) -> None:
         if not self.brand.strip() or not self.model.strip():
             raise ValueError("brand and model must be non-empty")
-        if not (self.length_mm > 0 and self.width_mm > 0 and self.height_mm > 0):
+        if not (
+            0 < self.length_mm < math.inf
+            and 0 < self.width_mm < math.inf
+            and 0 < self.height_mm < math.inf
+        ):
             raise ValueError(
-                f"dimensions must be positive, got "
+                f"dimensions must be positive and finite, got "
                 f"({self.length_mm}, {self.width_mm}, {self.height_mm})"
             )
         if self.length_mm < self.width_mm:
@@ -65,8 +71,8 @@ class VehicleRecord:
             raise ValueError(
                 f"powertrain must be one of {POWERTRAINS}, got {self.powertrain!r}"
             )
-        if self.price < 0:
-            raise ValueError(f"price must be >= 0, got {self.price}")
+        if not 0 <= self.price < math.inf:
+            raise ValueError(f"price must be finite and >= 0, got {self.price}")
         if self.doors < 1 or self.seats < 1:
             raise ValueError(
                 f"doors and seats must be >= 1, got {self.doors}/{self.seats}"
@@ -150,6 +156,8 @@ def load_table(path: str | Path) -> VehicleTable:
         for row in reader:
             if None in row.values():  # DictReader pads a short row with None
                 raise ParseError(f"{path}: row {row_num}: fewer than {len(_COLUMNS)} fields")
+            if None in row:  # and files a long row's extra fields under None
+                raise ParseError(f"{path}: row {row_num}: more than {len(_COLUMNS)} fields")
             try:
                 records.append(
                     VehicleRecord(

@@ -766,6 +766,21 @@ class TestRunQuery:
         )
         assert result["answer"] == "price: 229000"
 
+    @pytest.mark.parametrize("query, expected", [
+        (f"What does the vehicle at {CAR0_REGION} cost?", "price: 229000"),
+        (f"What is the cost of the vehicle at {CAR0_REGION}?", "price: 229000"),
+        (f"How much does the vehicle at {CAR0_REGION} cost?", "price: 229000"),
+        (f"What are the brand and cost of the vehicle at {CAR0_REGION}?",
+         "brand: Tesla; price: 229000"),
+    ])
+    def test_cost_asks_for_the_searched_price(self, ann, table, query, expected):
+        search = FixtureSearchBackend({"Tesla Model 3 price": "Listed at 229,000 today."})
+        result = run_query("scene.png", query, mock_config(ann, table, search=search))
+        assert result["answer"] == expected
+        assert [s["tool"] for s in result["trace"]["steps"]] == [
+            "spatial_understanding", "query_table", "web_search"
+        ]
+
     def test_braces_in_query_keep_tool_outputs(self, ann, table):
         result = run_query(
             "scene.png",

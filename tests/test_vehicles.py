@@ -87,6 +87,26 @@ class TestLoadTable:
         with pytest.raises(ParseError, match="row 2"):
             load_table(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            # An unquoted thousands separator: price 239, doors 800, seats 5.
+            ("BYD,Tang,4870,1950,1725,PHEV,239,800,5,7", "more than 9 fields"),
+            ("BYD,Tang,4870,1950,1725,PHEV,nan,5,7", "price must be finite and >= 0, got nan"),
+            ("BYD,Tang,4870,1950,1725,PHEV,inf,5,7", "price must be finite and >= 0, got inf"),
+            ("BYD,Tang,inf,1950,1725,PHEV,239800,5,7", "dimensions must be positive and finite"),
+        ],
+        ids=["long-row", "nan-price", "inf-price", "inf-length"],
+    )
+    def test_row_that_is_not_nine_finite_fields_names_its_row(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "brand,model,length_mm,width_mm,height_mm,powertrain,price,doors,seats\n"
+            "Tesla,Model 3,4694,1850,1443,BEV,231900,4,5\n" + row + "\n"
+        )
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: row 3: {message}"):
+            load_table(path)
+
     def test_repeated_header_column_rejected(self, tmp_path):
         # Same column set as the schema, but "price" twice: csv.DictReader
         # would keep the last value (price 1.0).
