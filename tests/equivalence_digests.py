@@ -26,9 +26,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+from aerial3d import cli
 from aerial3d.boxes import obb_to_hbb, project_box3d, serialize_location
 from aerial3d.camera import spatial_measures
-from aerial3d.cli import main
 from aerial3d.evaluation import load_annotations
 from aerial3d.synth import ground_truth_boxes
 from aerial3d.vehicles import load_table, packaged_table_path
@@ -71,7 +71,7 @@ def _cli(*argv: str) -> bytes:
     """Exit code, stdout and stderr of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        code = cli.main(list(argv))
     return f"{code}\n{out.getvalue()}\0{err.getvalue()}".encode()
 
 
@@ -170,7 +170,7 @@ def moved(digests: dict[str, str], manifest: dict[str, str]) -> list[str]:
     return [f for f in FAMILIES if digests[f] != manifest.get(f)]
 
 
-def main_() -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help="record the manifest anew")
     args = parser.parse_args()
@@ -187,4 +187,4 @@ def main_() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main_())
+    sys.exit(main())

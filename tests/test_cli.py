@@ -778,7 +778,7 @@ def test_fuzz_synth_flags_exit_0_1_or_2(data):
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
-    """The two-car record and a prediction file for each eval task."""
+    """The two-car record, one prediction file every eval task reads, and an output path."""
     root = tmp_path_factory.mktemp("fuzz")
     ann = root / "a.json"
     ann.write_text(json.dumps(make_annotation_dict()))
