@@ -307,6 +307,21 @@ def _corner_coords(box: Box3D, cam: CameraModel) -> list[tuple[float, float, flo
     ]
 
 
+def _project_corners(box: Box3D, cam: CameraModel) -> tuple[list[float], list[float]]:
+    """Pixel x and y lists of the corners of :func:`box3d_corners`; raises
+    NonPositiveDepth if any corner lies at or behind the camera."""
+    # project_to_pixel of each corner, written out.
+    f, size = cam.focal_length, cam.pixel_size
+    half_w, half_h = cam.image_width / 2.0, cam.image_height / 2.0
+    xs, ys = [], []
+    for x, y, z in _corner_coords(box, cam):
+        if not z > 0:
+            raise NonPositiveDepth(f"point has depth z={z}, must be > 0")
+        xs.append(f * x / z / size + half_w)
+        ys.append(f * y / z / size + half_h)
+    return xs, ys
+
+
 class ProjectedBox3D(NamedTuple):
     corners_px: tuple[PixelPoint, ...]
     hbb: HorizontalBox2D
@@ -321,15 +336,7 @@ def project_box3d(box: Box3D, cam: CameraModel) -> ProjectedBox3D:
 
     Raises NonPositiveDepth if any corner lies at or behind the camera.
     """
-    # project_to_pixel of each corner, written out.
-    f, size = cam.focal_length, cam.pixel_size
-    half_w, half_h = cam.image_width / 2.0, cam.image_height / 2.0
-    xs, ys = [], []
-    for x, y, z in _corner_coords(box, cam):
-        if not z > 0:
-            raise NonPositiveDepth(f"point has depth z={z}, must be > 0")
-        xs.append(f * x / z / size + half_w)
-        ys.append(f * y / z / size + half_h)
+    xs, ys = _project_corners(box, cam)
     return ProjectedBox3D(
         tuple(map(PixelPoint, xs, ys)),
         HorizontalBox2D(min(xs), min(ys), max(xs), max(ys)),
@@ -489,12 +496,16 @@ OBB_BOUNDS_MARGIN = 0.10
 
 
 def obb_within_image(obb: OrientedBox2D, width: float, height: float) -> bool:
-    """Whether the box's corners lie within the image bounds plus the margin."""
-    hull = obb_to_hbb(obb)
+    """Whether the box's corners lie within the image bounds plus the margin.
+
+    Raises DegenerateBox, as `obb_to_hbb` does, for a hull with no extent.
+    """
+    xs, ys = zip(*obb.corners())
+    x1, y1, x2, y2 = min(xs), min(ys), max(xs), max(ys)
+    if not (x1 < x2 and y1 < y2):
+        HorizontalBox2D(x1, y1, x2, y2)  # raises DegenerateBox
     mx, my = OBB_BOUNDS_MARGIN * width, OBB_BOUNDS_MARGIN * height
-    return (
-        -mx <= hull.x1 and hull.x2 <= width + mx and -my <= hull.y1 and hull.y2 <= height + my
-    )
+    return -mx <= x1 and x2 <= width + mx and -my <= y1 and y2 <= height + my
 
 
 def fit_min_area_obb(points: Sequence[Sequence[float]]) -> OrientedBox2D:
@@ -510,7 +521,9 @@ def fit_min_area_obb(points: Sequence[Sequence[float]]) -> OrientedBox2D:
         pts = []
     if len(pts) < 3:
         raise ValueError("need at least 3 points of shape (n, 2)")
-    hull = _convex_hull(pts)
+    hull = _convex_quad_hull(pts) if len(pts) == 4 else None
+    if hull is None:
+        hull = _convex_hull(pts)
     if len(hull) < 3:
         raise ValueError("points are collinear; no area-minimal rectangle exists")
 
@@ -543,6 +556,31 @@ def fit_min_area_obb(points: Sequence[Sequence[float]]) -> OrientedBox2D:
 
     _, cx, cy, w, h, angle = best
     return OrientedBox2D.normalized(cx, cy, w, h, angle)
+
+
+def _convex_quad_hull(pts: list[tuple[float, float]]) -> list[tuple[float, float]] | None:
+    """`_convex_hull` of 4 points in cyclic order that turn strictly one
+    way, without sorting; None for any other quad.
+
+    Each turn must clear a margin far above its rounding error (~1e-15 of
+    the largest squared coordinate), so each orientation test of the
+    monotone chain has the same sign and the chain keeps all four points.
+    """
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts
+    ta = (ax - dx) * (by - ay) - (ay - dy) * (bx - ax)
+    tb = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+    tc = (cx - bx) * (dy - cy) - (cy - by) * (dx - cx)
+    td = (dx - cx) * (ay - dy) - (dy - cy) * (ax - dx)
+    margin = 1e-9 * max(ax * ax, ay * ay, bx * bx, by * by, cx * cx, cy * cy, dx * dx, dy * dy)
+    # Each comparison is False for a nan turn, so nan and inf fall back.
+    if ta > margin and tb > margin and tc > margin and td > margin:
+        quad = pts
+    elif ta < -margin and tb < -margin and tc < -margin and td < -margin:
+        quad = pts[::-1]
+    else:
+        return None
+    start = quad.index(min(quad))
+    return quad[start:] + quad[:start]
 
 
 def _convex_hull(pts: Polygon) -> list[tuple[float, float]]:

@@ -40,17 +40,17 @@ from ._fsio import write_text_atomic
 from ._rng import Generator
 from .boxes import (
     Box3D,
+    _project_corners,
     bev_iou,
     bev_overlaps,
     derive_box3d,
+    fit_min_area_obb,
     ground_uv,
     obb_within_image,
-    project_box3d,
     wrap_angle_half_pi,
 )
 from .camera import CameraModel, CameraPoint, PixelPoint, backproject_to_ground
 from .errors import (
-    DegenerateBox,
     IdMismatch,
     NonPositiveDepth,
     PlacementExhausted,
@@ -172,14 +172,15 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
             ):
                 continue
             try:
-                projected = project_box3d(candidate, cam)
-            except (NonPositiveDepth, DegenerateBox):  # behind the camera, or one pixel
+                xs, ys = _project_corners(candidate, cam)
+            except NonPositiveDepth:  # behind the camera
                 continue
-            # Every corner is in frame exactly when the corners' hull is.
-            hbb = projected.hbb
-            if not (0 <= hbb.x1 and hbb.x2 <= width and 0 <= hbb.y1 and hbb.y2 <= height):
+            # Every corner is in frame exactly when the corners' hull is, and
+            # a hull with no extent is `project_box3d`'s DegenerateBox.
+            if not (0 <= min(xs) < max(xs) <= width and 0 <= min(ys) < max(ys) <= height):
                 continue
-            obb = projected.annotated_obb()
+            # The annotation: ProjectedBox3D.annotated_obb of the bottom face.
+            obb = fit_min_area_obb(list(zip(xs[:4], ys[:4])))
             if not obb_within_image(obb, width, height):
                 continue
             box = candidate
