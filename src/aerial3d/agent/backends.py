@@ -323,6 +323,9 @@ class MockSummarizerBackend:
 
         location = outputs.get("location")
         if isinstance(location, dict) and "box3d" in location:
+            # locate leaves out an image box that does not parse.
+            if "hbb" not in location:
+                return f"location: {location['box3d']}"
             return f"location: {location['box3d']}; image box: {location['hbb']}"
         visual = outputs.get("visual")
         if isinstance(visual, dict) and "value" in visual:

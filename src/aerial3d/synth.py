@@ -120,8 +120,9 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
     rejection-sampled: the ground center comes from back-projecting a
     uniform in-frame pixel, and a candidate is rejected when its footprint
     overlaps an accepted one (`bev_overlaps`, after a bounding-circle test),
-    any projected corner leaves the frame, or its annotated box breaks the
-    loader's image-bounds rule. Each attempt draws its pixel and yaw before
+    any projected corner leaves the frame, its annotated box breaks the
+    loader's image-bounds rule, or the box or its hull has a side that
+    rounds to no pixel in the wire format. Each attempt draws its pixel and yaw before
     any check, so the order of the checks changes no outcome.
     """
     rng = Generator(cfg.seed)
@@ -182,6 +183,15 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
             # The annotation: ProjectedBox3D.annotated_obb of the bottom face.
             obb = fit_min_area_obb(list(zip(xs[:4], ys[:4])))
             if not obb_within_image(obb, width, height):
+                continue
+            # Each wire form must parse: the OBB's height and its hull's
+            # extent must round to at least a pixel.
+            hx, hy = zip(*obb.corners())
+            if not (
+                round(obb.height) >= 1
+                and round(min(hx)) < round(max(hx))
+                and round(min(hy)) < round(max(hy))
+            ):
                 continue
             box = candidate
             break

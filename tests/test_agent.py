@@ -727,6 +727,17 @@ class TestRunQuery:
         located = extract_location(result["answer"])
         assert isinstance(located, Box3D)
 
+    def test_retrieval_with_unparseable_image_box_answers_the_3d_box(self, ann, table):
+        # [1,2,1,2] has no extent, so the locate step keeps the 3D box alone.
+        box3d = "<1.00,2.00,30.00,4.90,1.85,1.45,10.00>"
+        vlm = ScriptedBackend([f"Found it at {box3d}; image box [1,2,1,2]."])
+        config = AgentConfig(
+            MockPlannerBackend(table), vlm, MockSummarizerBackend(), table=table
+        )
+        result = run_query("scene.png", "Find the Toyota Camry in the image.", config)
+        assert result["answer"] == f"location: {box3d}"
+        assert len(vlm.prompts) == 1
+
     def test_retrieval_without_a_location_is_an_error(self, table):
         # A "find" query whose locate step failed leaves only the table
         # record; its brand and model are not an answer to "where".

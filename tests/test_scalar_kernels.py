@@ -296,3 +296,76 @@ def test_min_area_fit_matches_list_based_fit_on_point_sets():
             continue
         got = fit_min_area_obb(pts)
         assert got == want and repr(got) == repr(want), pts
+
+
+def _quad_inputs(rng):
+    """4-point inputs of each kind the quad path must treat as the chain
+    does, by kind: those it takes and those it hands to the chain."""
+    cam = CameraModel(0.01, 1e-5, 1000, 1000, math.radians(10.0), 400.0)
+    kinds = {"cyclic": [], "clockwise": [], "bowtie": [], "degenerate": [], "far": []}
+    for _ in range(60):
+        # Squares and equal-area rectangles: every edge direction ties.
+        side = rng.choice((1.0, 2.0, 0.5, 40.0))
+        obb = OrientedBox2D.normalized(
+            rng.uniform(0, 1000), rng.uniform(0, 1000), side * rng.choice((1.0, 2.0)), side,
+            rng.choice((0.0, math.pi / 4, -math.pi / 4, math.pi / 3, rng.uniform(-1.5, 1.5))),
+        )
+        quad = list(obb.corners())
+        start = rng.randrange(4)
+        quad = quad[start:] + quad[:start]
+        kinds["cyclic"].append(quad)
+        kinds["clockwise"].append(quad[::-1])
+        kinds["bowtie"].append([quad[0], quad[2], quad[1], quad[3]])
+    kinds["degenerate"] += [
+        [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)],  # collinear triple
+        [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (2.0, 0.0)],
+        [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],  # duplicate points
+        [(3.0, 1.0), (0.0, 0.0), (3.0, 1.0), (0.0, 2.0)],
+        [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)],  # all collinear
+        [(5.0, 5.0)] * 4,
+    ]
+    # Signed zeros, with x ties between -0.0 and 0.0 at the lexicographic
+    # minimum.
+    kinds["cyclic"] += [
+        [(-0.0, 0.0), (2.0, -0.0), (2.0, 1.0), (0.0, 1.0)],
+        [(0.0, 1.0), (-0.0, 0.0), (2.0, -0.0), (2.0, 1.0)],
+        [(0.0, -1.0), (2.0, -0.0), (1.0, 2.0), (-0.0, 1.0)],
+    ]
+    # Bottom faces near the horizon at pitch 10 degrees and 400 m: under a
+    # pixel, some too thin for the quad path's margin.
+    while len(kinds["far"]) < 150:
+        try:
+            ground = backproject_to_ground((rng.uniform(0, 1000), rng.uniform(300, 420)), cam)
+        except RayMissesGround:
+            continue
+        box = Box3D.resting_on(ground, rng.uniform(3.5, 5.5), 1.8, 1.5, rng.uniform(-1.6, 1.6), cam)
+        kinds["far"].append(list(project_box3d(box, cam).corners_px[:4]))
+    return kinds
+
+
+def test_quad_path_matches_monotone_chain_fit(monkeypatch):
+    from aerial3d import boxes
+
+    quad_hull, chain_hull = boxes._convex_quad_hull, boxes._convex_hull
+    taken = []
+    monkeypatch.setattr(boxes, "_convex_quad_hull", lambda pts: taken.append(
+        quad_hull(pts) is not None) or quad_hull(pts))
+    fallbacks = []
+    monkeypatch.setattr(boxes, "_convex_hull", lambda pts: fallbacks.append(1) or chain_hull(pts))
+
+    for kind, inputs in _quad_inputs(random.Random("quad")).items():
+        del taken[:], fallbacks[:]
+        for pts in inputs:
+            if len(chain_hull(pts)) < 3:  # collinear: no rectangle
+                with pytest.raises(ValueError, match="collinear"):
+                    fit_min_area_obb(pts)
+                continue
+            got, want = fit_min_area_obb(pts), ref_fit_min_area_obb(pts)
+            assert got == want and repr(got) == repr(want), (kind, pts)
+        assert len(taken) == len(inputs)
+        if kind in ("cyclic", "clockwise"):
+            assert all(taken) and not fallbacks, kind
+        elif kind in ("bowtie", "degenerate"):
+            assert not any(taken) and len(fallbacks) == len(inputs), kind
+        else:  # both paths run on far-field faces
+            assert 0 < sum(taken) < len(inputs) and fallbacks, kind

@@ -6,7 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from aerial3d.boxes import Box3D, bev_iou, derive_box3d, ground_basis, ground_uv, project_box3d
+from aerial3d.boxes import (
+    Box3D,
+    bev_iou,
+    derive_box3d,
+    ground_basis,
+    ground_uv,
+    obb_to_hbb,
+    parse_location,
+    project_box3d,
+    serialize_location,
+)
 from aerial3d.camera import CameraModel, CameraPoint
 from aerial3d.cli import main
 from aerial3d.errors import IdMismatch, PlacementExhausted
@@ -147,6 +157,23 @@ class TestGenerateScene:
                           image_width=width, image_height=height)
         ann = annotation_from_dict(generate_scene(cfg, table).annotation)
         assert len(ann.objects) == n
+
+    @pytest.mark.parametrize(
+        "n, pitch_deg, agl, seed",
+        [(8, 10, 40, 11), (8, 5, 40, 0), (8, 10, 400, 1), (8, 20, 150, 3), (8, 20, 400, 4)],
+    )
+    def test_every_wire_form_parses(self, table, n, pitch_deg, agl, seed):
+        # Near the horizon a vehicle can project under a pixel; such a
+        # candidate has an OBB height or HBB extent that rounds to 0, whose
+        # wire form parse_location rejects, so placement must resample it.
+        pitch = math.radians(pitch_deg)
+        cfg = SceneConfig(n, (pitch, pitch), (agl, agl), seed=seed)
+        ann = annotation_from_dict(generate_scene(cfg, table).annotation)
+        assert len(ann.objects) == n
+        for obj in ann.objects:
+            for loc in (obj.obb, obb_to_hbb(obj.obb)):
+                text = serialize_location(loc)
+                assert serialize_location(parse_location(text)) == text, obj.id
 
     @pytest.mark.parametrize("pitch_deg", [10.0, 30.0, 45.0, 60.0, 75.0, 90.0])
     def test_apart_bounding_circles_mean_zero_iou(self, pitch_deg):
