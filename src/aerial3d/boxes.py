@@ -26,6 +26,10 @@ A vehicle's box rests on the ground (`Box3D.resting_on`), its annotation is
 the min-area fit of the projected bottom face (`project_box3d(box,
 cam).annotated_obb()`), and an annotation must lie within the image plus
 `OBB_BOUNDS_MARGIN` (`obb_within_image`). `derive_box3d` inverts the map.
+A projected face is a convex quad in cyclic order, so `fit_min_area_obb`
+takes 4 points that turn strictly one way as their own hull, in the
+monotone chain's order (CCW from the lexicographic minimum), and sorts
+only other point sets through the chain.
 
 Wire formats
 ------------
@@ -486,8 +490,13 @@ def hbb_iou(a: HorizontalBox2D, b: HorizontalBox2D) -> float:
 
 def obb_to_hbb(obb: OrientedBox2D) -> HorizontalBox2D:
     """Axis-aligned hull of the OBB's corners."""
+    return HorizontalBox2D(*_obb_hull(obb))
+
+
+def _obb_hull(obb: OrientedBox2D) -> tuple[float, float, float, float]:
+    """Min x, min y, max x and max y of the OBB's corners."""
     xs, ys = zip(*obb.corners())
-    return HorizontalBox2D(min(xs), min(ys), max(xs), max(ys))
+    return min(xs), min(ys), max(xs), max(ys)
 
 
 # Annotated boxes may spill past the frame by at most this fraction of the
@@ -500,10 +509,15 @@ def obb_within_image(obb: OrientedBox2D, width: float, height: float) -> bool:
 
     Raises DegenerateBox, as `obb_to_hbb` does, for a hull with no extent.
     """
-    xs, ys = zip(*obb.corners())
-    x1, y1, x2, y2 = min(xs), min(ys), max(xs), max(ys)
+    x1, y1, x2, y2 = hull = _obb_hull(obb)
     if not (x1 < x2 and y1 < y2):
-        HorizontalBox2D(x1, y1, x2, y2)  # raises DegenerateBox
+        HorizontalBox2D(*hull)  # raises DegenerateBox
+    return _hull_within_image(hull, width, height)
+
+
+def _hull_within_image(hull: tuple[float, ...], width: float, height: float) -> bool:
+    """`obb_within_image` of an OBB whose `_obb_hull` is given."""
+    x1, y1, x2, y2 = hull
     mx, my = OBB_BOUNDS_MARGIN * width, OBB_BOUNDS_MARGIN * height
     return -mx <= x1 and x2 <= width + mx and -my <= y1 and y2 <= height + my
 

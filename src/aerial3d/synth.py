@@ -40,13 +40,14 @@ from ._fsio import write_text_atomic
 from ._rng import Generator
 from .boxes import (
     Box3D,
+    _hull_within_image,
+    _obb_hull,
     _project_corners,
     bev_iou,
     bev_overlaps,
     derive_box3d,
     fit_min_area_obb,
     ground_uv,
-    obb_within_image,
     wrap_angle_half_pi,
 )
 from .camera import CameraModel, CameraPoint, PixelPoint, backproject_to_ground
@@ -182,15 +183,15 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
                 continue
             # The annotation: ProjectedBox3D.annotated_obb of the bottom face.
             obb = fit_min_area_obb(list(zip(xs[:4], ys[:4])))
-            if not obb_within_image(obb, width, height):
-                continue
-            # Each wire form must parse: the OBB's height and its hull's
-            # extent must round to at least a pixel.
-            hx, hy = zip(*obb.corners())
+            # The loader's image-bounds rule (`obb_within_image`), and each
+            # wire form must parse: the OBB's height and its hull's extent
+            # must round to at least a pixel.
+            x1, y1, x2, y2 = hull = _obb_hull(obb)
             if not (
-                round(obb.height) >= 1
-                and round(min(hx)) < round(max(hx))
-                and round(min(hy)) < round(max(hy))
+                _hull_within_image(hull, width, height)
+                and round(obb.height) >= 1
+                and round(x1) < round(x2)
+                and round(y1) < round(y2)
             ):
                 continue
             box = candidate
