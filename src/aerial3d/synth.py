@@ -123,8 +123,8 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
     overlaps an accepted one (`bev_overlaps`, after a bounding-circle test),
     any projected corner leaves the frame, its annotated box breaks the
     loader's image-bounds rule, or the box or its hull has a side that
-    rounds to no pixel in the wire format. Each attempt draws its pixel and yaw before
-    any check, so the order of the checks changes no outcome.
+    rounds to no pixel in the wire format. Each attempt draws its pixel and
+    yaw before any check, so the order of the checks changes no outcome.
     """
     rng = Generator(cfg.seed)
     pitch = rng.uniform(*cfg.pitch_range)
