@@ -27,6 +27,7 @@ import json
 import math
 import random
 import re
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Protocol
 
 from ..boxes import (
@@ -200,6 +201,21 @@ def _asked_fields(lowered: str) -> list[str]:
     return asked
 
 
+def _plan_json(steps: list[dict]) -> str:
+    """`json.dumps(steps)` for a plan of {"tool", "args", "output_name"}
+    objects whose values are str or None, each string encoded once."""
+    enc = encode_basestring_ascii
+    return "[" + ", ".join([
+        f'{{"tool": {enc(step["tool"])}, "args": {{'
+        + ", ".join([
+            f"{enc(key)}: {'null' if value is None else enc(value)}"
+            for key, value in step["args"].items()
+        ])
+        + f'}}, "output_name": {enc(step["output_name"])}}}'
+        for step in steps
+    ]) + "]"
+
+
 class MockPlannerBackend:
     """Keyword classifier that emits the canonical plan for a query.
 
@@ -208,9 +224,10 @@ class MockPlannerBackend:
     (color/type -> image understanding only), and zero-shot recognition
     (brand/model/price/... -> measure dimensions, match the table,
     optionally search the web for the price). Anything else raises
-    UnknownWorkflow. The reply is the plan as a fenced compact JSON array
-    (`json.dumps` without `indent`, so the C encoder writes it);
-    `parse_plan_text` accepts any whitespace inside the fence.
+    UnknownWorkflow. The reply is the plan as a fenced one-line JSON array,
+    the bytes `json.dumps(steps)` would write, written by `_plan_json`
+    from the plan's fixed shape; `parse_plan_text` accepts any whitespace
+    inside the fence.
     """
 
     name = "mock-planner"
@@ -304,8 +321,7 @@ class MockPlannerBackend:
         # "Query:" lines; the live query is the last one.
         queries = _QUERY_LINE.findall(prompt)
         query = queries[-1].strip() if queries else prompt.strip()
-        steps = self._classify(query)
-        return "```json\n" + json.dumps(steps) + "\n```"
+        return "```json\n" + _plan_json(self._classify(query)) + "\n```"
 
 
 class MockSummarizerBackend:
@@ -319,7 +335,8 @@ class MockSummarizerBackend:
 
     def complete(self, prompt: str, image: str | None = None) -> str:
         outputs = self._outputs_from(prompt)
-        query = (_QUERY_LINE.findall(prompt) or [""])[0].lower()
+        first = _QUERY_LINE.search(prompt)
+        query = first.group(1).lower() if first else ""
 
         location = outputs.get("location")
         if isinstance(location, dict) and "box3d" in location:

@@ -30,7 +30,8 @@ VALID_TOOLS = (
 SUMMARIZE = "summarize"
 
 REF_PATTERN = re.compile(r"\$([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?")
-_FENCED = re.compile(r"```(?:json)?\s*\n(.*?)```", re.DOTALL)
+# A fence's opening; its body runs to the next "```".
+_FENCE_OPEN = re.compile(r"```(?:json)?\s*\n")
 _NAME = re.compile(r"^[A-Za-z_]\w*$")
 _RETRY_SUFFIX = (
     "\n\nYour previous reply could not be parsed. Respond with ONLY a "
@@ -76,13 +77,23 @@ class Plan:
         return [step.tool for step in self.steps]
 
 
+def _split_refs(value: Any) -> list[str | None] | None:
+    """An argument value split around its references, as REF_PATTERN.split
+    gives it (text, name, field-or-None, text, ...), or None if it has none."""
+    # REF_PATTERN needs a literal "$", so a string without one has no refs.
+    if isinstance(value, str) and "$" in value:
+        parts = REF_PATTERN.split(value)
+        if len(parts) > 1:
+            return parts
+    return None
+
+
 def iter_refs(args: dict[str, Any]) -> Iterator[tuple[str, str | None]]:
     """All ($name, field-or-None) references inside a step's arguments."""
     for value in args.values():
-        # REF_PATTERN needs a literal "$", so a string without one has no refs.
-        if isinstance(value, str) and "$" in value:
-            for match in REF_PATTERN.finditer(value):
-                yield match.group(1), match.group(2)
+        parts = _split_refs(value)
+        if parts is not None:
+            yield from zip(parts[1::3], parts[2::3])
 
 
 def plan_from_steps(raw_steps: Any) -> Plan:
@@ -105,12 +116,26 @@ def plan_from_steps(raw_steps: Any) -> Plan:
     return Plan(tuple(calls))
 
 
+def _plan_body(text: str) -> str:
+    """The JSON of a planner reply: the text from the end of the first
+    opening fence to the next "```", or the whole reply without one.
+
+    Only the first opening needs a closing: a later opening starts past the
+    first one's end (the first holds no backtick after its three), so if the
+    first has no closing, neither has a later one.
+    """
+    match = _FENCE_OPEN.search(text)
+    if match:
+        end = text.find("```", match.end())
+        if end != -1:
+            return text[match.end() : end]
+    return text
+
+
 def parse_plan_text(text: str) -> Plan:
     """Parse a planner reply: a fenced JSON array (or bare JSON array)."""
-    match = _FENCED.search(text)
-    body = match.group(1) if match else text
     try:
-        decoded = json.loads(body)
+        decoded = json.loads(_plan_body(text))
     except json.JSONDecodeError as exc:
         raise PlanParseError(f"plan is not valid JSON: {exc}") from None
     return plan_from_steps(decoded)
@@ -125,20 +150,22 @@ def load_planner_prompt(path: str | Path | None = None) -> str:
 
 
 @functools.cache
-def _packaged_planner_prompt() -> str:
-    """The packaged prompt, read from disk once per process."""
-    return load_planner_prompt()
+def _packaged_planner_prompt() -> tuple[str, ...]:
+    """The packaged prompt, read from disk once per process, split at its
+    "{query}" tokens."""
+    return tuple(load_planner_prompt().split("{query}"))
 
 
 def plan(query: str, planner: Backend) -> Plan:
     """Ask the planner backend for a plan; one re-prompt, then PlanParseError.
 
-    The packaged prompt's literal "{query}" token is replaced with the query
-    (no str.format, so JSON braces in few-shot examples are safe).
+    The packaged prompt's literal "{query}" tokens are replaced with the
+    query, by joining the prompt's pieces around them (no str.format, so
+    JSON braces in few-shot examples are safe).
     """
     if not query.strip():
         raise ValueError("query must be non-empty")
-    prompt = _packaged_planner_prompt().replace("{query}", query)
+    prompt = query.join(_packaged_planner_prompt())
     error = None
     for suffix in ("", _RETRY_SUFFIX):
         try:

@@ -26,8 +26,12 @@ from typing import Any
 from ..errors import BindingMissing, ToolError
 from ..vehicles import VehicleTable
 from .backends import Backend
-from .planning import Plan, iter_refs, plan as build_plan, REF_PATTERN
+from .planning import Plan, _split_refs, plan as build_plan
 from .tools import Toolbox
+
+# The summarizer's view of the tool outputs: one-line JSON, keys sorted,
+# text kept as is, anything not JSON-native written as str().
+_VIEW = json.JSONEncoder(sort_keys=True, ensure_ascii=False, default=str)
 
 
 @dataclass
@@ -54,16 +58,32 @@ class ExecutionResult:
         return [s for s in self.steps if s.error is not None]
 
 
+def _scan_bindings(plan: Plan) -> list[dict[str, list]]:
+    """Each step's arguments that hold references, split by `_split_refs`,
+    in argument order; BindingMissing for a reference to no earlier step's
+    output."""
+    defined: set[str] = set()
+    scans = []
+    for step in plan.steps:
+        refs = {}
+        for key, value in step.args.items():
+            parts = _split_refs(value)
+            if parts is None:
+                continue
+            for name in parts[1::3]:
+                if name not in defined:
+                    raise BindingMissing(
+                        f"step {step.output_name!r} references undefined output ${name}"
+                    )
+            refs[key] = parts
+        scans.append(refs)
+        defined.add(step.output_name)
+    return scans
+
+
 def validate_bindings(plan: Plan) -> None:
     """Static check that every $reference names an earlier step's output."""
-    defined: set[str] = set()
-    for step in plan.steps:
-        for name, _field in iter_refs(step.args):
-            if name not in defined:
-                raise BindingMissing(
-                    f"step {step.output_name!r} references undefined output ${name}"
-                )
-        defined.add(step.output_name)
+    _scan_bindings(plan)
 
 
 def _lookup_ref(outputs: dict[str, Any], name: str, fieldname: str | None) -> Any:
@@ -75,32 +95,41 @@ def _lookup_ref(outputs: dict[str, Any], name: str, fieldname: str | None) -> An
     raise KeyError(f"output ${name} has no field {fieldname!r}")
 
 
+def _substitute(parts: list, outputs: dict[str, Any]) -> Any:
+    """Resolve a value split by `_split_refs`: a value that is one whole
+    reference becomes the referenced output itself, any other the text with
+    each reference replaced by str() of its output."""
+    if len(parts) == 4 and not parts[0] and not parts[3]:
+        return _lookup_ref(outputs, parts[1], parts[2])
+    text = [parts[0]]
+    for i in range(1, len(parts), 3):
+        text.append(str(_lookup_ref(outputs, parts[i], parts[i + 1])))
+        text.append(parts[i + 2])
+    return "".join(text)
+
+
 def _resolve_value(value: Any, outputs: dict[str, Any]) -> Any:
-    if not isinstance(value, str) or "$" not in value:
-        return value
-    whole = REF_PATTERN.fullmatch(value)
-    if whole:
-        return _lookup_ref(outputs, whole.group(1), whole.group(2))
-
-    def _sub(match) -> str:
-        return str(_lookup_ref(outputs, match.group(1), match.group(2)))
-
-    return REF_PATTERN.sub(_sub, value)
+    parts = _split_refs(value)
+    return value if parts is None else _substitute(parts, outputs)
 
 
 def execute(plan: Plan, toolbox: Toolbox, image: str | None = None) -> ExecutionResult:
-    """Run the plan's tool steps in order, recording outputs and failures."""
-    validate_bindings(plan)
+    """Run the plan's tool steps in order, recording outputs and failures.
+
+    Each argument is scanned for references once, by the binding check;
+    only the arguments that hold one are resolved.
+    """
+    scans = _scan_bindings(plan)
     outputs: dict[str, Any] = {}
     poisoned: set[str] = set()
     steps: list[StepRecord] = []
-    for index, call in enumerate(plan.tool_steps):
+    for index, (call, refs) in enumerate(zip(plan.tool_steps, scans)):
         record = StepRecord(index, call.tool, call.output_name, dict(call.args))
         steps.append(record)
         # Only a failed step poisons a name, so until one fails no step
         # can depend on a failure.
         broken = (
-            sorted({name for name, _ in iter_refs(call.args) if name in poisoned})
+            sorted({n for parts in refs.values() for n in parts[1::3] if n in poisoned})
             if poisoned
             else ()
         )
@@ -111,11 +140,12 @@ def execute(plan: Plan, toolbox: Toolbox, image: str | None = None) -> Execution
             poisoned.add(call.output_name)
             continue
         try:
-            resolved = {
-                key: _resolve_value(value, outputs) for key, value in call.args.items()
-            }
-            record.args = resolved
-            output = toolbox.invoke(call.tool, resolved, image, record.backend_calls)
+            if refs:
+                resolved = dict(record.args)
+                for key, parts in refs.items():
+                    resolved[key] = _substitute(parts, outputs)
+                record.args = resolved
+            output = toolbox.invoke(call.tool, record.args, image, record.backend_calls)
         except Exception as exc:  # recorded per step, never raised
             record.error = str(ToolError(index, call.tool, str(exc)))
             poisoned.add(call.output_name)
@@ -134,7 +164,7 @@ def summarize(
     """Render the final answer from the gathered outputs."""
     if not outputs:
         raise ValueError("summarize requires at least one tool output")
-    view = json.dumps(outputs, sort_keys=True, ensure_ascii=False, default=str)
+    view = _VIEW.encode(outputs)
     prompt = (
         f"Query: {query}\n"
         f"Tool outputs (JSON):\n{view}\n"

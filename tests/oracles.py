@@ -14,6 +14,14 @@ stripped and converted one by one, and 2D boxes joined field by field. The
 library's parser takes one regex pass and one float pass per location; it
 must give the same locations, the same errors and the same bytes.
 
+The agent oracles are the hops `aerial3d.agent` once took: the planner
+reply's fence found by one lazy DOTALL regex, and each "$name.field"
+reference resolved by a whole-value `fullmatch`, else by `re.sub` with a
+lookup per match. The library finds the fence's opening alone and the
+closing with `str.find`, and splits each argument around its references
+once; it must select the same JSON and resolve to the same values and
+errors.
+
 It also keeps the camera's image-plane pieces (`ImagePoint`,
 `pixel_to_image`, `image_to_pixel`, `ground_denominator`,
 `ground_plane_residual`). The library writes their arithmetic out inline in
@@ -330,3 +338,47 @@ def scan_locations(text: str) -> Iterator[Location]:
             yield parse_location(match.group(0))
         except ParseError:
             continue
+
+
+# --------------------------------------------------------------------------
+# Reference agent hops
+# --------------------------------------------------------------------------
+
+FENCED = re.compile(r"```(?:json)?\s*\n(.*?)```", re.DOTALL)
+REF_PATTERN = re.compile(r"\$([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?")
+
+
+def plan_body(text: str) -> str:
+    """The JSON a planner reply holds: the first fenced body, else the text."""
+    match = FENCED.search(text)
+    return match.group(1) if match else text
+
+
+def iter_refs(args: dict[str, Any]) -> Iterator[tuple[str, str | None]]:
+    """All ($name, field-or-None) references inside a step's arguments."""
+    for value in args.values():
+        if isinstance(value, str):
+            for match in REF_PATTERN.finditer(value):
+                yield match.group(1), match.group(2)
+
+
+def _lookup_ref(outputs: dict[str, Any], name: str, fieldname: str | None) -> Any:
+    value = outputs[name]
+    if fieldname is None:
+        return value
+    if isinstance(value, dict) and fieldname in value:
+        return value[fieldname]
+    raise KeyError(f"output ${name} has no field {fieldname!r}")
+
+
+def resolve_value(value: Any, outputs: dict[str, Any]) -> Any:
+    """A whole-value reference becomes its output; any other text has each
+    reference replaced by str() of its output."""
+    if not isinstance(value, str):
+        return value
+    whole = REF_PATTERN.fullmatch(value)
+    if whole:
+        return _lookup_ref(outputs, whole.group(1), whole.group(2))
+    return REF_PATTERN.sub(
+        lambda m: str(_lookup_ref(outputs, m.group(1), m.group(2))), value
+    )

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import threading
 from dataclasses import asdict
@@ -24,7 +25,7 @@ from aerial3d.agent import (
     run_query,
     validate_bindings,
 )
-from aerial3d.agent import backends, planning, runtime
+from aerial3d.agent import backends, planning, runtime, summarize
 from aerial3d.boxes import (
     Box3D,
     OrientedBox2D,
@@ -36,8 +37,16 @@ from aerial3d.boxes import (
 from aerial3d.errors import BackendError, BindingMissing, PlanParseError, UnknownWorkflow
 from aerial3d.evaluation import annotation_from_dict
 from aerial3d.synth import SceneConfig, generate_scene
-from aerial3d.vehicles import load_table, lookup, packaged_table_path
+from aerial3d.camera import CameraPoint
+from aerial3d.vehicles import (
+    VehicleRecord,
+    VehicleTable,
+    load_table,
+    lookup,
+    packaged_table_path,
+)
 
+import oracles
 from conftest import make_annotation_dict
 
 
@@ -413,6 +422,202 @@ class TestReferences:
     def test_embedded_references(self, value, refs, resolved):
         assert list(planning.iter_refs({"query": value, "n": 3})) == refs
         assert runtime._resolve_value(value, self.OUTPUTS) == resolved
+
+
+class TestHopIdentities:
+    """Each hop is the identity of the straightforward one in tests/oracles.py:
+    the fence the lazy regex selects, the bytes `json.dumps` writes, the
+    prompt `str.replace` builds, the references `fullmatch`/`re.sub` resolve."""
+
+    # Backtick runs, fence words, every kind of whitespace `\s` matches
+    # around a newline, and prose and JSON to put around them.
+    FENCE_PIECES = (
+        [*("`" * k for k in range(1, 7))] * 4
+        + ["json", "JSON", "jsonl", "js"] * 2
+        + list(" \t\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029\xa0")
+        + ["\n"] * 12
+        + [
+            "Here is the plan:",
+            "ok",
+            "[",
+            "]",
+            "[]",
+            '{"tool": "x"}',
+            '[{"tool": "summarize", "args": {}, "output_name": "answer"}]',
+            '[{"tool": "web_search", "args": {"query": "q"}, "output_name": "w"},',
+            "é",
+            '"',
+            "\\",
+        ]
+    )
+
+    def test_fence_selection_and_errors_match_the_lazy_regex(self, monkeypatch):
+        rng = random.Random(2501)
+        pieces = self.FENCE_PIECES
+
+        def chunk(k):
+            return "".join(rng.choices(pieces, k=rng.randint(0, k)))
+
+        # Half free-form, half shaped like a reply: prose, an opening run,
+        # a word and whitespace, a body, maybe a closing run, prose.
+        texts = [
+            "".join(rng.choices(pieces, k=rng.randint(1, 12))) if i % 2 else
+            chunk(3) + "`" * rng.randint(1, 6) + chunk(3) + "\n" + chunk(4)
+            + "`" * rng.randint(0, 6) + chunk(3)
+            for i in range(100_000)
+        ]
+        fenced = 0
+        for text in texts:
+            body = planning._plan_body(text)
+            assert body == oracles.plan_body(text), text
+            fenced += body is not text
+
+        def outcome(text):
+            try:
+                return parse_plan_text(text)
+            except PlanParseError as exc:
+                return str(exc)
+
+        new = [outcome(text) for text in texts]
+        monkeypatch.setattr(planning, "_plan_body", oracles.plan_body)
+        assert new == [outcome(text) for text in texts]
+        # Both branches are common, and some replies parse.
+        assert 20_000 < fenced < 80_000
+        assert sum(not isinstance(o, str) for o in new) > 100
+
+    @staticmethod
+    def _odd_table():
+        """Names with non-ASCII letters, quotes and a backslash."""
+        return VehicleTable.from_records([
+            VehicleRecord("Citroën", 'C5 "Aircross"', 4500, 1840, 1670, "ICE", 199900, 5, 5),
+            VehicleRecord("蔚来", "ES6 \\ Pro", 4850, 1965, 1731, "BEV", 368000, 5, 5),
+            VehicleRecord("Škoda", "Octavia\u2028RS", 4689, 1814, 1469, "ICE", 189900, 5, 5),
+        ])
+
+    @pytest.mark.parametrize("which", ["packaged", "odd"])
+    def test_planner_reply_is_json_dumps_of_the_plan(self, table, which):
+        table = table if which == "packaged" else self._odd_table()
+        planner = MockPlannerBackend(table)
+        queries = [
+            "What is the brand of the vehicle at [10,20,300,400]?",
+            "What are the brand and model of the vehicle?",
+            "How much is the vehicle at [100,200,40,20,-12.5]?",
+            "What is the price and powertrain of the vehicle at <1,2,30,4.5,1.8,1.5,10>?",
+            "What color is the vehicle at [1,2,30,40]?",
+            "What type is the vehicle?",
+            "Which colour is it?",
+        ]
+        for record in table.records:
+            queries += [
+                f"Find the {record.brand} {record.model} in the image.",
+                f"Where is the {record.brand} {record.model}?",
+                f"What does the {record.brand} {record.model} cost?",
+            ]
+        for query in queries:
+            steps = planner._classify(query)
+            reply = planner.complete(f"Query: {query}")
+            assert reply == "```json\n" + json.dumps(steps) + "\n```"
+            assert [s.tool for s in parse_plan_text(reply).steps] == [s["tool"] for s in steps]
+
+    def test_plan_writer_is_json_dumps_on_any_strings(self):
+        values = ["", " ", "\x00\x1f\x7f", '"\\/', "é\u2028\U0001f697", "$a.b", None]
+        texts = values[:-1]
+        steps = [
+            {
+                "tool": texts[i],
+                "args": {key: values[(i + j) % len(values)] for j, key in enumerate(texts)},
+                "output_name": texts[-1 - i],
+            }
+            for i in range(len(texts))
+        ]
+        steps.append({"tool": "summarize", "args": {}, "output_name": "answer"})
+        assert backends._plan_json(steps) == json.dumps(steps)
+        assert backends._plan_json(steps[-1:]) == json.dumps(steps[-1:])
+
+    def test_summarizer_view_is_json_dumps(self):
+        class Recording:
+            name = "recording"
+
+            def complete(self, prompt, image=None):
+                self.prompt = prompt
+                return "ok"
+
+        outputs = {
+            "visual": {"attribute": "colour", "value": "bleu clair «ciel»\u2028\"x\" \\"},
+            "record": {"brand": "Citroën", "price": 199900, "ratio": 0.1 + 0.2, "doors": None},
+            "box": Box3D(CameraPoint(0.5, -1.25, 30.0), 4.5, 1.8, 1.5, 0.25),
+            "odd": {"set": frozenset({3}), "tuple": (1, "二"), "flag": True, "inf": math.inf},
+            "web_price": {"text": "Listed price today: 199,800 CNY."},
+        }
+        backend = Recording()
+        query = "Query: how much is the Citroën? {query}"
+        summarize(query, outputs, backend)
+        view = json.dumps(outputs, sort_keys=True, ensure_ascii=False, default=str)
+        assert backend.prompt == (
+            f"Query: {query}\nTool outputs (JSON):\n{view}\n"
+            "Provide the final answer to the query."
+        )
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "What color is {{query}} at {region}?",
+            "Query: what color is the vehicle at {region}?",
+            "What color {{query}} Query: {{query}} {region}?",
+        ],
+    )
+    def test_prompts_for_queries_holding_prompt_tokens(self, ann, table, query):
+        class Recording(MockPlannerBackend):
+            def complete(self, prompt, image=None):
+                self.prompt = prompt
+                return super().complete(prompt, image)
+
+        query = query.format(region=CAR0_REGION)
+        planner = Recording(table)
+        plan(query, planner)
+        assert planner.prompt == load_planner_prompt().replace("{query}", query)
+        result = run_query("scene.png", query, mock_config(ann, table))
+        assert result["answer"] == "color: white"
+        summary = result["trace"]["summary"]
+        # The summarizer reads the first "Query:" line, the planner the last.
+        for prompt in (planner.prompt, summary["prompt"]):
+            first = backends._QUERY_LINE.search(prompt)
+            assert first.group(1) == backends._QUERY_LINE.findall(prompt)[0]
+        assert summary["prompt"].startswith(f"Query: {query}\n")
+
+    REF_PIECES = ["$", "$$", "record", "dims", "n", "_x", "é", ".", ".brand", ".model",
+                  ".length_m", ".nope", "5", " ", "US", "price", "a"]
+    OUTPUTS = {
+        "record": {"brand": "Toyota", "model": "Camry"},
+        "dims": {"length_m": 4.885},
+        "n": 5,
+        "_x": "é",
+    }
+
+    def test_references_match_fullmatch_and_sub(self):
+        rng = random.Random(2502)
+
+        def outcome(resolve, value):
+            try:
+                return resolve(value, self.OUTPUTS)
+            except KeyError as exc:
+                return ("KeyError", str(exc))
+
+        wholes = 0
+        for i in range(20_000):
+            value = "".join(rng.choices(self.REF_PIECES, k=rng.randint(1, 8)))
+            if i % 10 == 0:  # one whole reference, to an output or not
+                value = "$" + rng.choice(["record", "dims", "n", "_x", "gone"]) + rng.choice(
+                    ["", ".brand", ".length_m", ".nope"]
+                )
+            args = {"a": value, "b": 3, "c": None}
+            assert list(planning.iter_refs(args)) == list(oracles.iter_refs(args)), value
+            got = outcome(runtime._resolve_value, value)
+            assert got == outcome(oracles.resolve_value, value), value
+            if oracles.REF_PATTERN.fullmatch(value) and not isinstance(got, (str, tuple)):
+                assert got is outcome(oracles.resolve_value, value)
+                wholes += 1
+        assert wholes > 100
 
 
 class TestExecution:
