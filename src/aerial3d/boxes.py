@@ -242,6 +242,14 @@ def derive_box3d(
     drawn slightly larger than the vehicle), and the center is lifted half
     the inflated height along the plane normal.
     """
+    sizes = _inflated_sizes(dims, inflation)
+    center_ground = backproject_to_ground(PixelPoint(obb.cx, obb.cy), cam)
+    return _box_over_center(obb, sizes, center_ground, cam)
+
+
+def _inflated_sizes(dims: BoxDims, inflation: float) -> tuple[float, float, float]:
+    """`derive_box3d`'s length, width and height: the dimensions scaled by
+    `inflation`. ValueError unless all three are positive and finite."""
     length = dims.length * inflation
     width = dims.width * inflation
     height = dims.height * inflation
@@ -250,10 +258,18 @@ def derive_box3d(
             f"inflated dimensions must be positive and finite, got "
             f"{length} x {width} x {height} m (inflation {inflation})"
         )
+    return length, width, height
+
+
+def _box_over_center(
+    obb: OrientedBox2D,
+    sizes: tuple[float, float, float],
+    center_ground: CameraPoint,
+    cam: CameraModel,
+) -> Box3D:
+    """`derive_box3d` after its first back-projection: the box of the given
+    `_inflated_sizes` over the OBB center's ground point, yawed by the probes."""
     c, s = math.cos(cam.pitch), math.sin(cam.pitch)
-
-    center_ground = backproject_to_ground(PixelPoint(obb.cx, obb.cy), cam)
-
     delta = obb.height / 4.0
     ca, sa = math.cos(obb.angle), math.sin(obb.angle)
     probe_fwd = backproject_to_ground(
@@ -270,7 +286,7 @@ def derive_box3d(
             f"yaw probes around ({obb.cx}, {obb.cy}) back-project to coincident points"
         )
     yaw = wrap_angle_half_pi(math.atan2(v, u))
-    return Box3D.resting_on(center_ground, length, width, height, yaw, cam)
+    return Box3D.resting_on(center_ground, *sizes, yaw, cam)
 
 
 def box3d_corners(box: Box3D, cam: CameraModel) -> tuple[CameraPoint, ...]:
@@ -520,6 +536,15 @@ def _hull_within_image(hull: tuple[float, ...], width: float, height: float) -> 
     x1, y1, x2, y2 = hull
     mx, my = OBB_BOUNDS_MARGIN * width, OBB_BOUNDS_MARGIN * height
     return -mx <= x1 and x2 <= width + mx and -my <= y1 and y2 <= height + my
+
+
+def _wire_forms_parse(obb: OrientedBox2D, hull: tuple[float, ...]) -> bool:
+    """Whether `parse_location` reads back the wire forms of the OBB and of
+    its hull (`_obb_hull`, the HBB `obb_to_hbb` gives). Both are written in
+    whole pixels, and a side that rounds to no pixel does not parse; the
+    OBB's height is its short side."""
+    x1, y1, x2, y2 = hull
+    return round(obb.height) >= 1 and round(x1) < round(x2) and round(y1) < round(y2)
 
 
 def fit_min_area_obb(points: Sequence[Sequence[float]]) -> OrientedBox2D:

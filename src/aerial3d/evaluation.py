@@ -49,8 +49,9 @@ from .boxes import (
     HorizontalBox2D,
     Location,
     OrientedBox2D,
+    _box_over_center,
+    _inflated_sizes,
     bev_iou,
-    derive_box3d,
     dims_from_mm,
     hbb_iou,
     obb_to_hbb,
@@ -459,19 +460,20 @@ def derive_objects(ann: AnnotationFile, inflation: float = 1.0) -> list[DerivedO
     The one place that decides which objects have geometry. A center at or
     above the horizon gives neither, and yaw probes that miss the ground or
     coincide give only the center; `error` then names the object. ValueError
-    from `derive_box3d` (a bad inflation or dims) propagates.
+    from `derive_box3d` (a bad inflation or dims) propagates. Each center is
+    back-projected once, for the center and the box alike.
     """
     derived = []
     for obj in ann.objects:
-        box3d = error = None
-        try:
-            box3d = derive_box3d(obj.obb, obj.dims_m, ann.camera, inflation)
-        except (RayMissesGround, DegenerateYaw) as exc:
-            error = type(exc)(f"object {obj.id!r}: {exc}")
+        # derive_box3d's steps, in its order: the sizes' ValueError comes
+        # before a center that misses the ground.
+        sizes = _inflated_sizes(obj.dims_m, inflation)
+        center = box3d = error = None
         try:
             center = backproject_to_ground(PixelPoint(obj.obb.cx, obj.obb.cy), ann.camera)
-        except RayMissesGround:  # derive_box3d raised it first, so `error` holds it
-            center = None
+            box3d = _box_over_center(obj.obb, sizes, center, ann.camera)
+        except (RayMissesGround, DegenerateYaw) as exc:
+            error = type(exc)(f"object {obj.id!r}: {exc}")
         derived.append(DerivedObject(obj, center, box3d, error))
     return derived
 

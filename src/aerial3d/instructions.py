@@ -25,9 +25,13 @@ object order, format/kind order, template index), so rebuilds are
 byte-identical.
 
 An object a stage cannot use is skipped by that stage and counted once for
-it, never silently dropped: SQA needs the ground center and grounding and
-phase 2 the 3D box that `evaluation.derive_objects` gives each object.
-`BuildResult.skipped` holds each skipped object's reason once.
+it, never silently dropped: SQA needs the ground center, and grounding and
+phase 2 need the 3D box that `evaluation.derive_objects` gives each object
+and an annotated box and dimensions whose targets `parse_location` reads
+back (no side that rounds to no pixel, no dimension that rounds to
+0.00 m). `BuildResult.skipped` holds each skipped object's reason once. An
+`inflation` that shrinks a box below the 3D wire format's resolution
+raises ValueError instead.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from ._fsio import DATA_DIR, read_json, read_jsonl, write_text_atomic
-from .boxes import obb_to_hbb, serialize_location
+from .boxes import HorizontalBox2D, _obb_hull, _wire_forms_parse, serialize_location
 from .errors import ParseError
 from .evaluation import SQA_TASKS, AnnotatedObject, AnnotationFile, derive_objects, sqa_values
 
@@ -198,6 +202,22 @@ def build_phase2_samples(
     return build_all(ann, templates, aux_format, inflation, stages=("phase2",))
 
 
+def _annotated_targets(obj: AnnotatedObject) -> tuple[str, str]:
+    """The object's HBB and OBB wire strings. ValueError if an annotated size
+    is below the wire format's resolution, so that a target would not parse
+    back: a 2D side that rounds to no pixel, or a dimension that rounds to
+    0.00 m."""
+    hull = _obb_hull(obj.obb)
+    hbb = serialize_location(HorizontalBox2D(*hull))
+    obb = serialize_location(obj.obb)
+    if not _wire_forms_parse(obj.obb, hull):
+        raise ValueError(f"2D boxes {obb} and {hbb} have a side that rounds to no pixel")
+    if 0.0 in [round(v, 2) for v in obj.dims_m]:
+        length, width, height = obj.dims_m
+        raise ValueError(f"dimensions {length:g} x {width:g} x {height:g} m round to 0.00 m")
+    return hbb, obb
+
+
 def build_all(
     ann: AnnotationFile,
     templates: TemplateSet,
@@ -238,8 +258,14 @@ def build_all(
                 ))
         if box3d is None or not (grounding or phase2):
             continue
-        hbb = serialize_location(obb_to_hbb(obj.obb))
-        obb = serialize_location(obj.obb)
+        try:
+            hbb, obb = _annotated_targets(obj)
+        except ValueError as exc:
+            n_skipped += grounding + phase2
+            skipped.append(f"object {obj.id!r}: {exc}")
+            continue
+        # An inflation that shrinks the box below the 3D wire format's
+        # resolution is the build's error: ValueError.
         loc3d = serialize_location(box3d)
         if grounding:
             for fmt, target in zip(GROUNDING_FORMATS, (hbb, obb, loc3d)):

@@ -43,6 +43,7 @@ from .boxes import (
     _hull_within_image,
     _obb_hull,
     _project_corners,
+    _wire_forms_parse,
     bev_iou,
     bev_overlaps,
     derive_box3d,
@@ -184,15 +185,9 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
             # The annotation: ProjectedBox3D.annotated_obb of the bottom face.
             obb = fit_min_area_obb(list(zip(xs[:4], ys[:4])))
             # The loader's image-bounds rule (`obb_within_image`), and each
-            # wire form must parse: the OBB's height and its hull's extent
-            # must round to at least a pixel.
-            x1, y1, x2, y2 = hull = _obb_hull(obb)
-            if not (
-                _hull_within_image(hull, width, height)
-                and round(obb.height) >= 1
-                and round(x1) < round(x2)
-                and round(y1) < round(y2)
-            ):
+            # wire form must parse.
+            hull = _obb_hull(obb)
+            if not (_hull_within_image(hull, width, height) and _wire_forms_parse(obb, hull)):
                 continue
             box = candidate
             break

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aerial3d import evaluation, instructions
+from aerial3d import boxes, evaluation, instructions
 from aerial3d.boxes import (
     Box3D,
     HorizontalBox2D,
@@ -15,6 +15,7 @@ from aerial3d.boxes import (
     parse_location,
     serialize_location,
 )
+from aerial3d.camera import PixelPoint, backproject_to_ground
 from aerial3d.cli import main
 from aerial3d.errors import ParseError
 from aerial3d.evaluation import SQA_TASKS, annotation_from_dict, load_annotations, sqa_ground_truth
@@ -280,6 +281,54 @@ class TestSkipPolicy:
         assert result.skipped[0].startswith("object 'car0': pixel (500.0, 30.0) is at or above")
 
 
+    @staticmethod
+    def _sub_wire_record(field: str) -> dict:
+        """The two-car record with one annotated size below the wire format's
+        resolution: car0's box rounds to no pixel, or car1's dimensions to
+        0.00 m."""
+        data = make_annotation_dict()
+        if field == "obb":
+            data["objects"][0]["obb"].update(w=0.4, h=0.3)
+        else:
+            data["objects"][1]["dims_mm"] = {"length": 4, "width": 3, "height": 2}
+        return data
+
+    @pytest.mark.parametrize(
+        "field, reason",
+        [
+            (
+                "obb",
+                "object 'car0': 2D boxes [540,440,0,0,-30.00] and [540,440,540,440]"
+                " have a side that rounds to no pixel",
+            ),
+            ("dims_mm", "object 'car1': dimensions 0.004 x 0.003 x 0.002 m round to 0.00 m"),
+        ],
+        ids=["obb", "dims"],
+    )
+    @pytest.mark.parametrize("aux_format", ["hbb", "obb"])
+    def test_sizes_below_the_wire_resolution_are_skipped(
+        self, templates, field, reason, aux_format
+    ):
+        ann = annotation_from_dict(self._sub_wire_record(field))
+        result = build_all(ann, templates, aux_format)
+        assert result.skipped == (reason,)
+        assert result.n_skipped == 2  # grounding and phase 2; SQA keeps it
+        assert len(result.samples) == 40 + 5
+        for sample in result.samples:
+            if sample.kind != "SQA":
+                for text in (sample.target, sample.aux):
+                    if text is not None:
+                        assert serialize_location(parse_location(text)) == text
+        stages = [build_all(ann, templates, aux_format, stages=(s,)) for s in STAGES]
+        assert [(r.n_skipped, r.skipped) for r in stages] == [
+            (1, (reason,)), (0, ()), (1, (reason,))
+        ]
+
+    def test_inflation_below_the_wire_resolution_raises(self, ann, templates):
+        with pytest.raises(ValueError, match="round to 0.00 in the wire format"):
+            build_all(ann, templates, inflation=0.002)
+
+
 class TestBuildAllStages:
     @pytest.mark.parametrize(
         "stages", [("grounding",), ("sqa",), ("phase2",), ("phase2", "grounding")]
@@ -312,14 +361,43 @@ class TestBuildAllStages:
 
     def test_derives_each_box_once(self, ann, templates, monkeypatch):
         calls = []
+        lift = evaluation._box_over_center
 
         def counting(*args, **kwargs):
             calls.append(args[0])
-            return derive_box3d(*args, **kwargs)
+            return lift(*args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "derive_box3d", counting)
+        monkeypatch.setattr(evaluation, "_box_over_center", counting)
         build_all(ann, templates)
         assert calls == [obj.obb for obj in ann.objects]
+
+    @pytest.mark.parametrize("record", ["nadir", "degenerate_yaw", "above_horizon"])
+    def test_back_projects_each_center_once(self, ann, templates, monkeypatch, record):
+        # One back-projection for the center, which the SQA values and the
+        # box share, and two for the yaw probes of an object that has one.
+        if record == "degenerate_yaw":
+            ann = _degenerate_yaw_record()
+        elif record == "above_horizon":
+            ann = _above_horizon_record()
+        calls = []
+
+        def counting(pixel, cam):
+            calls.append(pixel)
+            return backproject_to_ground(pixel, cam)
+
+        monkeypatch.setattr(evaluation, "backproject_to_ground", counting)
+        monkeypatch.setattr(boxes, "backproject_to_ground", counting)
+        built = build_all(ann, templates)
+        at, centers = 0, []
+        for obj in ann.objects:
+            centers.append(at)
+            # Above the horizon, car0's center misses the ground: no probes.
+            at += 1 if record == "above_horizon" and obj.id == "car0" else 3
+        assert len(calls) == at
+        assert [calls[i] for i in centers] == [
+            PixelPoint(obj.obb.cx, obj.obb.cy) for obj in ann.objects
+        ]
+        assert built == build_all(ann, templates)  # the counted build is the build
 
     def test_describes_and_serializes_each_object_once(self, ann, templates, monkeypatch):
         described, serialized = [], []
