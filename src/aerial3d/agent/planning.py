@@ -2,10 +2,14 @@
 
 A plan is an ordered list of tool calls ending in a `summarize` marker.
 Planner backends emit it as a fenced JSON array of
-`{"tool", "args", "output_name"}` objects; argument values may reference
-earlier outputs as "$name" or "$name.field" (whole-value substitution) or
-embed those tokens inside longer strings (text substitution). A malformed
-planner reply triggers exactly one re-prompt before PlanParseError.
+`{"tool", "args", "output_name"}` objects; the JSON parsed is the text from
+the end of the first opening fence to the next "```", or the whole reply
+without a closing one. Argument values may reference earlier outputs as
+"$name" or "$name.field" (whole-value substitution) or embed those tokens
+inside longer strings (text substitution); `_split_refs` splits a value
+around them once, for the binding check and the substitution alike. A
+malformed planner reply triggers exactly one re-prompt before
+PlanParseError.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 Execution is strictly sequential. Before any tool runs, every "$name"
 reference is checked against the names defined earlier in the plan
-(BindingMissing otherwise). A failing step is recorded — not raised — and
-poisons its output name, so later steps that reference it are halted while
-independent steps still run. Summarization happens after execution over
-whatever outputs exist; if nothing succeeded the query returns a
-structured `error:` answer instead.
+(BindingMissing otherwise); that check scans each argument once, and
+execution resolves only the arguments that hold a reference. A failing
+step is recorded — not raised — and poisons its output name, so later
+steps that reference it are halted while independent steps still run.
+Summarization happens after execution over whatever outputs exist; if
+nothing succeeded the query returns a structured `error:` answer instead.
 
 The trace is a plain JSON-serializable dict recording the parsed plan,
 each step's resolved arguments, output or error and the prompt/response of
