@@ -1,8 +1,9 @@
 """Seeded random draws, stream-compatible with NumPy's default generator.
 
 `Generator(seed)` draws what NumPy's `default_rng(seed)` draws, bit for
-bit, for the calls scene synthesis makes: `uniform(low, high)`, `choice`
-of `range(n)` with or without replacement, and `choice` of a sequence.
+bit, for the calls scene synthesis makes: `random()`, `uniform(low,
+high)`, `choice` of `range(n)` with or without replacement, and `choice`
+of a sequence.
 
 The bit generator is PCG64, XSL-RR output on a 128-bit LCG (M. O'Neill,
 "PCG: A Family of Simple Fast Space-Efficient Statistically Good
@@ -72,7 +73,7 @@ def _seed_words(seed: int) -> list[int]:
 
 
 class Generator:
-    """PCG64 with NumPy's `uniform` and `choice` draw sequences."""
+    """PCG64 with NumPy's `random`, `uniform` and `choice` draw sequences."""
 
     __slots__ = ("_state", "_inc", "_spare")
 
@@ -111,12 +112,16 @@ class Generator:
                 m = self._next32() * span
         return m >> 32
 
+    def random(self) -> float:
+        """A double in [0, 1): the top 53 bits of one 64-bit draw."""
+        return (self._next64() >> 11) * _TWO_M53
+
     def uniform(self, low: float, high: float) -> float:
         low, high = float(low), float(high)
         span = high - low
         if not math.isfinite(span):
             raise OverflowError("high - low range exceeds valid bounds")
-        return low + span * ((self._next64() >> 11) * _TWO_M53)
+        return low + span * self.random()
 
     def _shuffle(self, items: list[int], first: int) -> None:
         """Fisher-Yates over positions len-1 down to `first`."""

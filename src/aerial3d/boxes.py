@@ -110,16 +110,18 @@ class OrientedBox2D:
 
     def corners(self) -> Polygon:
         """Four (x, y) pixel corners in counter-clockwise order (y-down frame)."""
+        return tuple(zip(*self._xs_ys()))
+
+    def _xs_ys(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The x and the y coordinates of :meth:`corners`, in its order."""
         ca, sa = math.cos(self.angle), math.sin(self.angle)
         hw, hh = self.width / 2.0, self.height / 2.0
         lx, ly = hw * ca, hw * sa  # half the long axis
         sx, sy = -hh * sa, hh * ca  # half the short axis
         cx, cy = self.cx, self.cy
         return (
-            (cx + lx + sx, cy + ly + sy),
-            (cx - lx + sx, cy - ly + sy),
-            (cx - lx - sx, cy - ly - sy),
-            (cx + lx - sx, cy + ly - sy),
+            (cx + lx + sx, cx - lx + sx, cx - lx - sx, cx + lx - sx),
+            (cy + ly + sy, cy - ly + sy, cy - ly - sy, cy + ly - sy),
         )
 
 
@@ -190,11 +192,16 @@ class Box3D:
         The center is lifted half the height along the normal
         n = (0, -cos p, -sin p).
         """
-        c, s = math.cos(cam.pitch), math.sin(cam.pitch)
-        lift = height / 2.0
         gx, gy, gz = ground
-        center = CameraPoint(gx, gy - lift * c, gz - lift * s)
-        return cls(center, length, width, height, yaw)
+        y, z = _lifted(gy, gz, height, math.cos(cam.pitch), math.sin(cam.pitch))
+        return cls(CameraPoint(gx, y, z), length, width, height, yaw)
+
+
+def _lifted(gy: float, gz: float, height: float, c: float, s: float) -> tuple[float, float]:
+    """y and z of the point half `height` above the ground point (gx, gy, gz)
+    along the normal, for c = cos(pitch) and s = sin(pitch); x stays gx."""
+    lift = height / 2.0
+    return gy - lift * c, gz - lift * s
 
 
 class GroundBasis(NamedTuple):
@@ -330,15 +337,15 @@ def _corner_coords(box: Box3D, cam: CameraModel) -> list[tuple[float, float, flo
 def _project_corners(box: Box3D, cam: CameraModel) -> tuple[list[float], list[float]]:
     """Pixel x and y lists of the corners of :func:`box3d_corners`; raises
     NonPositiveDepth if any corner lies at or behind the camera."""
+    corners = _corner_coords(box, cam)
+    for _, _, z in corners:
+        if not z > 0:
+            raise NonPositiveDepth(f"point has depth z={z}, must be > 0")
     # project_to_pixel of each corner, written out.
     f, size = cam.focal_length, cam.pixel_size
     half_w, half_h = cam.image_width / 2.0, cam.image_height / 2.0
-    xs, ys = [], []
-    for x, y, z in _corner_coords(box, cam):
-        if not z > 0:
-            raise NonPositiveDepth(f"point has depth z={z}, must be > 0")
-        xs.append(f * x / z / size + half_w)
-        ys.append(f * y / z / size + half_h)
+    xs = [f * x / z / size + half_w for x, _, z in corners]
+    ys = [f * y / z / size + half_h for _, y, z in corners]
     return xs, ys
 
 
@@ -511,7 +518,7 @@ def obb_to_hbb(obb: OrientedBox2D) -> HorizontalBox2D:
 
 def _obb_hull(obb: OrientedBox2D) -> tuple[float, float, float, float]:
     """Min x, min y, max x and max y of the OBB's corners."""
-    xs, ys = zip(*obb.corners())
+    xs, ys = obb._xs_ys()
     return min(xs), min(ys), max(xs), max(ys)
 
 
@@ -547,6 +554,14 @@ def _wire_forms_parse(obb: OrientedBox2D, hull: tuple[float, ...]) -> bool:
     return round(obb.height) >= 1 and round(x1) < round(x2) and round(y1) < round(y2)
 
 
+def _check_wire_dims(dims: Sequence[float]) -> None:
+    """ValueError if a dimension (m) rounds to 0.00, so that a 3D box of these
+    dimensions has no wire form."""
+    if 0.0 in [round(v, 2) for v in dims]:
+        length, width, height = dims
+        raise ValueError(f"dimensions {length:g} x {width:g} x {height:g} m round to 0.00 m")
+
+
 def fit_min_area_obb(points: Sequence[Sequence[float]]) -> OrientedBox2D:
     """Minimal-area rotated rectangle enclosing a 2D point set.
 
@@ -566,6 +581,9 @@ def fit_min_area_obb(points: Sequence[Sequence[float]]) -> OrientedBox2D:
     if len(hull) < 3:
         raise ValueError("points are collinear; no area-minimal rectangle exists")
 
+    if len(hull) == 4:
+        _, cx, cy, w, h, angle = _quad_calipers(hull)
+        return OrientedBox2D.normalized(cx, cy, w, h, angle)
     best = None
     for (x0, y0), (x1, y1) in zip(hull, (*hull[1:], hull[0])):
         angle = math.atan2(y1 - y0, x1 - x0)
@@ -595,6 +613,56 @@ def fit_min_area_obb(points: Sequence[Sequence[float]]) -> OrientedBox2D:
 
     _, cx, cy, w, h, angle = best
     return OrientedBox2D.normalized(cx, cy, w, h, angle)
+
+
+def _quad_calipers(hull: list[tuple[float, float]]) -> tuple[float, ...]:
+    """`fit_min_area_obb`'s caliper loop written out for a 4-vertex hull: the
+    same rotations, the same strict updates from the first vertex on, and the
+    same tie rule. Returns the best (area, cx, cy, w, h, angle)."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = hull
+    cos, sin, atan2 = math.cos, math.sin, math.atan2
+    best = None
+    for x0, y0, x1, y1 in ((ax, ay, bx, by), (bx, by, cx, cy), (cx, cy, dx, dy), (dx, dy, ax, ay)):
+        angle = atan2(y1 - y0, x1 - x0)
+        ca, sa = cos(-angle), sin(-angle)
+        lo_u = hi_u = ax * ca - ay * sa
+        lo_v = hi_v = ax * sa + ay * ca
+        u = bx * ca - by * sa
+        if u < lo_u:
+            lo_u = u
+        elif u > hi_u:
+            hi_u = u
+        u = cx * ca - cy * sa
+        if u < lo_u:
+            lo_u = u
+        elif u > hi_u:
+            hi_u = u
+        u = dx * ca - dy * sa
+        if u < lo_u:
+            lo_u = u
+        elif u > hi_u:
+            hi_u = u
+        v = bx * sa + by * ca
+        if v < lo_v:
+            lo_v = v
+        elif v > hi_v:
+            hi_v = v
+        v = cx * sa + cy * ca
+        if v < lo_v:
+            lo_v = v
+        elif v > hi_v:
+            hi_v = v
+        v = dx * sa + dy * ca
+        if v < lo_v:
+            lo_v = v
+        elif v > hi_v:
+            hi_v = v
+        w, h = hi_u - lo_u, hi_v - lo_v
+        area = w * h
+        if best is None or area < best[0] - 1e-12:
+            mu, mv = (lo_u + hi_u) / 2.0, (lo_v + hi_v) / 2.0
+            best = (area, ca * mu + sa * mv, -sa * mu + ca * mv, w, h, angle)
+    return best
 
 
 def _convex_quad_hull(pts: list[tuple[float, float]]) -> list[tuple[float, float]] | None:

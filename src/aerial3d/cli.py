@@ -60,7 +60,7 @@ def _load_search_fixtures(path: str) -> dict[str, str]:
 def _cmd_derive3d(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from .boxes import serialize_location
+    from .boxes import _check_wire_dims, serialize_location
     from .evaluation import derive_objects, load_annotations
 
     ann = load_annotations(args.annotations)
@@ -70,6 +70,11 @@ def _cmd_derive3d(args: argparse.Namespace) -> int:
             raise NotFound(f"no object with id {args.id!r} in {args.annotations}")
     results = {}
     for obj, _, box3d, error in derive_objects(ann, args.inflation):
+        if box3d is not None:
+            try:  # build-instr's rule: dimensions that round to 0.00 m
+                _check_wire_dims(obj.dims_m)
+            except ValueError as exc:
+                box3d, error = None, ValueError(f"object {obj.id!r}: {exc}")
         if box3d is not None:
             results[obj.id] = serialize_location(box3d)
         elif args.id is not None:

@@ -42,7 +42,13 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from ._fsio import DATA_DIR, read_json, read_jsonl, write_text_atomic
-from .boxes import HorizontalBox2D, _obb_hull, _wire_forms_parse, serialize_location
+from .boxes import (
+    HorizontalBox2D,
+    _check_wire_dims,
+    _obb_hull,
+    _wire_forms_parse,
+    serialize_location,
+)
 from .errors import ParseError
 from .evaluation import SQA_TASKS, AnnotatedObject, AnnotationFile, derive_objects, sqa_values
 
@@ -212,9 +218,7 @@ def _annotated_targets(obj: AnnotatedObject) -> tuple[str, str]:
     obb = serialize_location(obj.obb)
     if not _wire_forms_parse(obj.obb, hull):
         raise ValueError(f"2D boxes {obb} and {hbb} have a side that rounds to no pixel")
-    if 0.0 in [round(v, 2) for v in obj.dims_m]:
-        length, width, height = obj.dims_m
-        raise ValueError(f"dimensions {length:g} x {width:g} x {height:g} m round to 0.00 m")
+    _check_wire_dims(obj.dims_m)
     return hbb, obb
 
 

@@ -21,7 +21,11 @@ The annotation conventions live in `boxes`: a box rests on the ground
 bottom face (`ProjectedBox3D.annotated_obb`), and each candidate's
 rectangle must pass the annotation loader's own image-bounds rule
 (`boxes.obb_within_image`) before it is placed, so every generated
-annotation loads without the document being re-read.
+annotation loads without the document being re-read. The placement loop
+writes those steps out on plain floats: an attempt's pixel and yaw are
+`Generator.random` draws scaled by the scene's spans, its lifted center
+and ground coordinates come from the lift `resting_on` uses, and its one
+`Box3D` is built for the overlap test and the projection.
 
 All randomness flows from one seeded generator (`_rng`, which draws the
 stream of NumPy's `default_rng`), so a fixed config yields byte-identical
@@ -41,6 +45,7 @@ from ._rng import Generator
 from .boxes import (
     Box3D,
     _hull_within_image,
+    _lifted,
     _obb_hull,
     _project_corners,
     _wire_forms_parse,
@@ -51,7 +56,7 @@ from .boxes import (
     ground_uv,
     wrap_angle_half_pi,
 )
-from .camera import CameraModel, CameraPoint, PixelPoint, backproject_to_ground
+from .camera import CameraModel, CameraPoint, backproject_to_ground
 from .errors import (
     IdMismatch,
     NonPositiveDepth,
@@ -145,30 +150,41 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
         pu, pv = ground_uv(backproject_to_ground(cam.principal_point, cam), cam)
         half = cfg.ground_extent / 2.0
 
-    x_lo, x_hi = FRAME_MARGIN * width, (1 - FRAME_MARGIN) * width
-    y_lo, y_hi = FRAME_MARGIN * height, (1 - FRAME_MARGIN) * height
+    # An attempt's draws: rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(),
+    # so each range's low end and span are the scene's.
+    x_lo, y_lo, yaw_lo = FRAME_MARGIN * width, FRAME_MARGIN * height, -math.pi / 2
+    x_span = (1 - FRAME_MARGIN) * width - x_lo
+    y_span = (1 - FRAME_MARGIN) * height - y_lo
+    yaw_span = math.pi / 2 - yaw_lo
+    random = rng.random
+    c, s = math.cos(pitch), math.sin(pitch)
 
     for i, record in enumerate(records):
         dims = record.dims_m
+        radius = math.hypot(dims.length, dims.width) / 2.0
         box: Box3D | None = None
         for _ in range(MAX_REJECTIONS):
-            px = rng.uniform(x_lo, x_hi)
-            py = rng.uniform(y_lo, y_hi)
-            yaw = rng.uniform(-math.pi / 2, math.pi / 2)
+            px = x_lo + x_span * random()
+            py = y_lo + y_span * random()
+            yaw = yaw_lo + yaw_span * random()
             try:
-                ground = backproject_to_ground(PixelPoint(px, py), cam)
+                ground = backproject_to_ground((px, py), cam)
             except RayMissesGround:
                 continue
             if cfg.ground_extent is not None:
                 gu, gv = ground_uv(ground, cam)
                 if abs(gu - pu) > half or abs(gv - pv) > half:
                     continue
-            candidate = Box3D.resting_on(ground, dims.length, dims.width, dims.height, yaw, cam)
+            # Box3D.resting_on(ground, *dims, yaw, cam), and ground_uv of its
+            # center, from floats. Every candidate past this point either
+            # meets a placed circle or reaches projection, and both need it.
+            gx, gy, gz = ground
+            y, z = _lifted(gy, gz, dims.height, c, s)
+            cu, cv = gx, y * -s + z * c
+            candidate = Box3D(CameraPoint(gx, y, z), *dims, yaw)
             # Overlap first: it rejects most candidates in a dense scene. A
             # footprint lies inside its bounding circle, so two circles that
             # are strictly apart cannot overlap.
-            cu, cv = ground_uv(candidate.center, cam)
-            radius = math.hypot(candidate.length, candidate.width) / 2.0
             if any(
                 math.hypot(cu - u, cv - v) <= radius + r and bev_overlaps(candidate, other, cam)
                 for other, u, v, r in placed

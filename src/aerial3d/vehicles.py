@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -96,6 +96,17 @@ class VehicleTable:
     """Immutable collection of records, sorted by (brand, model)."""
 
     records: tuple[VehicleRecord, ...]
+    # Each record by its casefolded key, for `lookup`; the first of a
+    # repeated key wins, as a scan in table order finds it.
+    _by_key: dict[tuple[str, str], VehicleRecord] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        by_key: dict[tuple[str, str], VehicleRecord] = {}
+        for record in self.records:
+            by_key.setdefault(record.key, record)
+        object.__setattr__(self, "_by_key", by_key)
 
     @classmethod
     def from_records(cls, records: Iterable[VehicleRecord]) -> "VehicleTable":
@@ -217,10 +228,9 @@ def match_dimensions(
 
 def lookup(table: VehicleTable, brand: str, model: str) -> VehicleRecord:
     """Exact brand+model lookup, case-insensitive with whitespace trimming."""
-    key = (brand.strip().casefold(), model.strip().casefold())
-    for record in table.records:
-        if record.key == key:
-            return record
+    record = table._by_key.get((brand.strip().casefold(), model.strip().casefold()))
+    if record is not None:
+        return record
     raise NotFound(f"no table entry for {brand.strip()!r} {model.strip()!r}")
 
 

@@ -22,6 +22,14 @@ closing with `str.find`, and splits each argument around its references
 once; it must select the same JSON and resolve to the same values and
 errors.
 
+The placement oracles are the loops synthesis once ran per candidate: the
+minimum-area fit's caliper loop over any hull, each vertex in a loop with
+strict min and max updates; an OBB's hull as min and max over its zipped
+corners; and the corners' projection appended one corner at a time, each
+depth checked as it comes. The library writes the 4-vertex caliper, the
+hull and the projection out; they must give the same floats, by `repr`, and
+the same errors.
+
 It also keeps the camera's image-plane pieces (`ImagePoint`,
 `pixel_to_image`, `image_to_pixel`, `ground_denominator`,
 `ground_plane_residual`). The library writes their arithmetic out inline in
@@ -42,10 +50,13 @@ from aerial3d.boxes import (
     HorizontalBox2D,
     Location,
     OrientedBox2D,
+    _convex_hull,
+    _convex_quad_hull,
+    _corner_coords,
     wrap_angle_half_pi,
 )
 from aerial3d.camera import CameraModel, CameraPoint, PixelPoint
-from aerial3d.errors import ParseError
+from aerial3d.errors import NonPositiveDepth, ParseError
 
 
 class ImagePoint(NamedTuple):
@@ -338,6 +349,87 @@ def scan_locations(text: str) -> Iterator[Location]:
             yield parse_location(match.group(0))
         except ParseError:
             continue
+
+
+# --------------------------------------------------------------------------
+# Reference placement kernels
+# --------------------------------------------------------------------------
+
+
+def fit_min_area_obb(points) -> OrientedBox2D:
+    """The minimum-area fit with one caliper loop for every hull size."""
+    try:
+        pts = [(float(x), float(y)) for x, y in points]
+    except (TypeError, ValueError):
+        pts = []
+    if len(pts) < 3:
+        raise ValueError("need at least 3 points of shape (n, 2)")
+    hull = _convex_quad_hull(pts) if len(pts) == 4 else None
+    if hull is None:
+        hull = _convex_hull(pts)
+    if len(hull) < 3:
+        raise ValueError("points are collinear; no area-minimal rectangle exists")
+
+    best = None
+    for (x0, y0), (x1, y1) in zip(hull, (*hull[1:], hull[0])):
+        angle = math.atan2(y1 - y0, x1 - x0)
+        ca, sa = math.cos(-angle), math.sin(-angle)
+        x, y = hull[0]
+        lo_u = hi_u = x * ca - y * sa
+        lo_v = hi_v = x * sa + y * ca
+        for x, y in hull:
+            u, v = x * ca - y * sa, x * sa + y * ca
+            if u < lo_u:
+                lo_u = u
+            elif u > hi_u:
+                hi_u = u
+            if v < lo_v:
+                lo_v = v
+            elif v > hi_v:
+                hi_v = v
+        w, h = hi_u - lo_u, hi_v - lo_v
+        area = w * h
+        if best is None or area < best[0] - 1e-12:
+            mu, mv = (lo_u + hi_u) / 2.0, (lo_v + hi_v) / 2.0
+            best = (area, ca * mu + sa * mv, -sa * mu + ca * mv, w, h, angle)
+
+    _, cx, cy, w, h, angle = best
+    return OrientedBox2D.normalized(cx, cy, w, h, angle)
+
+
+def obb_corners(obb: OrientedBox2D) -> tuple[tuple[float, float], ...]:
+    """Four (x, y) corners in `OrientedBox2D.corners` order, one tuple each."""
+    ca, sa = math.cos(obb.angle), math.sin(obb.angle)
+    hw, hh = obb.width / 2.0, obb.height / 2.0
+    lx, ly = hw * ca, hw * sa
+    sx, sy = -hh * sa, hh * ca
+    cx, cy = obb.cx, obb.cy
+    return (
+        (cx + lx + sx, cy + ly + sy),
+        (cx - lx + sx, cy - ly + sy),
+        (cx - lx - sx, cy - ly - sy),
+        (cx + lx - sx, cy + ly - sy),
+    )
+
+
+def obb_hull(obb: OrientedBox2D) -> tuple[float, float, float, float]:
+    """Min x, min y, max x and max y of the zipped corners."""
+    xs, ys = zip(*obb_corners(obb))
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def project_corners(box: Box3D, cam: CameraModel) -> tuple[list[float], list[float]]:
+    """Pixel x and y lists of the box's corners, each corner's depth checked
+    before it is appended."""
+    f, size = cam.focal_length, cam.pixel_size
+    half_w, half_h = cam.image_width / 2.0, cam.image_height / 2.0
+    xs, ys = [], []
+    for x, y, z in _corner_coords(box, cam):
+        if not z > 0:
+            raise NonPositiveDepth(f"point has depth z={z}, must be > 0")
+        xs.append(f * x / z / size + half_w)
+        ys.append(f * y / z / size + half_h)
+    return xs, ys
 
 
 # --------------------------------------------------------------------------

@@ -543,6 +543,7 @@ class TestBuildInstrCli:
 
 _ABOVE_HORIZON = "pixel (500.0, 30.0) is at or above the horizon (denominator -2.892e-03)"
 _DEGENERATE_YAW = "yaw probes around (500.0, 500.0) back-project to coincident points"
+_ROUNDS_TO_ZERO = "dimensions 0.004 x 0.003 x 0.002 m round to 0.00 m"
 
 
 class TestUnderivableObjects:
@@ -623,6 +624,19 @@ class TestUnderivableObjects:
         captured = capsys.readouterr()
         assert list(json.loads(captured.out)) == ["car0", "car1"]
         assert captured.err == f"skipped: object 'car2': {_DEGENERATE_YAW}\n"
+
+    def test_derive3d_skips_dimensions_that_round_to_zero(self, write, capsys):
+        data = make_annotation_dict()
+        data["objects"][0]["dims_mm"] = {"length": 4, "width": 3, "height": 2}
+        path = write(data)
+        assert run(["derive3d", "--annotations", path]) == 0
+        captured = capsys.readouterr()
+        assert list(json.loads(captured.out)) == ["car1"]
+        assert captured.err == f"skipped: object 'car0': {_ROUNDS_TO_ZERO}\n"
+        assert run(["derive3d", "--annotations", path, "--id", "car0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: object 'car0': {_ROUNDS_TO_ZERO}\n"
 
     def test_derive3d_id_without_box_is_domain_error(self, write, capsys):
         path = write(above_horizon_dict())

@@ -96,6 +96,31 @@ def test_draws_interleaved_as_generate_scene_makes_them():
         assert ours == _scene_draws(np.random.default_rng(seed), seed)
 
 
+def test_random_matches_interleaved_with_uniform_and_choice():
+    for seed in SEEDS:
+        ours, ref = Generator(seed), np.random.default_rng(seed)
+        for k in range(4):
+            assert ours.random() == ref.random()
+            assert ours.uniform(-math.pi / 2, math.pi / 2) == ref.uniform(-math.pi / 2, math.pi / 2)
+            # A 32-bit draw leaves a spare half, which random() must skip.
+            assert ours.choice(7 + k) == ref.choice(7 + k)
+            assert ours.random() == ref.random()
+            assert ours.choice(COLORS) == str(ref.choice(COLORS))
+            assert ours.choice(31, size=3, replace=False) == ref.choice(31, 3, False).tolist()
+
+
+@pytest.mark.parametrize("side", [1, 40, 999, 1000, 1200, 2**53 + 1, 10**300])
+def test_placement_draws_are_uniform_draws(side):
+    # generate_scene draws lo + span * random() with the span taken once
+    # per scene; each must be the uniform(lo, hi) draw, bit for bit.
+    ranges = [(0.12 * side, 0.88 * side), (-math.pi / 2, math.pi / 2)]
+    for seed in range(30):
+        ours, ref = Generator(seed), Generator(seed)
+        for _ in range(5):
+            for lo, hi in ranges:
+                assert repr(lo + (hi - lo) * ours.random()) == repr(ref.uniform(lo, hi))
+
+
 def test_invalid_arguments_raise_like_numpy():
     for call in (
         lambda gen: gen.uniform(50.0, math.inf),

@@ -9,6 +9,7 @@ are compared exactly: with `==` and by `repr`, which also tells -0.0 from
 0.0. Exceptions must match in type and message.
 """
 
+import itertools
 import math
 import random
 
@@ -21,6 +22,8 @@ from aerial3d.boxes import (
     OrientedBox2D,
     ProjectedBox3D,
     _convex_hull,
+    _obb_hull,
+    _project_corners,
     bev_footprint,
     box3d_corners,
     derive_box3d,
@@ -41,6 +44,7 @@ from aerial3d.camera import (
 )
 from aerial3d.errors import DegenerateYaw, NonPositiveDepth, RayMissesGround
 
+import oracles
 from oracles import ImagePoint, image_to_pixel, pixel_to_image
 
 PITCHES_DEG = (0.5, 5.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0)
@@ -369,3 +373,146 @@ def test_quad_path_matches_monotone_chain_fit(monkeypatch):
             assert not any(taken) and len(fallbacks) == len(inputs), kind
         else:  # both paths run on far-field faces
             assert 0 < sum(taken) < len(inputs) and fallbacks, kind
+
+
+# --------------------------------------------------------------------------
+# Placement kernels against the loops they replaced (`oracles`)
+# --------------------------------------------------------------------------
+
+FUZZ_FITS, FUZZ_HULLS, FUZZ_PROJECTIONS = 60_000, 20_000, 20_000
+
+
+def assert_same_repr(kernel, oracle, *args):
+    def run(fn):
+        try:
+            return fn(*args)
+        except (ValueError, NonPositiveDepth) as exc:
+            return type(exc), str(exc)
+
+    got = run(kernel)
+    assert repr(got) == repr(run(oracle)), (kernel.__name__, args)
+    return got
+
+
+def _face_camera(rng, kind):
+    """Nadir, oblique, or low pitch and high up, where faces near the
+    horizon project to a few pixels."""
+    if kind == "nadir":
+        return CameraModel(0.01, 1e-5, 1000, 1000, math.pi / 2, rng.uniform(20.0, 400.0))
+    if kind == "oblique":
+        return CameraModel(0.01, 1e-5, 1000, 800, math.radians(rng.uniform(10.0, 89.0)),
+                           rng.uniform(20.0, 200.0))
+    return CameraModel(0.01, 1e-5, 1000, 1000, math.radians(rng.uniform(5.0, 15.0)),
+                       rng.uniform(100.0, 400.0))
+
+
+def _faces(rng, kind, cam):
+    """The bottom and top faces and all 8 corners of one projected box;
+    at nadir the footprint is a square half the time, so every edge of its
+    image ties on area."""
+    length = rng.uniform(2.5, 6.0)
+    width = length if kind == "nadir" and rng.random() < 0.5 else rng.uniform(1.4, length)
+    if kind == "horizon":  # rows just below the horizon
+        horizon = cam.image_height / 2.0 - math.tan(cam.pitch) * cam.focal_length / cam.pixel_size
+        pixel = (rng.uniform(0, 1000), horizon + rng.uniform(0.5, 80.0))
+    else:
+        pixel = (rng.uniform(0, cam.image_width), rng.uniform(0, cam.image_height))
+    yaw = rng.choice((0.0, math.pi / 4, -math.pi / 2, rng.uniform(-math.pi / 2, math.pi / 2)))
+    box = Box3D.resting_on(backproject_to_ground(pixel, cam), length, width, 1.5, yaw, cam)
+    xs, ys = _project_corners(box, cam)
+    corners = list(zip(xs, ys))
+    return corners[:4], corners[4:], corners
+
+
+def _signed_zero_quad(rng):
+    """An axis-aligned rectangle at the origin, each zero of either sign."""
+    w, h = rng.choice((1.0, 2.0, 0.5, 40.0)), rng.choice((1.0, 2.0, 0.5))
+
+    def zero():
+        return rng.choice((0.0, -0.0))
+
+    return [(zero(), zero()), (w, zero()), (w, h), (zero(), h)]
+
+
+def _fit_inputs(rng):
+    """Endless (kind, points) pairs: faces in cyclic, clockwise and bowtie
+    order, 4-vertex hulls the monotone chain finds, signed zeros, and
+    general and degenerate point sets."""
+    for round_ in itertools.count():
+        kind = ("nadir", "oblique", "horizon")[round_ % 3]
+        cam = _face_camera(rng, kind)
+        try:
+            bottom, top, corners = _faces(rng, kind, cam)
+        except (RayMissesGround, NonPositiveDepth):
+            continue
+        start = rng.randrange(4)
+        quad = bottom[start:] + bottom[:start]
+        yield kind, quad
+        yield "clockwise", quad[::-1]
+        yield "bowtie", [quad[0], quad[2], quad[1], quad[3]]
+        yield "top", top
+        # The face with its centroid or a repeated vertex: 5 points whose
+        # chain hull is the face.
+        cx, cy = sum(x for x, _ in quad) / 4.0, sum(y for _, y in quad) / 4.0
+        yield "chain", [*quad, (cx, cy) if rng.random() < 0.5 else quad[0]]
+        yield "zeros", _signed_zero_quad(rng)
+        n = rng.randint(3, 8)
+        if round_ % 4 == 0:
+            yield "corners", corners
+        elif round_ % 4 == 1:  # a grid: ties, duplicates and collinear sets
+            yield "general", [(rng.randint(0, 3) * 1.0, rng.randint(0, 3) * 1.0) for _ in range(n)]
+        elif round_ % 4 == 2:
+            yield "general", [(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)) for _ in range(n)]
+
+
+def test_fit_matches_the_caliper_loop_oracle():
+    from aerial3d import boxes
+
+    rng = random.Random("caliper-oracle")
+    hull_sizes = {}
+    for i, (kind, pts) in enumerate(itertools.islice(_fit_inputs(rng), FUZZ_FITS)):
+        got = assert_same_repr(fit_min_area_obb, oracles.fit_min_area_obb, pts)
+        if i >= FUZZ_FITS // 4:  # the paths are tallied on the first quarter
+            continue
+        hull = boxes._convex_quad_hull(pts) if len(pts) == 4 else None
+        path = "quad" if hull is not None else len(_convex_hull(pts))
+        key = (kind, path, isinstance(got, OrientedBox2D))
+        hull_sizes[key] = hull_sizes.get(key, 0) + 1
+    paths = {(kind, path) for kind, path, fitted in hull_sizes if fitted}
+    # Every face order takes the 4-vertex caliper, through the quad path or
+    # the chain; near the horizon some faces are too thin for the quad path.
+    for kind in ("nadir", "oblique", "horizon", "clockwise", "zeros"):
+        assert (kind, "quad") in paths, kind
+    for kind in ("bowtie", "chain", "horizon"):
+        assert (kind, 4) in paths, kind
+    assert {("general", 3), ("corners", 6), ("general", 5)} <= paths
+    assert ("general", 2, False) in hull_sizes  # collinear: ValueError
+
+
+def test_hull_matches_the_zipped_corners_oracle():
+    rng = random.Random("hull-oracle")
+    angles = (0.0, -0.0, -math.pi / 2, math.pi / 4, -math.pi / 4, math.pi / 3)
+    for _ in range(FUZZ_HULLS):
+        w = rng.choice((1.0, 2.0, rng.uniform(0.1, 200.0)))
+        h = w if rng.random() < 0.2 else rng.uniform(0.05, w)
+        cx, cy = (rng.choice((0.0, -0.0, rng.uniform(-100.0, 1100.0))) for _ in range(2))
+        angle = rng.choice(angles) if rng.random() < 0.3 else rng.uniform(-math.pi / 2, math.pi / 2)
+        obb = OrientedBox2D(cx, cy, w, h, angle)
+        assert_same_repr(_obb_hull, oracles.obb_hull, obb)
+        assert repr(obb.corners()) == repr(oracles.obb_corners(obb)), obb
+
+
+def test_projection_matches_the_append_loop_oracle():
+    rng = random.Random("projection-oracle")
+    behind = set()
+    for k in range(FUZZ_PROJECTIONS):
+        cam = camera_at(PITCHES_DEG[k % len(PITCHES_DEG)], rng)
+        got = assert_same_repr(_project_corners, oracles.project_corners, sample_box(rng, cam), cam)
+        if got[0] is NonPositiveDepth:
+            behind.add(got[1])
+    # A top face in the camera plane, to rounding.
+    nadir = CameraModel(0.01, 1e-5, 1000, 1000, math.pi / 2, 50.0)
+    box = Box3D(CameraPoint(0.0, 0.0, 0.75), 4.0, 2.0, 1.5, 0.0)
+    got = assert_same_repr(_project_corners, oracles.project_corners, box, nadir)
+    assert got[0] is NonPositiveDepth and abs(float(got[1].split("=")[1].split(",")[0])) < 1e-15
+    assert len(behind) > 100  # many first corners behind the camera

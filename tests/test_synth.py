@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from aerial3d.boxes import (
     project_box3d,
     serialize_location,
 )
-from aerial3d.camera import CameraModel, CameraPoint
+from aerial3d.camera import CameraModel, CameraPoint, backproject_to_ground
 from aerial3d.cli import main
 from aerial3d.errors import IdMismatch, PlacementExhausted
 from aerial3d.evaluation import annotation_from_dict, load_annotations, validate_annotation
@@ -140,6 +141,47 @@ class TestGenerateScene:
         cfg = nadir_cfg(n_vehicles=2, image_width=40, image_height=40)
         with pytest.raises(PlacementExhausted):
             generate_scene(cfg, table)
+
+    @pytest.mark.parametrize("pitch_deg, extent", [(90.0, None), (50.0, None), (12.0, None), (70.0, 30.0)])
+    def test_each_attempt_back_projects_once_and_builds_at_most_one_box(
+        self, table, monkeypatch, pitch_deg, extent
+    ):
+        from aerial3d import synth
+
+        pitch = math.radians(pitch_deg)
+        cfg = SceneConfig(20, (pitch, pitch), (60.0, 60.0), seed=5, ground_extent=extent)
+        want = generate_scene(cfg, table)
+        events = []  # d: a draw, r: a back-projection, b: a Box3D built
+
+        class LoggedGenerator(synth.Generator):
+            def random(self):
+                events.append("d")
+                return super().random()
+
+        class LoggedBox3D(Box3D):
+            def __post_init__(self):
+                events.append("b")
+                super().__post_init__()
+
+        def backproject(pt, cam):
+            events.append("r")
+            return backproject_to_ground(pt, cam)
+
+        monkeypatch.setattr(synth, "Generator", LoggedGenerator)
+        monkeypatch.setattr(synth, "Box3D", LoggedBox3D)
+        monkeypatch.setattr(synth, "backproject_to_ground", backproject)
+        assert generate_scene(cfg, table) == want
+        log = "".join(events)
+        # The pitch and AGL draws, and the frame center's ray for an extent;
+        # then each attempt draws three times, casts one ray and builds at
+        # most one box.
+        prefix = "dd" + "r" * (extent is not None)
+        assert log.startswith(prefix)
+        assert re.fullmatch("(dddrb?)+", log[len(prefix):]), log
+        attempts = log.count("ddd")
+        assert attempts == log.count("r") - (extent is not None) > cfg.n_vehicles
+        if pitch_deg < 20 or extent is not None:
+            assert "dddrddd" in log  # a ray that misses, or a center out of extent
 
     @pytest.mark.parametrize(
         "n, pitch_deg, agl, seed, width, height",

@@ -229,3 +229,49 @@ class TestLookup:
     def test_unknown_vehicle(self, table):
         with pytest.raises(NotFound):
             lookup(table, "Acme", "Roadster")
+
+    def test_one_lookup_reads_no_record_key(self, table, monkeypatch):
+        # The keys are casefolded once, when the table is built.
+        target = table.records[27]
+        calls = []
+        key = VehicleRecord.key
+        monkeypatch.setattr(VehicleRecord, "key", property(lambda r: calls.append(r) or key.fget(r)))
+        assert lookup(table, target.brand, target.model) is target
+        assert calls == []
+
+    def test_matches_a_linear_scan(self, table):
+        def scan(tbl, brand, model):
+            key = (brand.strip().casefold(), model.strip().casefold())
+            for rec in tbl.records:
+                if rec.key == key:
+                    return rec
+            raise NotFound(f"no table entry for {brand.strip()!r} {model.strip()!r}")
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except NotFound as exc:
+                return str(exc)
+
+        # Built directly, so repeated keys stay: the first in table order wins.
+        repeats = VehicleTable((
+            record("BYD", "Tang", 4870, 1950, 1725),
+            record("byd", "TANG", 4000, 1800, 1500),
+            record("Maße", "Straße", 4100, 1700, 1500),
+            record("MASSE", "STRASSE", 4200, 1750, 1500),
+            record("Kia", "EV6", 4680, 1880, 1550),
+        ))
+        for tbl in (table, repeats):
+            names = [(r.brand, r.model) for r in tbl.records]
+            names += [("Acme", "Roadster"), ("", ""), (" ", "Tang"), ("Tang", "BYD")]
+            for brand, model in names:
+                for b, m in (
+                    (brand, model), (brand.upper(), model.lower()), (brand.swapcase(), model),
+                    (f" \t{brand}\n", f"  {model} "), (brand.casefold(), model.casefold()),
+                    (brand + "x", model), (brand, model.replace(" ", "")),
+                ):
+                    want = outcome(scan, tbl, b, m)
+                    got = outcome(lookup, tbl, b, m)
+                    assert got is want if isinstance(want, VehicleRecord) else got == want
+        assert lookup(repeats, "BYD", "tang") is repeats.records[0]
+        assert lookup(repeats, "masse", "strasse") is repeats.records[2]
