@@ -337,15 +337,15 @@ def _corner_coords(box: Box3D, cam: CameraModel) -> list[tuple[float, float, flo
 def _project_corners(box: Box3D, cam: CameraModel) -> tuple[list[float], list[float]]:
     """Pixel x and y lists of the corners of :func:`box3d_corners`; raises
     NonPositiveDepth if any corner lies at or behind the camera."""
-    corners = _corner_coords(box, cam)
-    for _, _, z in corners:
-        if not z > 0:
-            raise NonPositiveDepth(f"point has depth z={z}, must be > 0")
     # project_to_pixel of each corner, written out.
     f, size = cam.focal_length, cam.pixel_size
     half_w, half_h = cam.image_width / 2.0, cam.image_height / 2.0
-    xs = [f * x / z / size + half_w for x, _, z in corners]
-    ys = [f * y / z / size + half_h for _, y, z in corners]
+    xs, ys = [], []
+    for x, y, z in _corner_coords(box, cam):
+        if not z > 0:
+            raise NonPositiveDepth(f"point has depth z={z}, must be > 0")
+        xs.append(f * x / z / size + half_w)
+        ys.append(f * y / z / size + half_h)
     return xs, ys
 
 

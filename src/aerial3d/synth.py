@@ -118,6 +118,20 @@ def _vehicle_type(record: VehicleRecord) -> str:
     return "sedan"
 
 
+def _overlaps_placed(
+    candidate: Box3D, cu: float, cv: float, radius: float,
+    placed: list[tuple[Box3D, float, float, float]], cam: CameraModel,
+) -> bool:
+    """Whether the candidate, whose ground bounding circle has center (cu, cv)
+    and `radius`, overlaps a placed box. A footprint lies inside its bounding
+    circle, so two circles that are strictly apart cannot overlap; a plain
+    loop costs less per placed box than a generator."""
+    for other, u, v, r in placed:
+        if math.hypot(cu - u, cv - v) <= radius + r and bev_overlaps(candidate, other, cam):
+            return True
+    return False
+
+
 def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
     """Sample a scene and emit its annotation + ground-truth documents.
 
@@ -182,13 +196,8 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
             y, z = _lifted(gy, gz, dims.height, c, s)
             cu, cv = gx, y * -s + z * c
             candidate = Box3D(CameraPoint(gx, y, z), *dims, yaw)
-            # Overlap first: it rejects most candidates in a dense scene. A
-            # footprint lies inside its bounding circle, so two circles that
-            # are strictly apart cannot overlap.
-            if any(
-                math.hypot(cu - u, cv - v) <= radius + r and bev_overlaps(candidate, other, cam)
-                for other, u, v, r in placed
-            ):
+            # Overlap first: it rejects most candidates in a dense scene.
+            if _overlaps_placed(candidate, cu, cv, radius, placed, cam):
                 continue
             try:
                 xs, ys = _project_corners(candidate, cam)

@@ -24,11 +24,9 @@ errors.
 
 The placement oracles are the loops synthesis once ran per candidate: the
 minimum-area fit's caliper loop over any hull, each vertex in a loop with
-strict min and max updates; an OBB's hull as min and max over its zipped
-corners; and the corners' projection appended one corner at a time, each
-depth checked as it comes. The library writes the 4-vertex caliper, the
-hull and the projection out; they must give the same floats, by `repr`, and
-the same errors.
+strict min and max updates, and an OBB's hull as min and max over its
+zipped corners. The library writes the 4-vertex caliper and the hull out;
+they must give the same floats, by `repr`, and the same errors.
 
 It also keeps the camera's image-plane pieces (`ImagePoint`,
 `pixel_to_image`, `image_to_pixel`, `ground_denominator`,
@@ -52,11 +50,10 @@ from aerial3d.boxes import (
     OrientedBox2D,
     _convex_hull,
     _convex_quad_hull,
-    _corner_coords,
     wrap_angle_half_pi,
 )
 from aerial3d.camera import CameraModel, CameraPoint, PixelPoint
-from aerial3d.errors import NonPositiveDepth, ParseError
+from aerial3d.errors import ParseError
 
 
 class ImagePoint(NamedTuple):
@@ -416,20 +413,6 @@ def obb_hull(obb: OrientedBox2D) -> tuple[float, float, float, float]:
     """Min x, min y, max x and max y of the zipped corners."""
     xs, ys = zip(*obb_corners(obb))
     return min(xs), min(ys), max(xs), max(ys)
-
-
-def project_corners(box: Box3D, cam: CameraModel) -> tuple[list[float], list[float]]:
-    """Pixel x and y lists of the box's corners, each corner's depth checked
-    before it is appended."""
-    f, size = cam.focal_length, cam.pixel_size
-    half_w, half_h = cam.image_width / 2.0, cam.image_height / 2.0
-    xs, ys = [], []
-    for x, y, z in _corner_coords(box, cam):
-        if not z > 0:
-            raise NonPositiveDepth(f"point has depth z={z}, must be > 0")
-        xs.append(f * x / z / size + half_w)
-        ys.append(f * y / z / size + half_h)
-    return xs, ys
 
 
 # --------------------------------------------------------------------------

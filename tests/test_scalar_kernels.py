@@ -379,14 +379,14 @@ def test_quad_path_matches_monotone_chain_fit(monkeypatch):
 # Placement kernels against the loops they replaced (`oracles`)
 # --------------------------------------------------------------------------
 
-FUZZ_FITS, FUZZ_HULLS, FUZZ_PROJECTIONS = 60_000, 20_000, 20_000
+FUZZ_FITS, FUZZ_HULLS = 70_000, 30_000
 
 
 def assert_same_repr(kernel, oracle, *args):
     def run(fn):
         try:
             return fn(*args)
-        except (ValueError, NonPositiveDepth) as exc:
+        except ValueError as exc:
             return type(exc), str(exc)
 
     got = run(kernel)
@@ -500,19 +500,3 @@ def test_hull_matches_the_zipped_corners_oracle():
         obb = OrientedBox2D(cx, cy, w, h, angle)
         assert_same_repr(_obb_hull, oracles.obb_hull, obb)
         assert repr(obb.corners()) == repr(oracles.obb_corners(obb)), obb
-
-
-def test_projection_matches_the_append_loop_oracle():
-    rng = random.Random("projection-oracle")
-    behind = set()
-    for k in range(FUZZ_PROJECTIONS):
-        cam = camera_at(PITCHES_DEG[k % len(PITCHES_DEG)], rng)
-        got = assert_same_repr(_project_corners, oracles.project_corners, sample_box(rng, cam), cam)
-        if got[0] is NonPositiveDepth:
-            behind.add(got[1])
-    # A top face in the camera plane, to rounding.
-    nadir = CameraModel(0.01, 1e-5, 1000, 1000, math.pi / 2, 50.0)
-    box = Box3D(CameraPoint(0.0, 0.0, 0.75), 4.0, 2.0, 1.5, 0.0)
-    got = assert_same_repr(_project_corners, oracles.project_corners, box, nadir)
-    assert got[0] is NonPositiveDepth and abs(float(got[1].split("=")[1].split(",")[0])) < 1e-15
-    assert len(behind) > 100  # many first corners behind the camera
