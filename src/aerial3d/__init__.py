@@ -26,10 +26,10 @@ _EXPORTS = {
         "backproject_to_ground", "project_to_pixel", "spatial_measures",
     ),
     "errors": (
-        "Aerial3DError", "BindingMissing", "DegenerateVariance", "DegenerateYaw",
-        "DuplicateKey", "EmptyTable", "IdMismatch", "LengthMismatch", "NonPositiveDepth",
-        "NotFound", "ParseError", "PlacementExhausted", "PlanParseError",
-        "RayMissesGround", "SchemaError", "ToolError", "UnknownWorkflow",
+        "Aerial3DError", "BindingMissing", "DegenerateVariance", "DuplicateKey",
+        "EmptyTable", "IdMismatch", "LengthMismatch", "NonPositiveDepth", "NotFound",
+        "ParseError", "PlacementExhausted", "PlanParseError", "RayMissesGround",
+        "SchemaError", "ToolError", "UnknownWorkflow",
     ),
     "evaluation": (
         "AnnotatedObject", "AnnotationFile", "EvalReport", "RegressionMetrics",

@@ -25,7 +25,9 @@ Annotation convention
 A vehicle's box rests on the ground (`Box3D.resting_on`), its annotation is
 the min-area fit of the projected bottom face (`project_box3d(box,
 cam).annotated_obb()`), and an annotation must lie within the image plus
-`OBB_BOUNDS_MARGIN` (`obb_within_image`). `derive_box3d` inverts the map.
+`OBB_BOUNDS_MARGIN` (`obb_within_image`). `derive_box3d` inverts the map
+with one back-projection: the OBB center's ground point is the box's, and
+yaw is the ground direction of the OBB axis there, in closed form.
 A projected face is a convex quad in cyclic order, so `fit_min_area_obb`
 takes 4 points that turn strictly one way as their own hull, in the
 monotone chain's order (CCW from the lexicographic minimum), and sorts
@@ -56,10 +58,7 @@ from .camera import (
     PixelPoint,
     backproject_to_ground,
 )
-from .errors import DegenerateBox, DegenerateYaw, NonPositiveDepth, ParseError
-
-# Yaw probes closer together than this (meters) cannot define a direction.
-_YAW_BASELINE_EPS = 1e-12
+from .errors import DegenerateBox, NonPositiveDepth, ParseError
 
 # A 2D polygon as a sequence of (x, y) vertices.
 Polygon = Sequence[tuple[float, float]]
@@ -241,11 +240,19 @@ def derive_box3d(
 ) -> Box3D:
     """Lift an annotated 2D OBB plus known metric dimensions to a 3D cuboid.
 
-    The OBB center back-projects to the cuboid's ground-contact center. Yaw
-    comes from back-projecting two probe points offset +-height/4 pixels
-    along the OBB long axis: the plane-to-image map sends lines to lines, so
-    the probes' ground displacement lies exactly along the vehicle's length
-    axis. Dimensions are scaled by `inflation` (annotation boxes are often
+    The OBB center back-projects to the cuboid's ground-contact center
+    (X, Y, Z). The image-to-ground map sends lines to lines, so the length
+    axis is the derivative of the back-projection along the OBB axis (ca, sa)
+    at the center, and yaw has a closed form:
+
+        yaw = wrap_angle_half_pi(atan2(-Z*sa, ca*agl - X*cos(p)*sa))
+
+    Derivation: a pixel at metric image point (ix, iy) lands on
+    agl*(ix, iy, f)/D with D = iy*cos(p) + f*sin(p); its derivative along
+    (ca, sa) has ground coordinates (u, v) proportional to
+    (ca*D - ix*sa*cos(p), -f*sa), and times t = agl/D > 0 that is the
+    pair above. A center below the horizon has D > 0, so the pair is never
+    (0, 0). Dimensions are scaled by `inflation` (annotation boxes are often
     drawn slightly larger than the vehicle), and the center is lifted half
     the inflated height along the plane normal.
     """
@@ -274,26 +281,12 @@ def _box_over_center(
     center_ground: CameraPoint,
     cam: CameraModel,
 ) -> Box3D:
-    """`derive_box3d` after its first back-projection: the box of the given
-    `_inflated_sizes` over the OBB center's ground point, yawed by the probes."""
-    c, s = math.cos(cam.pitch), math.sin(cam.pitch)
-    delta = obb.height / 4.0
+    """`derive_box3d` after its back-projection: the box of the given
+    `_inflated_sizes` over the OBB center's ground point, yawed in closed form."""
+    gx, _, gz = center_ground
     ca, sa = math.cos(obb.angle), math.sin(obb.angle)
-    probe_fwd = backproject_to_ground(
-        PixelPoint(obb.cx + delta * ca, obb.cy + delta * sa), cam
-    )
-    probe_back = backproject_to_ground(
-        PixelPoint(obb.cx - delta * ca, obb.cy - delta * sa), cam
-    )
-    # ground_uv of the probes' displacement.
-    u = probe_fwd.x - probe_back.x
-    v = (probe_fwd.y - probe_back.y) * -s + (probe_fwd.z - probe_back.z) * c
-    if math.hypot(u, v) < _YAW_BASELINE_EPS:
-        raise DegenerateYaw(
-            f"yaw probes around ({obb.cx}, {obb.cy}) back-project to coincident points"
-        )
-    yaw = wrap_angle_half_pi(math.atan2(v, u))
-    return Box3D.resting_on(center_ground, *sizes, yaw, cam)
+    yaw = math.atan2(-gz * sa, ca * cam.agl - gx * math.cos(cam.pitch) * sa)
+    return Box3D.resting_on(center_ground, *sizes, wrap_angle_half_pi(yaw), cam)
 
 
 def box3d_corners(box: Box3D, cam: CameraModel) -> tuple[CameraPoint, ...]:

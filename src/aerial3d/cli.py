@@ -70,17 +70,17 @@ def _cmd_derive3d(args: argparse.Namespace) -> int:
             raise NotFound(f"no object with id {args.id!r} in {args.annotations}")
     results = {}
     for obj, _, box3d, error in derive_objects(ann, args.inflation):
-        if box3d is not None:
+        if error is None:
             try:  # build-instr's rule: dimensions that round to 0.00 m
                 _check_wire_dims(obj.dims_m)
             except ValueError as exc:
-                box3d, error = None, ValueError(f"object {obj.id!r}: {exc}")
-        if box3d is not None:
-            results[obj.id] = serialize_location(box3d)
-        elif args.id is not None:
+                error = ValueError(f"object {obj.id!r}: {exc}")
+            else:
+                results[obj.id] = serialize_location(box3d)
+                continue
+        if args.id is not None:
             raise error
-        else:
-            print(f"skipped: {error}", file=sys.stderr)
+        print(f"skipped: {error}", file=sys.stderr)
     _emit(json.dumps(results, indent=2), args.out)
     return 0
 

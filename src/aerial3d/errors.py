@@ -19,10 +19,6 @@ class RayMissesGround(Aerial3DError):
     """Pixel ray is at or above the horizon; no ground intersection ahead."""
 
 
-class DegenerateYaw(Aerial3DError):
-    """Yaw probe points back-project to coincident ground points."""
-
-
 class DegenerateBox(Aerial3DError, ValueError):
     """A horizontal box without x1 < x2 and y1 < y2, such as the pixel hull of
     a box whose corners all project to one point."""

@@ -62,7 +62,6 @@ from .camera import CameraModel, CameraPoint, PixelPoint, backproject_to_ground,
 from .errors import (
     DegenerateBox,
     DegenerateVariance,
-    DegenerateYaw,
     IdMismatch,
     LengthMismatch,
     ParseError,
@@ -448,33 +447,37 @@ def grounding_ground_truth(ann: AnnotationFile) -> dict[str, HorizontalBox2D]:
 
 
 class DerivedObject(NamedTuple):
+    """One object's geometry: `center` and `box3d` with no `error`, or, for
+    a center at or above the horizon, neither and the error naming it."""
+
     obj: AnnotatedObject
     center: CameraPoint | None
     box3d: Box3D | None
-    error: RayMissesGround | DegenerateYaw | None
+    error: RayMissesGround | None
 
 
 def derive_objects(ann: AnnotationFile, inflation: float = 1.0) -> list[DerivedObject]:
     """Each object's ground center (its back-projected OBB center) and `derive_box3d` box.
 
-    The one place that decides which objects have geometry. A center at or
-    above the horizon gives neither, and yaw probes that miss the ground or
-    coincide give only the center; `error` then names the object. ValueError
-    from `derive_box3d` (a bad inflation or dims) propagates. Each center is
-    back-projected once, for the center and the box alike.
+    The one place that decides which objects have geometry. An object has
+    both or neither: a center at or above the horizon gives neither, and
+    `error` then names the object. ValueError from `derive_box3d` (a bad
+    inflation or dims) propagates. Each center is back-projected once, for
+    the center and the box alike.
     """
     derived = []
     for obj in ann.objects:
         # derive_box3d's steps, in its order: the sizes' ValueError comes
         # before a center that misses the ground.
         sizes = _inflated_sizes(obj.dims_m, inflation)
-        center = box3d = error = None
         try:
             center = backproject_to_ground(PixelPoint(obj.obb.cx, obj.obb.cy), ann.camera)
+        except RayMissesGround as exc:
+            error = RayMissesGround(f"object {obj.id!r}: {exc}")
+            derived.append(DerivedObject(obj, None, None, error))
+        else:
             box3d = _box_over_center(obj.obb, sizes, center, ann.camera)
-        except (RayMissesGround, DegenerateYaw) as exc:
-            error = type(exc)(f"object {obj.id!r}: {exc}")
-        derived.append(DerivedObject(obj, center, box3d, error))
+            derived.append(DerivedObject(obj, center, box3d, None))
     return derived
 
 
@@ -485,7 +488,7 @@ def retrieval_ground_truth(
     the derive_objects `error` of the first object without a box."""
     gts = {}
     for obj, _, box3d, error in derive_objects(ann, inflation):
-        if box3d is None:
+        if error is not None:
             raise error
         gts[obj.id] = box3d
     return gts
@@ -514,7 +517,7 @@ def sqa_ground_truth(ann: AnnotationFile) -> dict[str, float]:
     sqa_values). Raises the derive_objects `error` of the first object without a center."""
     gts = {}
     for obj, center, _, error in derive_objects(ann):
-        if center is None:
+        if error is not None:
             raise error
         for task, value in sqa_values(obj, center).items():
             gts[f"{obj.id}:{task}"] = value

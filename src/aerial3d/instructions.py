@@ -25,13 +25,13 @@ object order, format/kind order, template index), so rebuilds are
 byte-identical.
 
 An object a stage cannot use is skipped by that stage and counted once for
-it, never silently dropped: SQA needs the ground center, and grounding and
-phase 2 need the 3D box that `evaluation.derive_objects` gives each object
-and an annotated box and dimensions whose targets `parse_location` reads
-back (no side that rounds to no pixel, no dimension that rounds to
-0.00 m). `BuildResult.skipped` holds each skipped object's reason once. An
-`inflation` that shrinks a box below the 3D wire format's resolution
-raises ValueError instead.
+it, never silently dropped: every stage needs the ground center and 3D box
+that `evaluation.derive_objects` gives each object whose center lies below
+the horizon, and grounding and phase 2 also need an annotated box and
+dimensions whose targets `parse_location` reads back (no side that rounds
+to no pixel, no dimension that rounds to 0.00 m). `BuildResult.skipped`
+holds each skipped object's reason once. An `inflation` that shrinks a box
+below the 3D wire format's resolution raises ValueError instead.
 """
 
 from __future__ import annotations
@@ -248,19 +248,20 @@ def build_all(
     skipped: list[str] = []
     image = ann.image
     for obj, center, box3d, error in derive_objects(ann, inflation):
+        if error is not None:
+            if grounding or sqa or phase2:
+                n_skipped += grounding + sqa + phase2
+                skipped.append(str(error))
+            continue
         desc = describe_object(obj)
-        unused = (sqa and center is None) + (grounding + phase2) * (box3d is None)
-        if unused:
-            n_skipped += unused
-            skipped.append(str(error))
-        if sqa and center is not None:
+        if sqa:
             values = sqa_values(obj, center)
             for task in SQA_TASKS:
                 sqa_out.append(InstructionSample(
                     image, templates.sqa[task].format(target=desc), None,
                     f"{values[task]:.2f} m", "SQA", task,
                 ))
-        if box3d is None or not (grounding or phase2):
+        if not (grounding or phase2):
             continue
         try:
             hbb, obb = _annotated_targets(obj)

@@ -28,6 +28,16 @@ strict min and max updates, and an OBB's hull as min and max over its
 zipped corners. The library writes the 4-vertex caliper and the hull out;
 they must give the same floats, by `repr`, and the same errors.
 
+The yaw oracles are two. `derive_box3d_probes` is the construction
+`derive_box3d` once used: two back-projected probes +-height/4 px along the
+OBB axis, yaw from their ground displacement, with its two extra failure
+paths (a probe that misses the ground, probes that meet at one ground
+point). `exact_chord_yaw` computes the same chord in `fractions.Fraction`
+at 1e-6 px: in exact arithmetic, probes placed symmetrically about a
+center below the horizon give a chord parallel to the tangent of the axis's
+ground image, for any offset, so its yaw is the true one for the float
+inputs. The library takes yaw from that tangent in closed form.
+
 It also keeps the camera's image-plane pieces (`ImagePoint`,
 `pixel_to_image`, `image_to_pixel`, `ground_denominator`,
 `ground_plane_residual`). The library writes their arithmetic out inline in
@@ -39,20 +49,23 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
 from aerial3d.boxes import (
     Box3D,
+    BoxDims,
     HorizontalBox2D,
     Location,
     OrientedBox2D,
     _convex_hull,
     _convex_quad_hull,
+    _inflated_sizes,
     wrap_angle_half_pi,
 )
-from aerial3d.camera import CameraModel, CameraPoint, PixelPoint
+from aerial3d.camera import CameraModel, CameraPoint, PixelPoint, backproject_to_ground
 from aerial3d.errors import ParseError
 
 
@@ -413,6 +426,96 @@ def obb_hull(obb: OrientedBox2D) -> tuple[float, float, float, float]:
     """Min x, min y, max x and max y of the zipped corners."""
     xs, ys = zip(*obb_corners(obb))
     return min(xs), min(ys), max(xs), max(ys)
+
+
+# --------------------------------------------------------------------------
+# Reference yaw
+# --------------------------------------------------------------------------
+
+
+class CoincidentProbes(Exception):
+    """`derive_box3d_probes` found its two probes at one ground point."""
+
+
+def derive_box3d_probes(
+    obb: OrientedBox2D, dims: BoxDims, cam: CameraModel, inflation: float = 1.0
+) -> Box3D:
+    """The box with yaw from two probes +-height/4 px along the OBB axis.
+
+    Raises RayMissesGround where the center or a probe misses the ground,
+    and CoincidentProbes where the probes' ground displacement is under
+    1e-12 m.
+    """
+    sizes = _inflated_sizes(dims, inflation)
+    center_ground = backproject_to_ground(PixelPoint(obb.cx, obb.cy), cam)
+    c, s = math.cos(cam.pitch), math.sin(cam.pitch)
+    delta = obb.height / 4.0
+    ca, sa = math.cos(obb.angle), math.sin(obb.angle)
+    probe_fwd = backproject_to_ground(
+        PixelPoint(obb.cx + delta * ca, obb.cy + delta * sa), cam
+    )
+    probe_back = backproject_to_ground(
+        PixelPoint(obb.cx - delta * ca, obb.cy - delta * sa), cam
+    )
+    # ground_uv of the probes' displacement.
+    u = probe_fwd.x - probe_back.x
+    v = (probe_fwd.y - probe_back.y) * -s + (probe_fwd.z - probe_back.z) * c
+    if math.hypot(u, v) < 1e-12:
+        raise CoincidentProbes(
+            f"yaw probes around ({obb.cx}, {obb.cy}) back-project to coincident points"
+        )
+    yaw = wrap_angle_half_pi(math.atan2(v, u))
+    return Box3D.resting_on(center_ground, *sizes, yaw, cam)
+
+
+def exact_chord_yaw(obb: OrientedBox2D, cam: CameraModel, delta: float = 1e-6) -> float:
+    """Yaw of the ground chord between probes +-delta px along the OBB axis.
+
+    Every step is exact in Fraction, from the float inputs (the pixel, the
+    camera fields and the float cos and sin of pitch and angle) to the
+    chord; only its direction is rounded, once per component, to a float.
+    Not wrapped: compare modulo pi.
+    """
+    c, s = Fraction(math.cos(cam.pitch)), Fraction(math.sin(cam.pitch))
+    ca, sa = Fraction(math.cos(obb.angle)), Fraction(math.sin(obb.angle))
+    f, size, agl = Fraction(cam.focal_length), Fraction(cam.pixel_size), Fraction(cam.agl)
+    ox = Fraction(obb.cx) - Fraction(cam.image_width, 2)
+    oy = Fraction(obb.cy) - Fraction(cam.image_height, 2)
+    step = Fraction(delta)
+
+    def ground(sign: int) -> tuple[Fraction, Fraction, Fraction]:
+        ix, iy = (ox + sign * step * ca) * size, (oy + sign * step * sa) * size
+        t = agl / (iy * c + f * s)
+        return ix * t, iy * t, f * t
+
+    (x1, y1, z1), (x0, y0, z0) = ground(1), ground(-1)
+    u, v = x1 - x0, (y1 - y0) * -s + (z1 - z0) * c
+    scale = max(abs(u), abs(v))
+    return math.atan2(v / scale, u / scale)
+
+
+def yaw_tolerance(obb: OrientedBox2D, cam: CameraModel) -> float:
+    """4e-15 rad, plus what rounding the back-projection's denominator moves yaw.
+
+    Yaw is atan2(-f*sa, ca*D - ix*sa*cos(p)) with D = iy*cos(p) + f*sin(p).
+    Near the horizon D cancels, and the few roundings that give the float D
+    (of iy, of two products and of their sum) move it by up to
+    4 * 2**-53 * (|iy*cos(p)| + f*sin(p)), whatever formula follows; yaw
+    moves by that times |dyaw/dD| = |f*sa*ca| / (u**2 + v**2).
+    """
+    c, s = math.cos(cam.pitch), math.sin(cam.pitch)
+    ca, sa = math.cos(obb.angle), math.sin(obb.angle)
+    f = cam.focal_length
+    ix = (obb.cx - cam.image_width / 2.0) * cam.pixel_size
+    iy = (obb.cy - cam.image_height / 2.0) * cam.pixel_size
+    u, v = ca * (iy * c + f * s) - ix * sa * c, -f * sa
+    rounding = 4 * 2.0**-53 * (abs(iy * c) + f * s)
+    return 4e-15 + abs(f * sa * ca) / (u * u + v * v) * rounding
+
+
+def yaw_error(yaw: float, reference: float) -> float:
+    """|yaw - reference| modulo pi (directions carry no heading)."""
+    return abs(math.remainder(yaw - reference, math.pi))
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aerial3d import boxes
@@ -28,8 +29,8 @@ from aerial3d.boxes import (
     serialize_location,
     wrap_angle_half_pi,
 )
-from aerial3d.camera import CameraModel, CameraPoint
-from aerial3d.errors import ParseError
+from aerial3d.camera import CameraModel, CameraPoint, backproject_to_ground
+from aerial3d.errors import ParseError, RayMissesGround
 
 import oracles
 from oracles import ground_plane_residual
@@ -216,6 +217,79 @@ class TestDeriveBox3D:
         obb = OrientedBox2D(500.0, 500.0, 90.0, 36.0, 0.0)
         box = derive_box3d(obb, CAR, cam_nadir)
         np.testing.assert_allclose(box.yaw, 0.0, atol=1e-12)
+
+    def test_yaw_matches_the_exact_chord(self):
+        # Pitch 0.5-90 degrees, AGL 5-400 m, focal length 10-1000 px, OBB
+        # heights down to 1e-12 px, and half the centers just below the
+        # horizon, where the back-projection's denominator cancels.
+        rng = random.Random("exact-yaw")
+        near_horizon = 0
+        for _ in range(2000):
+            pitch = math.radians(rng.uniform(0.5, 90.0))
+            focal_px = 10 ** rng.uniform(1.0, 3.0)
+            agl = math.exp(rng.uniform(math.log(5.0), math.log(400.0)))
+            cam = CameraModel(focal_px * 1e-5, 1e-5, 1000, 800, pitch, agl)
+            c = math.cos(pitch)
+            near = rng.random() < 0.5
+            if near:
+                # 1e-4 / c px below the horizon row is where the float
+                # denominator reaches HORIZON_EPS.
+                horizon_row = 400.0 - focal_px * math.sin(pitch) / c
+                cy = horizon_row + 1e-4 / c * 10 ** rng.uniform(0.01, 4.0)
+            else:
+                cy = rng.uniform(-300.0, 1100.0)
+            height = 10 ** rng.uniform(-12.0, 1.5)
+            obb = OrientedBox2D.normalized(
+                rng.uniform(-300.0, 1300.0), cy, height + rng.uniform(0.0, 120.0), height,
+                rng.uniform(-math.pi / 2, math.pi / 2),
+            )
+            try:
+                backproject_to_ground((obb.cx, obb.cy), cam)
+            except RayMissesGround:
+                continue
+            near_horizon += near
+            yaw = derive_box3d(obb, CAR, cam).yaw
+            error = oracles.yaw_error(yaw, oracles.exact_chord_yaw(obb, cam))
+            assert error <= oracles.yaw_tolerance(obb, cam), (obb, cam)
+        assert near_horizon > 500
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        pitch=st.floats(0.0, math.pi / 2, exclude_min=True),
+        focal_px=st.floats(1.0, 1e5),
+        agl=st.floats(0.0, 1e6, exclude_min=True),
+        cx=st.floats(-1e4, 1e4),
+        below_horizon_px=st.floats(0.0, 1e4),
+        height=st.floats(0.0, 1e3, exclude_min=True),
+        extra_width=st.floats(0.0, 1e3),
+        angle=st.floats(-math.pi / 2, math.pi / 2, exclude_max=True),
+        width_m=st.floats(0.0, 10.0),
+        extra_length_m=st.floats(0.0, 10.0),
+        height_m=st.floats(0.0, 10.0),
+        inflation=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([math.nan, math.inf, 1e308])),
+    )
+    def test_every_center_that_lands_gives_a_box(
+        self, pitch, focal_px, agl, cx, below_horizon_px, height, extra_width, angle,
+        width_m, extra_length_m, height_m, inflation,
+    ):
+        # Any valid OBB, over the whole pitch range (0, 90] degrees, with
+        # its center anywhere from the horizon down.
+        cam = CameraModel(focal_px * 1e-5, 1e-5, 1000, 800, pitch, agl)
+        horizon_row = 400.0 - focal_px * math.sin(pitch) / math.cos(pitch)
+        obb = OrientedBox2D(cx, horizon_row + below_horizon_px, height + extra_width, height, angle)
+        dims = BoxDims(width_m + extra_length_m, width_m, height_m)
+        try:
+            backproject_to_ground((obb.cx, obb.cy), cam)
+        except RayMissesGround:
+            assume(False)
+        try:
+            boxes._inflated_sizes(dims, inflation)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                derive_box3d(obb, dims, cam, inflation)
+            assert str(raised.value) == str(exc)
+        else:
+            assert isinstance(derive_box3d(obb, dims, cam, inflation), Box3D)
 
 
 class TestProjectBox3D:

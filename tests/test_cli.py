@@ -16,7 +16,7 @@ import aerial3d
 from aerial3d.boxes import Box3D, derive_box3d, obb_to_hbb, parse_location, serialize_location
 from aerial3d.camera import PixelPoint, backproject_to_ground
 from aerial3d.cli import main
-from aerial3d.errors import DegenerateYaw, ParseError, RayMissesGround
+from aerial3d.errors import ParseError, RayMissesGround
 from aerial3d.evaluation import (
     annotation_from_dict,
     attribute_ground_truth,
@@ -542,7 +542,9 @@ class TestBuildInstrCli:
 
 
 _ABOVE_HORIZON = "pixel (500.0, 30.0) is at or above the horizon (denominator -2.892e-03)"
-_DEGENERATE_YAW = "yaw probes around (500.0, 500.0) back-project to coincident points"
+_DEGENERATE_YAW = (
+    "2D boxes [500,500,90,0,-90.00] and [500,455,500,545] have a side that rounds to no pixel"
+)
 _ROUNDS_TO_ZERO = "dimensions 0.004 x 0.003 x 0.002 m round to 0.00 m"
 
 
@@ -615,6 +617,7 @@ class TestUnderivableObjects:
         assert captured.err == f"skipped: object 'car0': {_ABOVE_HORIZON}\n"
 
     def test_derive3d_degenerate_yaw_among_good_cars(self, annotation_dict, write, capsys):
+        # derive3d writes the 3D box alone, so a segment's box is written.
         annotation_dict["objects"].append({
             **annotation_dict["objects"][0],
             "id": "car2",
@@ -622,8 +625,9 @@ class TestUnderivableObjects:
         })
         assert run(["derive3d", "--annotations", write(annotation_dict)]) == 0
         captured = capsys.readouterr()
-        assert list(json.loads(captured.out)) == ["car0", "car1"]
-        assert captured.err == f"skipped: object 'car2': {_DEGENERATE_YAW}\n"
+        assert json.loads(captured.out)["car2"] == "<0.00,0.00,49.25,4.50,1.80,1.50,-90.00>"
+        assert list(json.loads(captured.out)) == ["car0", "car1", "car2"]
+        assert captured.err == ""
 
     def test_derive3d_skips_dimensions_that_round_to_zero(self, write, capsys):
         data = make_annotation_dict()
@@ -656,7 +660,7 @@ class TestUnderivableObjects:
         assert captured.err == f"error: object 'car0': {_ABOVE_HORIZON}\n"
 
 
-# About half the boxes are segments whose yaw probes meet at one ground point.
+# About half the boxes are 1e-12 px segments, whose 2D wire forms do not parse.
 _FUZZ_OBB = st.fixed_dictionaries({
     "cx": st.floats(100, 900),
     "cy": st.floats(60, 940),
@@ -678,18 +682,15 @@ def _fuzz_records(draw) -> dict:
     return data
 
 
-def _has_center_and_box(obj, cam) -> tuple[bool, bool]:
-    """Whether the camera and box primitives give the object a ground center
-    and a 3D box."""
+def _derives(obj, cam) -> bool:
+    """Whether the camera primitive gives the object a ground center; the
+    box primitive must then give it a 3D box too."""
     try:
         backproject_to_ground(PixelPoint(obj.obb.cx, obj.obb.cy), cam)
     except RayMissesGround:
-        return False, False
-    try:
-        derive_box3d(obj.obb, obj.dims_m, cam)
-    except (RayMissesGround, DegenerateYaw):
-        return True, False
-    return True, True
+        return False
+    assert isinstance(derive_box3d(obj.obb, obj.dims_m, cam), Box3D)
+    return True
 
 
 def _2d_targets_parse(obj) -> bool:
@@ -724,14 +725,12 @@ def test_dims_wider_than_long_is_named_by_its_pointer(tmp_path, monkeypatch, cap
 @given(_fuzz_records())
 def test_fuzz_each_command_applies_its_policy_to_underivable_objects(data):
     ann = annotation_from_dict(data)
-    has = {obj.id: _has_center_and_box(obj, ann.camera) for obj in ann.objects}
-    boxed = [obj_id for obj_id, (_, box) in has.items() if box]
-    unboxed = [obj_id for obj_id, (_, box) in has.items() if not box]
-    uncentered = [obj_id for obj_id, (center, _) in has.items() if not center]
-    center_only = len(unboxed) - len(uncentered)
-    # A box of a 1e-12 px segment whose probes still part: its 2D targets
-    # would not parse, so grounding and phase 2 skip it.
-    subpixel = [obj.id for obj in ann.objects if has[obj.id][1] and not _2d_targets_parse(obj)]
+    derives = {obj.id: _derives(obj, ann.camera) for obj in ann.objects}
+    boxed = [obj_id for obj_id, ok in derives.items() if ok]
+    unboxed = [obj_id for obj_id, ok in derives.items() if not ok]
+    # A 1e-12 px segment's box derives, but its 2D targets would not parse,
+    # so grounding and phase 2 skip it.
+    subpixel = [obj.id for obj in ann.objects if derives[obj.id] and not _2d_targets_parse(obj)]
     targeted = [obj_id for obj_id in boxed if obj_id not in subpixel]
 
     def cli(*argv: str) -> tuple[int, str, list[str]]:
@@ -759,16 +758,16 @@ def test_fuzz_each_command_applies_its_policy_to_underivable_objects(data):
         code, out, err = cli("build-instr", "--annotations", path, "--out", out_path)
         assert code == 0
         assert json.loads(out) == {
-            "written": 40 * len(targeted) + 5 * (center_only + len(subpixel)),
-            "objects_skipped": 3 * len(uncentered) + 2 * (center_only + len(subpixel)),
+            "written": 40 * len(targeted) + 5 * len(subpixel),
+            "objects_skipped": 3 * len(unboxed) + 2 * len(subpixel),
             "out": out_path,
         }
-        assert names(err, f"skipped: {path}: ", [i for i in has if i not in targeted])
+        assert names(err, f"skipped: {path}: ", [i for i in derives if i not in targeted])
 
-        for task, missing in (("retrieval", unboxed), ("sqa", uncentered)):
+        for task in ("retrieval", "sqa"):
             code, out, err = cli("eval", "--task", task, "--pred", preds, "--gt", path)
-            assert code == (1 if missing else 0)
-            assert names(err, "error: ", missing[:1])
+            assert code == (1 if unboxed else 0)
+            assert names(err, "error: ", unboxed[:1])
 
 
 # Edge values for every numeric flag, as the shell would pass them: zero,

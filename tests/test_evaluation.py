@@ -17,7 +17,6 @@ from aerial3d.camera import CameraPoint, PixelPoint, backproject_to_ground
 from aerial3d.cli import _load_search_fixtures
 from aerial3d.errors import (
     DegenerateVariance,
-    DegenerateYaw,
     LengthMismatch,
     ParseError,
     RayMissesGround,
@@ -703,13 +702,17 @@ class TestFileLevelEvaluation:
 class TestGroundTruthWithoutGeometry:
     """Eval fails on an object that lacks the geometry its task needs."""
 
-    def test_degenerate_yaw_has_sqa_truth_but_no_box(self):
+    def test_degenerate_yaw_has_sqa_and_retrieval_truth(self):
+        # A 1e-12 px segment still has an axis: its center below the horizon
+        # gives both the SQA values and the box.
         ann = annotation_from_dict(degenerate_yaw_dict())
         assert list(sqa_ground_truth(ann)) == [
             f"car0:{task}" for task in ("depth", "distance", "length", "width", "height")
         ]
-        with pytest.raises(DegenerateYaw):
-            retrieval_ground_truth(ann)
+        (obj,) = ann.objects
+        assert retrieval_ground_truth(ann) == {
+            "car0": derive_box3d(obj.obb, obj.dims_m, ann.camera)
+        }
 
     @pytest.mark.parametrize("ground_truth", [sqa_ground_truth, retrieval_ground_truth])
     def test_center_above_horizon_has_neither(self, ground_truth):
@@ -738,22 +741,30 @@ class TestDeriveObjects:
         assert (car1.center is None, car1.box3d is None, car1.error) == (False, False, None)
 
     def test_degenerate_yaw_keeps_the_center(self):
-        (car0,) = derive_objects(annotation_from_dict(degenerate_yaw_dict()))
-        assert car0.center is not None and car0.box3d is None
-        assert type(car0.error) is DegenerateYaw
-        assert str(car0.error) == (
-            "object 'car0': yaw probes around (500.0, 500.0) back-project to coincident points"
-        )
+        # The 90 px x 1e-12 px segment along the pixel y-axis at nadir: the
+        # v-flip between pixel y and e_lon makes it lie along the lateral axis
+        # rotated by -90 degrees, which wraps to -pi/2.
+        ann = annotation_from_dict(degenerate_yaw_dict())
+        (car0,) = derive_objects(ann)
+        assert car0.center == backproject_to_ground(PixelPoint(500.0, 500.0), ann.camera)
+        assert car0.box3d == derive_box3d(car0.obj.obb, car0.obj.dims_m, ann.camera)
+        assert car0.box3d.yaw == -math.pi / 2
+        assert car0.error is None
 
-    def test_yaw_probe_above_horizon_keeps_the_center(self):
+    def test_axis_reaching_above_the_horizon_derives_a_box(self):
         # At 10 degrees pitch the horizon is near y = 323.7 px: the center
-        # at y = 330 is below it, the probe 9 px up the long axis above it.
+        # at y = 330 is below it, a point 9 px up the long axis above it.
+        # Only the center is back-projected, so the box derives.
         data = above_horizon_dict()
         data["objects"][0]["obb"].update(cy=330.0, angle_deg=90.0)
-        car0, _ = derive_objects(annotation_from_dict(data))
-        assert car0.center is not None and car0.box3d is None
-        assert type(car0.error) is RayMissesGround
-        assert str(car0.error).startswith("object 'car0': pixel (500.0, 321.0) is at or above")
+        ann = annotation_from_dict(data)
+        car0, _ = derive_objects(ann)
+        assert car0.error is None
+        assert car0.center == backproject_to_ground(PixelPoint(500.0, 330.0), ann.camera)
+        assert car0.box3d == derive_box3d(car0.obj.obb, car0.obj.dims_m, ann.camera)
+        # The axis runs along the pixel y-axis, which the ground plane maps
+        # onto the longitudinal axis (up to direction).
+        assert abs(car0.box3d.yaw) == math.pi / 2
 
     def test_bad_inflation_fails_on_an_object_without_a_center(self):
         data = above_horizon_dict()

@@ -247,7 +247,8 @@ class TestSkipPolicy:
         assert result.n_skipped == 3  # once per stage
 
     def test_degenerate_yaw_skipped_for_box_stages_only(self, templates):
-        # No 3D box, so no grounding or phase-2 sample; SQA needs no yaw.
+        # The box derives, but its 1e-12 px side rounds to no pixel, so
+        # grounding and phase 2 skip the object and SQA keeps it.
         ann = _degenerate_yaw_record()
         result = build_all(ann, templates)
         assert [s.kind for s in result.samples] == ["SQA"] * 5
@@ -270,7 +271,10 @@ class TestSkipPolicy:
         result = build_all(_degenerate_yaw_record(), templates, stages=stages)
         assert result.n_skipped == n_skipped
         assert result.skipped == (
-            ("object 'car0': yaw probes around (500.0, 500.0) back-project to coincident points",)
+            (
+                "object 'car0': 2D boxes [500,500,90,0,-90.00] and [500,455,500,545]"
+                " have a side that rounds to no pixel",
+            )
             if n_skipped else ()
         )
 
@@ -373,8 +377,8 @@ class TestBuildAllStages:
 
     @pytest.mark.parametrize("record", ["nadir", "degenerate_yaw", "above_horizon"])
     def test_back_projects_each_center_once(self, ann, templates, monkeypatch, record):
-        # One back-projection for the center, which the SQA values and the
-        # box share, and two for the yaw probes of an object that has one.
+        # One back-projection per object: the center, which the SQA values
+        # and the box share; yaw takes none of its own.
         if record == "degenerate_yaw":
             ann = _degenerate_yaw_record()
         elif record == "above_horizon":
@@ -388,15 +392,7 @@ class TestBuildAllStages:
         monkeypatch.setattr(evaluation, "backproject_to_ground", counting)
         monkeypatch.setattr(boxes, "backproject_to_ground", counting)
         built = build_all(ann, templates)
-        at, centers = 0, []
-        for obj in ann.objects:
-            centers.append(at)
-            # Above the horizon, car0's center misses the ground: no probes.
-            at += 1 if record == "above_horizon" and obj.id == "car0" else 3
-        assert len(calls) == at
-        assert [calls[i] for i in centers] == [
-            PixelPoint(obj.obb.cx, obj.obb.cy) for obj in ann.objects
-        ]
+        assert calls == [PixelPoint(obj.obb.cx, obj.obb.cy) for obj in ann.objects]
         assert built == build_all(ann, templates)  # the counted build is the build
 
     def test_describes_and_serializes_each_object_once(self, ann, templates, monkeypatch):

@@ -29,10 +29,10 @@ EXPORTS = {
         "backproject_to_ground", "project_to_pixel", "spatial_measures",
     ),
     "errors": (
-        "Aerial3DError", "BindingMissing", "DegenerateVariance", "DegenerateYaw",
-        "DuplicateKey", "EmptyTable", "IdMismatch", "LengthMismatch", "NonPositiveDepth",
-        "NotFound", "ParseError", "PlacementExhausted", "PlanParseError",
-        "RayMissesGround", "SchemaError", "ToolError", "UnknownWorkflow",
+        "Aerial3DError", "BindingMissing", "DegenerateVariance", "DuplicateKey",
+        "EmptyTable", "IdMismatch", "LengthMismatch", "NonPositiveDepth", "NotFound",
+        "ParseError", "PlacementExhausted", "PlanParseError", "RayMissesGround",
+        "SchemaError", "ToolError", "UnknownWorkflow",
     ),
     "evaluation": (
         "AnnotatedObject", "AnnotationFile", "EvalReport", "RegressionMetrics",
@@ -58,8 +58,8 @@ PUBLIC = sorted({*(n for names in EXPORTS.values() for n in names), *EXPORTS})
 
 
 def test_export_count():
-    assert sum(map(len, EXPORTS.values())) == 80
-    assert len(PUBLIC) == 87
+    assert sum(map(len, EXPORTS.values())) == 79
+    assert len(PUBLIC) == 86
 
 
 @pytest.mark.parametrize(
