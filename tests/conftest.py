@@ -97,8 +97,7 @@ def above_horizon_dict() -> dict:
 def degenerate_yaw_dict() -> dict:
     """Nadir record with one object whose OBB is a 90 px x 1e-12 px segment:
     its pixel hull is valid and its 3D box derives, but its box rounds to no
-    pixel in the 2D wire formats. (Yaw once came from two probe points
-    +-h/4 px along the axis, which landed on one ground point here.)"""
+    pixel in the 2D wire formats."""
     data = make_annotation_dict()
     data["objects"] = data["objects"][:1]
     data["objects"][0]["obb"] = {

@@ -542,7 +542,7 @@ class TestBuildInstrCli:
 
 
 _ABOVE_HORIZON = "pixel (500.0, 30.0) is at or above the horizon (denominator -2.892e-03)"
-_DEGENERATE_YAW = (
+_SEGMENT_ROUNDS_TO_NO_PIXEL = (
     "2D boxes [500,500,90,0,-90.00] and [500,455,500,545] have a side that rounds to no pixel"
 )
 _ROUNDS_TO_ZERO = "dimensions 0.004 x 0.003 x 0.002 m round to 0.00 m"
@@ -592,7 +592,7 @@ class TestUnderivableObjects:
 
     @pytest.mark.parametrize(
         "record, reason",
-        [(above_horizon_dict, _ABOVE_HORIZON), (degenerate_yaw_dict, _DEGENERATE_YAW)],
+        [(above_horizon_dict, _ABOVE_HORIZON), (degenerate_yaw_dict, _SEGMENT_ROUNDS_TO_NO_PIXEL)],
         ids=["above-horizon", "degenerate-yaw"],
     )
     def test_build_instr_names_each_skipped_object(self, tmp_path, write, capsys, record, reason):
