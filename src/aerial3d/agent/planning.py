@@ -19,7 +19,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from .._fsio import DATA_DIR, read_utf8
 from ..errors import PlanParseError
@@ -90,14 +90,6 @@ def _split_refs(value: Any) -> list[str | None] | None:
         if len(parts) > 1:
             return parts
     return None
-
-
-def iter_refs(args: dict[str, Any]) -> Iterator[tuple[str, str | None]]:
-    """All ($name, field-or-None) references inside a step's arguments."""
-    for value in args.values():
-        parts = _split_refs(value)
-        if parts is not None:
-            yield from zip(parts[1::3], parts[2::3])
 
 
 def plan_from_steps(raw_steps: Any) -> Plan:

@@ -13,7 +13,7 @@ The trace is a plain JSON-serializable dict recording the parsed plan,
 each step's resolved arguments, output or error and the prompt/response of
 every backend call its tool made, the summarizer's prompt and response,
 and the final answer. The planner's prompt, reply and retry are not
-recorded yet (ROADMAP item 5). With mock backends and fixed seeds,
+recorded yet (ROADMAP item 6). With mock backends and fixed seeds,
 identical queries produce byte-identical traces
 (`json.dumps(trace, sort_keys=True)`).
 """
@@ -107,11 +107,6 @@ def _substitute(parts: list, outputs: dict[str, Any]) -> Any:
         text.append(str(_lookup_ref(outputs, parts[i], parts[i + 1])))
         text.append(parts[i + 2])
     return "".join(text)
-
-
-def _resolve_value(value: Any, outputs: dict[str, Any]) -> Any:
-    parts = _split_refs(value)
-    return value if parts is None else _substitute(parts, outputs)
 
 
 def execute(plan: Plan, toolbox: Toolbox, image: str | None = None) -> ExecutionResult:

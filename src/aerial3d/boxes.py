@@ -232,12 +232,7 @@ def ground_uv(pt: CameraPoint, cam: CameraModel) -> tuple[float, float]:
     return float(x), y * -s + z * c
 
 
-def derive_box3d(
-    obb: OrientedBox2D,
-    dims: BoxDims,
-    cam: CameraModel,
-    inflation: float = 1.0,
-) -> Box3D:
+def derive_box3d(obb: OrientedBox2D, dims: BoxDims, cam: CameraModel) -> Box3D:
     """Lift an annotated 2D OBB plus known metric dimensions to a 3D cuboid.
 
     The OBB center back-projects to the cuboid's ground-contact center
@@ -252,41 +247,34 @@ def derive_box3d(
     (ca, sa) has ground coordinates (u, v) proportional to
     (ca*D - ix*sa*cos(p), -f*sa), and times t = agl/D > 0 that is the
     pair above. A center below the horizon has D > 0, so the pair is never
-    (0, 0). Dimensions are scaled by `inflation` (annotation boxes are often
-    drawn slightly larger than the vehicle), and the center is lifted half
-    the inflated height along the plane normal.
+    (0, 0). The box has the given dimensions, and its center is lifted half
+    the height along the plane normal. ValueError, before the
+    back-projection, unless all three dimensions are positive and finite.
     """
-    sizes = _inflated_sizes(dims, inflation)
+    _check_dims(dims)
     center_ground = backproject_to_ground(PixelPoint(obb.cx, obb.cy), cam)
-    return _box_over_center(obb, sizes, center_ground, cam)
+    return _box_over_center(obb, dims, center_ground, cam)
 
 
-def _inflated_sizes(dims: BoxDims, inflation: float) -> tuple[float, float, float]:
-    """`derive_box3d`'s length, width and height: the dimensions scaled by
-    `inflation`. ValueError unless all three are positive and finite."""
-    length = dims.length * inflation
-    width = dims.width * inflation
-    height = dims.height * inflation
+def _check_dims(dims: BoxDims) -> None:
+    """ValueError unless `derive_box3d`'s length, width and height are all
+    positive and finite."""
+    length, width, height = dims
     if not (0 < length < math.inf and 0 < width < math.inf and 0 < height < math.inf):
         raise ValueError(
-            f"inflated dimensions must be positive and finite, got "
-            f"{length} x {width} x {height} m (inflation {inflation})"
+            f"dimensions must be positive and finite, got {length} x {width} x {height} m"
         )
-    return length, width, height
 
 
 def _box_over_center(
-    obb: OrientedBox2D,
-    sizes: tuple[float, float, float],
-    center_ground: CameraPoint,
-    cam: CameraModel,
+    obb: OrientedBox2D, dims: BoxDims, center_ground: CameraPoint, cam: CameraModel
 ) -> Box3D:
-    """`derive_box3d` after its back-projection: the box of the given
-    `_inflated_sizes` over the OBB center's ground point, yawed in closed form."""
+    """`derive_box3d` after its back-projection: the box of `dims` over the
+    OBB center's ground point, yawed in closed form."""
     gx, _, gz = center_ground
     ca, sa = math.cos(obb.angle), math.sin(obb.angle)
     yaw = math.atan2(-gz * sa, ca * cam.agl - gx * math.cos(cam.pitch) * sa)
-    return Box3D.resting_on(center_ground, *sizes, wrap_angle_half_pi(yaw), cam)
+    return Box3D.resting_on(center_ground, *dims, wrap_angle_half_pi(yaw), cam)
 
 
 def box3d_corners(box: Box3D, cam: CameraModel) -> tuple[CameraPoint, ...]:
@@ -549,7 +537,7 @@ def _wire_forms_parse(obb: OrientedBox2D, hull: tuple[float, ...]) -> bool:
 
 def _check_wire_dims(dims: Sequence[float]) -> None:
     """ValueError if a dimension (m) rounds to 0.00, so that a 3D box of these
-    dimensions has no wire form."""
+    dimensions has no wire form; `serialize_location` applies it."""
     if 0.0 in [round(v, 2) for v in dims]:
         length, width, height = dims
         raise ValueError(f"dimensions {length:g} x {width:g} x {height:g} m round to 0.00 m")
@@ -729,16 +717,12 @@ def serialize_location(loc: Location) -> str:
             loc.height,
             math.degrees(loc.yaw),
         )
+        # parse_location rejects a zero dimension, so such a box has no
+        # wire form.
+        _check_wire_dims((loc.length, loc.width, loc.height))
         # round() first so values like -0.004 normalize to 0.00, not -0.00;
         # a "-0.00" would not survive a parse/serialize round trip.
         x, y, z, length, width, height, yaw = [round(v, 2) + 0.0 for v in fields]
-        # parse_location rejects a zero dimension, so such a box has no
-        # wire form.
-        if 0.0 in (length, width, height):
-            raise ValueError(
-                f"3D box dimensions {loc.length:g} x {loc.width:g} x {loc.height:g} m"
-                " round to 0.00 in the wire format"
-            )
         return f"<{x:.2f},{y:.2f},{z:.2f},{length:.2f},{width:.2f},{height:.2f},{yaw:.2f}>"
     if isinstance(loc, OrientedBox2D):
         angle_deg = round(math.degrees(loc.angle), 2) + 0.0

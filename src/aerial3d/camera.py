@@ -133,7 +133,7 @@ def backproject_to_ground(pt: Point2Like, cam: CameraModel) -> CameraPoint:
     Returns the camera-frame ground point (x_i*t, y_i*t, f*t) with
     t = agl / (y_i*cos(pitch) + f*sin(pitch)). Raises RayMissesGround when
     the denominator is <= HORIZON_EPS, i.e. the pixel sits at or above the
-    horizon.
+    horizon, and when a coordinate of the point overflows the float range.
     """
     px, py = _xy(pt)
     # Metric image-plane coordinates about the principal point.
@@ -147,7 +147,13 @@ def backproject_to_ground(pt: Point2Like, cam: CameraModel) -> CameraPoint:
             f"pixel ({px}, {py}) is at or above the horizon (denominator {denom:.3e})"
         )
     t = cam.agl / denom
-    return CameraPoint(ix * t, iy * t, f * t)
+    x, y, z = ix * t, iy * t, f * t
+    # 0 * v is 0 for a finite v and nan for an infinite or nan one.
+    if x * 0.0 + y * 0.0 + z * 0.0 != 0.0:
+        raise RayMissesGround(
+            f"pixel ({px}, {py}) meets the ground beyond the float range at ({x}, {y}, {z})"
+        )
+    return CameraPoint(x, y, z)
 
 
 def spatial_measures(pt: Point3Like) -> SpatialMeasures:

@@ -60,7 +60,7 @@ def _load_search_fixtures(path: str) -> dict[str, str]:
 def _cmd_derive3d(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from .boxes import _check_wire_dims, serialize_location
+    from .boxes import serialize_location
     from .evaluation import derive_objects, load_annotations
 
     ann = load_annotations(args.annotations)
@@ -69,14 +69,13 @@ def _cmd_derive3d(args: argparse.Namespace) -> int:
         if not ann.objects:
             raise NotFound(f"no object with id {args.id!r} in {args.annotations}")
     results = {}
-    for obj, _, box3d, error in derive_objects(ann, args.inflation):
+    for obj, _, box3d, error in derive_objects(ann):
         if error is None:
-            try:  # build-instr's rule: dimensions that round to 0.00 m
-                _check_wire_dims(obj.dims_m)
+            try:  # build-instr's rule: a box whose dimensions round to 0.00 m
+                results[obj.id] = serialize_location(box3d)
             except ValueError as exc:
                 error = ValueError(f"object {obj.id!r}: {exc}")
             else:
-                results[obj.id] = serialize_location(box3d)
                 continue
         if args.id is not None:
             raise error
@@ -154,7 +153,7 @@ def _cmd_build_instr(args: argparse.Namespace) -> int:
     skipped = 0
     for path in args.annotations:
         ann = load_annotations(path)
-        result = build_all(ann, templates, args.aux_format, args.inflation, stages)
+        result = build_all(ann, templates, args.aux_format, stages)
         samples.extend(result.samples)
         skipped += result.n_skipped
         for reason in result.skipped:
@@ -182,7 +181,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         report = evaluate_grounding_file(ann, preds, thresh).to_dict()
     elif args.task == "retrieval":
         thresh = args.thresh if args.thresh is not None else 0.25
-        report = evaluate_retrieval_file(ann, preds, thresh, args.inflation).to_dict()
+        report = evaluate_retrieval_file(ann, preds, thresh).to_dict()
     elif args.task == "sqa":
         overall, per_task = evaluate_sqa_file(ann, preds)
         report = overall.to_dict()
@@ -309,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive3d", help="lift annotated 2D boxes to 3D boxes")
     p.add_argument("--annotations", required=True, help="annotation JSON file")
     p.add_argument("--id", help="only this object id")
-    p.add_argument("--inflation", type=float, default=1.0, help="dimension scale factor")
     p.add_argument("--out", help="write result to this file instead of stdout")
     p.set_defaults(func=_cmd_derive3d)
 
@@ -350,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="hbb",
         help="2D location format for phase-2 targets/aux",
     )
-    p.add_argument("--inflation", type=float, default=1.0)
     p.set_defaults(func=_cmd_build_instr)
 
     p = sub.add_parser("eval", help="score a prediction file")
@@ -359,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="annotation JSON (ground truth)")
     p.add_argument("--thresh", type=float, help="IoU threshold (default 0.5 / 0.25)")
     p.add_argument("--price-tol", type=float, help="relative price tolerance for attr")
-    p.add_argument("--inflation", type=float, default=1.0)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out", help="write report to this file instead of stdout")
     p.set_defaults(func=_cmd_eval)

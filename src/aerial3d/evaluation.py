@@ -50,7 +50,7 @@ from .boxes import (
     Location,
     OrientedBox2D,
     _box_over_center,
-    _inflated_sizes,
+    _check_dims,
     bev_iou,
     dims_from_mm,
     hbb_iou,
@@ -448,7 +448,8 @@ def grounding_ground_truth(ann: AnnotationFile) -> dict[str, HorizontalBox2D]:
 
 class DerivedObject(NamedTuple):
     """One object's geometry: `center` and `box3d` with no `error`, or, for
-    a center at or above the horizon, neither and the error naming it."""
+    a center at or above the horizon or past the float range, neither and
+    the error naming it."""
 
     obj: AnnotatedObject
     center: CameraPoint | None
@@ -456,38 +457,38 @@ class DerivedObject(NamedTuple):
     error: RayMissesGround | None
 
 
-def derive_objects(ann: AnnotationFile, inflation: float = 1.0) -> list[DerivedObject]:
+def derive_objects(ann: AnnotationFile) -> list[DerivedObject]:
     """Each object's ground center (its back-projected OBB center) and `derive_box3d` box.
 
     The one place that decides which objects have geometry. An object has
-    both or neither: a center at or above the horizon gives neither, and
-    `error` then names the object. ValueError from `derive_box3d` (a bad
-    inflation or dims) propagates. Each center is back-projected once, for
-    the center and the box alike.
+    both or neither: a center at or above the horizon, or one whose ground
+    point overflows the float range, gives neither, and `error` then names
+    the object. ValueError from `derive_box3d` (dims that are not positive
+    and finite) propagates. Each center is back-projected once, for the
+    center and the box alike.
     """
     derived = []
     for obj in ann.objects:
-        # derive_box3d's steps, in its order: the sizes' ValueError comes
+        # derive_box3d's steps, in its order: the dims' ValueError comes
         # before a center that misses the ground.
-        sizes = _inflated_sizes(obj.dims_m, inflation)
+        dims = obj.dims_m
+        _check_dims(dims)
         try:
             center = backproject_to_ground(PixelPoint(obj.obb.cx, obj.obb.cy), ann.camera)
         except RayMissesGround as exc:
             error = RayMissesGround(f"object {obj.id!r}: {exc}")
             derived.append(DerivedObject(obj, None, None, error))
         else:
-            box3d = _box_over_center(obj.obb, sizes, center, ann.camera)
+            box3d = _box_over_center(obj.obb, dims, center, ann.camera)
             derived.append(DerivedObject(obj, center, box3d, None))
     return derived
 
 
-def retrieval_ground_truth(
-    ann: AnnotationFile, inflation: float = 1.0
-) -> dict[str, Box3D]:
+def retrieval_ground_truth(ann: AnnotationFile) -> dict[str, Box3D]:
     """Per-object 3D ground truth derived from the OBB + dimensions. Raises
     the derive_objects `error` of the first object without a box."""
     gts = {}
-    for obj, _, box3d, error in derive_objects(ann, inflation):
+    for obj, _, box3d, error in derive_objects(ann):
         if error is not None:
             raise error
         gts[obj.id] = box3d
@@ -604,9 +605,8 @@ def evaluate_retrieval_file(
     ann: AnnotationFile,
     preds: dict[str, dict],
     thresh: float = 0.25,
-    inflation: float = 1.0,
 ) -> EvalReport:
-    gts = retrieval_ground_truth(ann, inflation)
+    gts = retrieval_ground_truth(ann)
     pred_boxes = [_pred_location(preds.get(obj_id), "box3d", Box3D) for obj_id in gts]
     acc = eval_retrieval(pred_boxes, list(gts.values()), ann.camera, thresh)
     return EvalReport(

@@ -30,8 +30,7 @@ that `evaluation.derive_objects` gives each object whose center lies below
 the horizon, and grounding and phase 2 also need an annotated box and
 dimensions whose targets `parse_location` reads back (no side that rounds
 to no pixel, no dimension that rounds to 0.00 m). `BuildResult.skipped`
-holds each skipped object's reason once. An `inflation` that shrinks a box
-below the 3D wire format's resolution raises ValueError instead.
+holds each skipped object's reason once.
 """
 
 from __future__ import annotations
@@ -42,13 +41,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from ._fsio import DATA_DIR, read_json, read_jsonl, write_text_atomic
-from .boxes import (
-    HorizontalBox2D,
-    _check_wire_dims,
-    _obb_hull,
-    _wire_forms_parse,
-    serialize_location,
-)
+from .boxes import HorizontalBox2D, _obb_hull, _wire_forms_parse, serialize_location
 from .errors import ParseError
 from .evaluation import SQA_TASKS, AnnotatedObject, AnnotationFile, derive_objects, sqa_values
 
@@ -180,11 +173,9 @@ def describe_object(obj: AnnotatedObject) -> str:
     return f"object {obj.id}"
 
 
-def build_grounding_samples(
-    ann: AnnotationFile, templates: TemplateSet, inflation: float = 1.0
-) -> BuildResult:
+def build_grounding_samples(ann: AnnotationFile, templates: TemplateSet) -> BuildResult:
     """15 samples per object: {HBB, OBB, 3D} x 5 templates."""
-    return build_all(ann, templates, inflation=inflation, stages=("grounding",))
+    return build_all(ann, templates, stages=("grounding",))
 
 
 def build_sqa_samples(ann: AnnotationFile, templates: TemplateSet) -> BuildResult:
@@ -193,10 +184,7 @@ def build_sqa_samples(ann: AnnotationFile, templates: TemplateSet) -> BuildResul
 
 
 def build_phase2_samples(
-    ann: AnnotationFile,
-    templates: TemplateSet,
-    aux_format: str = "hbb",
-    inflation: float = 1.0,
+    ann: AnnotationFile, templates: TemplateSet, aux_format: str = "hbb"
 ) -> BuildResult:
     """20 samples per object: {2D, 3D, ASL, GML} x 5 template indices.
 
@@ -205,20 +193,17 @@ def build_phase2_samples(
     so the auxiliary and mapped locations are the exact same strings the
     model is trained to emit.
     """
-    return build_all(ann, templates, aux_format, inflation, stages=("phase2",))
+    return build_all(ann, templates, aux_format, stages=("phase2",))
 
 
 def _annotated_targets(obj: AnnotatedObject) -> tuple[str, str]:
-    """The object's HBB and OBB wire strings. ValueError if an annotated size
-    is below the wire format's resolution, so that a target would not parse
-    back: a 2D side that rounds to no pixel, or a dimension that rounds to
-    0.00 m."""
+    """The object's HBB and OBB wire strings. ValueError if a side rounds to
+    no pixel, so that a target would not parse back."""
     hull = _obb_hull(obj.obb)
     hbb = serialize_location(HorizontalBox2D(*hull))
     obb = serialize_location(obj.obb)
     if not _wire_forms_parse(obj.obb, hull):
         raise ValueError(f"2D boxes {obb} and {hbb} have a side that rounds to no pixel")
-    _check_wire_dims(obj.dims_m)
     return hbb, obb
 
 
@@ -226,7 +211,6 @@ def build_all(
     ann: AnnotationFile,
     templates: TemplateSet,
     aux_format: str = "hbb",
-    inflation: float = 1.0,
     stages: Sequence[str] = STAGES,
 ) -> BuildResult:
     """The given stages (all three by default) for one record, in stage order.
@@ -247,7 +231,7 @@ def build_all(
     n_skipped = 0
     skipped: list[str] = []
     image = ann.image
-    for obj, center, box3d, error in derive_objects(ann, inflation):
+    for obj, center, box3d, error in derive_objects(ann):
         if error is not None:
             if grounding or sqa or phase2:
                 n_skipped += grounding + sqa + phase2
@@ -265,13 +249,11 @@ def build_all(
             continue
         try:
             hbb, obb = _annotated_targets(obj)
+            loc3d = serialize_location(box3d)
         except ValueError as exc:
             n_skipped += grounding + phase2
             skipped.append(f"object {obj.id!r}: {exc}")
             continue
-        # An inflation that shrinks the box below the 3D wire format's
-        # resolution is the build's error: ValueError.
-        loc3d = serialize_location(box3d)
         if grounding:
             for fmt, target in zip(GROUNDING_FORMATS, (hbb, obb, loc3d)):
                 kind = "GROUND_3D" if fmt == "box3d" else "GROUND_2D"

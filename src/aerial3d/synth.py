@@ -297,9 +297,7 @@ def ground_truth_boxes(ground_truth: dict[str, Any]) -> dict[str, Box3D]:
     return boxes
 
 
-def verify_roundtrip(
-    ann: AnnotationFile, ground_truth: dict[str, Any], inflation: float = 1.0
-) -> dict[str, Any]:
+def verify_roundtrip(ann: AnnotationFile, ground_truth: dict[str, Any]) -> dict[str, Any]:
     """Compare derived 3D boxes against the generating poses.
 
     Returns per-scene error statistics: center error (meters), yaw error
@@ -314,7 +312,7 @@ def verify_roundtrip(
     center_errs, yaw_errs, ious = [], [], []
     for obj in ann.objects:
         truth = gt_boxes[obj.id]
-        derived = derive_box3d(obj.obb, obj.dims_m, ann.camera, inflation)
+        derived = derive_box3d(obj.obb, obj.dims_m, ann.camera)
         center_errs.append(math.dist(derived.center, truth.center))
         yaw_errs.append(abs(wrap_angle_half_pi(derived.yaw - truth.yaw)))
         ious.append(bev_iou(derived, truth, ann.camera))

@@ -62,7 +62,6 @@ from aerial3d.boxes import (
     OrientedBox2D,
     _convex_hull,
     _convex_quad_hull,
-    _inflated_sizes,
     wrap_angle_half_pi,
 )
 from aerial3d.camera import CameraModel, CameraPoint, PixelPoint, backproject_to_ground
@@ -437,16 +436,13 @@ class CoincidentProbes(Exception):
     """`derive_box3d_probes` found its two probes at one ground point."""
 
 
-def derive_box3d_probes(
-    obb: OrientedBox2D, dims: BoxDims, cam: CameraModel, inflation: float = 1.0
-) -> Box3D:
+def derive_box3d_probes(obb: OrientedBox2D, dims: BoxDims, cam: CameraModel) -> Box3D:
     """The box with yaw from two probes +-height/4 px along the OBB axis.
 
     Raises RayMissesGround where the center or a probe misses the ground,
     and CoincidentProbes where the probes' ground displacement is under
     1e-12 m.
     """
-    sizes = _inflated_sizes(dims, inflation)
     center_ground = backproject_to_ground(PixelPoint(obb.cx, obb.cy), cam)
     c, s = math.cos(cam.pitch), math.sin(cam.pitch)
     delta = obb.height / 4.0
@@ -465,7 +461,7 @@ def derive_box3d_probes(
             f"yaw probes around ({obb.cx}, {obb.cy}) back-project to coincident points"
         )
     yaw = wrap_angle_half_pi(math.atan2(v, u))
-    return Box3D.resting_on(center_ground, *sizes, yaw, cam)
+    return Box3D.resting_on(center_ground, *dims, yaw, cam)
 
 
 def exact_chord_yaw(obb: OrientedBox2D, cam: CameraModel, delta: float = 1e-6) -> float:

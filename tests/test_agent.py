@@ -387,9 +387,23 @@ class TestBindings:
             validate_bindings(bad)
 
 
+def _refs(value) -> list[tuple[str, str | None]]:
+    """The ($name, field-or-None) references `execute`'s binding check reads
+    from one argument value."""
+    parts = planning._split_refs(value)
+    return [] if parts is None else list(zip(parts[1::3], parts[2::3]))
+
+
+def _resolve(value, outputs: dict):
+    """The value `execute` hands the tool: an argument without a reference
+    as is, any other substituted."""
+    parts = planning._split_refs(value)
+    return value if parts is None else runtime._substitute(parts, outputs)
+
+
 class TestReferences:
-    """iter_refs and _resolve_value skip the pattern for a string with no
-    "$"; a "$" that starts no name is text, as is a string without one."""
+    """_split_refs skips the pattern for a string with no "$"; a "$" that
+    starts no name is text, as is a string without one."""
 
     OUTPUTS = {"record": {"brand": "Toyota", "model": "Camry"}, "dims": {"length_m": 4.885}}
 
@@ -398,14 +412,13 @@ class TestReferences:
         ["", "anything", CAR0_REGION, "US$ 5", "$5", "a$", "$", "$$", 4.885, None, ["$dims"]],
     )
     def test_text_without_a_reference(self, value):
-        assert list(planning.iter_refs({"a": value})) == []
-        assert runtime._resolve_value(value, {}) is value
+        assert planning._split_refs(value) is None
 
     def test_whole_value_reference(self):
-        args = {"length_m": "$dims.length_m", "record": "$record"}
-        assert list(planning.iter_refs(args)) == [("dims", "length_m"), ("record", None)]
-        assert runtime._resolve_value("$dims.length_m", self.OUTPUTS) == 4.885
-        assert runtime._resolve_value("$record", self.OUTPUTS) is self.OUTPUTS["record"]
+        assert _refs("$dims.length_m") == [("dims", "length_m")]
+        assert _refs("$record") == [("record", None)]
+        assert _resolve("$dims.length_m", self.OUTPUTS) == 4.885
+        assert _resolve("$record", self.OUTPUTS) is self.OUTPUTS["record"]
 
     @pytest.mark.parametrize(
         "value, refs, resolved",
@@ -420,8 +433,8 @@ class TestReferences:
         ],
     )
     def test_embedded_references(self, value, refs, resolved):
-        assert list(planning.iter_refs({"query": value, "n": 3})) == refs
-        assert runtime._resolve_value(value, self.OUTPUTS) == resolved
+        assert _refs(value) == refs
+        assert _resolve(value, self.OUTPUTS) == resolved
 
 
 class TestHopIdentities:
@@ -611,8 +624,9 @@ class TestHopIdentities:
                     ["", ".brand", ".length_m", ".nope"]
                 )
             args = {"a": value, "b": 3, "c": None}
-            assert list(planning.iter_refs(args)) == list(oracles.iter_refs(args)), value
-            got = outcome(runtime._resolve_value, value)
+            refs = [ref for arg in args.values() for ref in _refs(arg)]
+            assert refs == list(oracles.iter_refs(args)), value
+            got = outcome(_resolve, value)
             assert got == outcome(oracles.resolve_value, value), value
             if oracles.REF_PATTERN.fullmatch(value) and not isinstance(got, (str, tuple)):
                 assert got is outcome(oracles.resolve_value, value)

@@ -180,21 +180,13 @@ class TestDeriveBox3D:
         np.testing.assert_allclose(box.yaw, math.radians(30.0), atol=1e-12)
         assert (box.length, box.width, box.height) == (4.5, 1.8, 1.5)
 
-    def test_inflation_scales_dims_only(self, cam_nadir):
-        box = derive_box3d(self.OBB, CAR, cam_nadir, inflation=1.1)
-        np.testing.assert_allclose(
-            (box.length, box.width, box.height), (4.95, 1.98, 1.65)
-        )
-        np.testing.assert_allclose(box.center[:2], (2.0, -3.0), atol=1e-9)
-        # Lifted by the inflated half height.
-        np.testing.assert_allclose(box.center.z, 50.0 - 0.825, atol=1e-9)
-
-    @pytest.mark.parametrize("inflation", [math.nan, math.inf, 1e308, 0.0, -1.0])
-    def test_inflation_must_give_positive_finite_dims(self, cam_nadir, inflation):
-        # inf and 1e308 (which overflows) once gave boxes with infinite or
-        # nan fields, and nan failed later with an unrelated message.
-        with pytest.raises(ValueError, match="inflated dimensions must be positive and finite"):
-            derive_box3d(self.OBB, CAR, cam_nadir, inflation=inflation)
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 1e308, 0.0, -1.0])
+    def test_dims_must_be_positive_and_finite(self, cam_nadir, scale):
+        # inf and 1e308 (which overflows) would give boxes with infinite or
+        # nan fields, and nan would fail later with an unrelated message.
+        dims = BoxDims(*(v * scale for v in CAR))
+        with pytest.raises(ValueError, match="dimensions must be positive and finite"):
+            derive_box3d(self.OBB, dims, cam_nadir)
 
     @pytest.mark.parametrize("pitch_deg", PITCHES_DEG)
     def test_bottom_face_rests_on_ground(self, pitch_deg):
@@ -266,30 +258,31 @@ class TestDeriveBox3D:
         width_m=st.floats(0.0, 10.0),
         extra_length_m=st.floats(0.0, 10.0),
         height_m=st.floats(0.0, 10.0),
-        inflation=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([math.nan, math.inf, 1e308])),
+        scale=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([math.nan, math.inf, 1e308])),
     )
     def test_every_center_that_lands_gives_a_box(
         self, pitch, focal_px, agl, cx, below_horizon_px, height, extra_width, angle,
-        width_m, extra_length_m, height_m, inflation,
+        width_m, extra_length_m, height_m, scale,
     ):
         # Any valid OBB, over the whole pitch range (0, 90] degrees, with
         # its center anywhere from the horizon down.
         cam = CameraModel(focal_px * 1e-5, 1e-5, 1000, 800, pitch, agl)
         horizon_row = 400.0 - focal_px * math.sin(pitch) / math.cos(pitch)
         obb = OrientedBox2D(cx, horizon_row + below_horizon_px, height + extra_width, height, angle)
-        dims = BoxDims(width_m + extra_length_m, width_m, height_m)
+        # The scale reaches zero, negative, nan and overflowing dimensions.
+        dims = BoxDims((width_m + extra_length_m) * scale, width_m * scale, height_m * scale)
         try:
             backproject_to_ground((obb.cx, obb.cy), cam)
         except RayMissesGround:
             assume(False)
         try:
-            boxes._inflated_sizes(dims, inflation)
+            boxes._check_dims(dims)
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
-                derive_box3d(obb, dims, cam, inflation)
+                derive_box3d(obb, dims, cam)
             assert str(raised.value) == str(exc)
         else:
-            assert isinstance(derive_box3d(obb, dims, cam, inflation), Box3D)
+            assert isinstance(derive_box3d(obb, dims, cam), Box3D)
 
 
 class TestProjectBox3D:
@@ -559,7 +552,7 @@ class TestSerialization:
     def test_box3d_dimension_rounding_to_zero_raises(self, length, width, height):
         # "<...,0.00,...>" is a string parse_location rejects.
         box = Box3D(CameraPoint(2.0, -3.0, 49.25), length, width, height, 0.0)
-        with pytest.raises(ValueError, match="round to 0.00 in the wire format"):
+        with pytest.raises(ValueError, match=r"^dimensions .* m round to 0\.00 m$"):
             serialize_location(box)
 
     def test_box3d_smallest_dimensions_on_the_wire_parse_back(self):

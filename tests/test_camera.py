@@ -103,6 +103,24 @@ class TestBackprojection:
         with pytest.raises(RayMissesGround):
             backproject_to_ground((500.0, -800.0), cam_oblique)
 
+    @pytest.mark.parametrize(
+        "focal_length, agl, pixel",
+        [
+            (0.01, 1.7e308, (500.0, 500.0)),  # t overflows: x = 0 * inf is nan
+            (0.01, 1.7e308, (600.0, 500.0)),  # t overflows: x is inf
+            (1.0, 1e308, (200_500.0, 500.0)),  # t and z finite, x = 2 * 1e308 is not
+        ],
+        ids=["nan-x", "inf-x", "inf-x-finite-z"],
+    )
+    def test_ground_point_past_the_float_range_raises(self, focal_length, agl, pixel):
+        cam = CameraModel(focal_length, 1e-5, 1000, 1000, math.pi / 2, agl)
+        with pytest.raises(RayMissesGround, match=rf"^pixel \({pixel[0]}, {pixel[1]}\) "):
+            backproject_to_ground(pixel, cam)
+
+    def test_ground_point_near_the_float_range_returns(self):
+        cam = CameraModel(1.0, 1e-5, 1000, 1000, math.pi / 2, 1e308)
+        assert backproject_to_ground((100_500.0, 500.0), cam) == (1e308, 0.0, 1e308)
+
     def test_subpixel_input_not_rounded(self, cam_nadir):
         a = backproject_to_ground((600.0, 500.0), cam_nadir)
         b = backproject_to_ground((600.5, 500.0), cam_nadir)

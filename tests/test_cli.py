@@ -163,6 +163,18 @@ class TestUsageErrors:
             run(["match", "--length-mm", "4500"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["derive3d", "--annotations", "a.json"],
+        ["build-instr", "--annotations", "a.json", "--out", "o.jsonl"],
+        ["eval", "--task", "retrieval", "--pred", "p.jsonl", "--gt", "a.json"],
+    ], ids=["derive3d", "build-instr", "eval"])
+    def test_inflation_is_no_option(self, capsys, command):
+        # Boxes are derived at the annotated dimensions; no flag scales them.
+        with pytest.raises(SystemExit) as info:
+            run([*command, "--inflation", "1.1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --inflation 1.1" in capsys.readouterr().err
+
     def test_every_subcommand_has_help(self, capsys):
         for sub in ["derive3d", "project", "iou", "match", "build-instr", "eval", "synth"]:
             with pytest.raises(SystemExit) as info:
@@ -304,23 +316,6 @@ class TestDerive3dAndProject:
             "error: /objects/1/obb: degenerate box [455.0,500.0,545.0,500.0]: "
             "need x1 < x2 and y1 < y2\n"
         )
-
-
-@pytest.mark.parametrize("command", ["derive3d", "build-instr"])
-def test_inflation_below_the_wire_resolution_is_domain_error(
-    tmp_path, ann_path, capsys, command
-):
-    # 0.002 x 1.8 m is a 3.6 mm width, which the 3D wire format writes as
-    # 0.00 and parse_location rejects.
-    out = tmp_path / "out"
-    code = run([command, "--annotations", ann_path, "--out", str(out),
-                "--inflation", "0.002"])
-    assert code == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: 3D box dimensions ")
-    assert err[0].endswith(" round to 0.00 in the wire format")
-    assert not out.exists()
 
 
 class TestSynthCli:
@@ -523,17 +518,6 @@ class TestBuildInstrCli:
         ]
         assert not out.exists()
 
-    @pytest.mark.parametrize("inflation", ["inf", "nan", "1e308"])
-    def test_non_finite_inflation_is_domain_error(self, tmp_path, ann_path, capsys, inflation):
-        out = tmp_path / "o.jsonl"
-        code = run(["build-instr", "--annotations", ann_path, "--out", str(out),
-                    "--inflation", inflation])
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: inflated dimensions must be positive and finite")
-        assert not out.exists()
-
     def test_single_stage(self, tmp_path, ann_path, capsys):
         out = tmp_path / "sqa.jsonl"
         run(["build-instr", "--annotations", ann_path, "--out", str(out),
@@ -546,6 +530,7 @@ _SEGMENT_ROUNDS_TO_NO_PIXEL = (
     "2D boxes [500,500,90,0,-90.00] and [500,455,500,545] have a side that rounds to no pixel"
 )
 _ROUNDS_TO_ZERO = "dimensions 0.004 x 0.003 x 0.002 m round to 0.00 m"
+_PAST_FLOAT_RANGE = "pixel (540.0, 440.0) meets the ground beyond the float range at (inf, -inf, inf)"
 
 
 class TestUnderivableObjects:
@@ -600,16 +585,6 @@ class TestUnderivableObjects:
         assert run(["build-instr", "--annotations", path, "--out", str(tmp_path / "o")]) == 0
         assert capsys.readouterr().err == f"skipped: {path}: object 'car0': {reason}\n"
 
-    def test_build_instr_sqa_stage_checks_inflation(self, tmp_path, write, capsys):
-        out = tmp_path / "o.jsonl"
-        code = run(["build-instr", "--annotations", write(make_annotation_dict()),
-                    "--out", str(out), "--stage", "sqa", "--inflation", "inf"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith(
-            "error: inflated dimensions must be positive and finite"
-        )
-        assert not out.exists()
-
     def test_derive3d_writes_what_derives_and_names_the_rest(self, write, capsys):
         assert run(["derive3d", "--annotations", write(above_horizon_dict())]) == 0
         captured = capsys.readouterr()
@@ -641,6 +616,49 @@ class TestUnderivableObjects:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: object 'car0': {_ROUNDS_TO_ZERO}\n"
+
+    @pytest.fixture
+    def past_float_range(self, write):
+        """The two-car record seen from so high that each center's ground
+        point overflows: t = agl / denominator is inf."""
+        data = make_annotation_dict()
+        data["camera"]["agl_m"] = 1.7e308
+        return write(data)
+
+    def test_derive3d_names_centers_past_the_float_range(self, past_float_range, capsys):
+        assert run(["derive3d", "--annotations", past_float_range]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {}
+        err = captured.err.splitlines()
+        assert [line.split(": pixel ")[0] for line in err] == [
+            "skipped: object 'car0'", "skipped: object 'car1'"
+        ]
+        assert err[0].startswith(f"skipped: object 'car0': {_PAST_FLOAT_RANGE}")
+
+    def test_build_instr_names_centers_past_the_float_range(
+        self, tmp_path, past_float_range, capsys
+    ):
+        out = str(tmp_path / "o.jsonl")
+        assert run(["build-instr", "--annotations", past_float_range, "--out", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == json.dumps({"written": 0, "objects_skipped": 6, "out": out}) + "\n"
+        err = captured.err.splitlines()
+        assert [line.split(": pixel ")[0] for line in err] == [
+            f"skipped: {past_float_range}: object 'car0'",
+            f"skipped: {past_float_range}: object 'car1'",
+        ]
+        assert Path(out).read_text() == ""
+
+    @pytest.mark.parametrize("task", ["retrieval", "sqa"])
+    def test_eval_names_a_center_past_the_float_range(
+        self, tmp_path, past_float_range, capsys, task
+    ):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("")
+        assert run(["eval", "--task", task, "--pred", str(preds), "--gt", past_float_range]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: object 'car0': {_PAST_FLOAT_RANGE}")
 
     def test_derive3d_id_without_box_is_domain_error(self, write, capsys):
         path = write(above_horizon_dict())
@@ -823,7 +841,7 @@ def test_fuzz_synth_flags_exit_0_1_or_2(data):
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
-    """The two-car record, one prediction file every eval task reads, and an output path."""
+    """The two-car record and one prediction file every eval task reads."""
     root = tmp_path_factory.mktemp("fuzz")
     ann = root / "a.json"
     ann.write_text(json.dumps(make_annotation_dict()))
@@ -832,18 +850,16 @@ def fuzz_files(tmp_path_factory):
         '{"id": "car0", "hbb": "[450,380,630,500]", "box3d": "<0.50,1.00,50.00,4.50,1.80,1.50,0.00>"}\n'
         '{"id": "car0:price", "answer": "150000"}\n'
     )
-    return str(ann), str(preds), str(root / "o.jsonl")
+    return str(ann), str(preds)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_fuzz_numeric_flags_exit_0_1_or_2(fuzz_files, data):
-    ann, preds, out = fuzz_files
+    ann, preds = fuzz_files
     evaluate = ["eval", "--pred", preds, "--gt", ann, "--task"]
     command, flags = data.draw(st.sampled_from([
-        (["derive3d", "--annotations", ann], {"--inflation": _values("1.1")}),
-        (["build-instr", "--annotations", ann, "--out", out], {"--inflation": _values("0.9")}),
-        ([*evaluate, "retrieval"], {"--thresh": _values("0.25"), "--inflation": _values("1.1")}),
+        ([*evaluate, "retrieval"], {"--thresh": _values("0.25")}),
         ([*evaluate, "grounding"], {"--thresh": _values("0.5")}),
         ([*evaluate, "attr"], {"--price-tol": _values("0.05")}),
         (["match"], {f"--{axis}-mm": _values("1800") for axis in ("length", "width", "height")}),

@@ -723,11 +723,11 @@ class TestGroundTruthWithoutGeometry:
 class TestDeriveObjects:
     def test_center_and_box_are_the_primitives(self, annotation_dict):
         ann = annotation_from_dict(annotation_dict)
-        derived = derive_objects(ann, 1.1)
+        derived = derive_objects(ann)
         assert [d.obj for d in derived] == list(ann.objects)
         for obj, center, box3d, error in derived:
             assert center == backproject_to_ground(PixelPoint(obj.obb.cx, obj.obb.cy), ann.camera)
-            assert box3d == derive_box3d(obj.obb, obj.dims_m, ann.camera, 1.1)
+            assert box3d == derive_box3d(obj.obb, obj.dims_m, ann.camera)
             assert error is None
 
     def test_center_above_horizon_has_neither(self):
@@ -766,11 +766,15 @@ class TestDeriveObjects:
         # onto the longitudinal axis (up to direction).
         assert abs(car0.box3d.yaw) == math.pi / 2
 
-    def test_bad_inflation_fails_on_an_object_without_a_center(self):
+    def test_bad_dims_fail_on_an_object_without_a_center(self):
+        # The loader rejects such dims_mm, so the record is built in code.
         data = above_horizon_dict()
         data["objects"] = data["objects"][:1]
-        with pytest.raises(ValueError, match="inflated dimensions must be positive and finite"):
-            derive_objects(annotation_from_dict(data), math.inf)
+        ann = annotation_from_dict(data)
+        (car0,) = ann.objects
+        bad = dataclasses.replace(car0, dims_mm=(math.inf, 1800, 1500))
+        with pytest.raises(ValueError, match="dimensions must be positive and finite"):
+            derive_objects(dataclasses.replace(ann, objects=(bad,)))
 
     def test_sqa_truth_fails_on_width_above_length(self, annotation_dict):
         # The loader rejects such dims_mm, so the record is built in code.

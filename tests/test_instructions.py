@@ -328,10 +328,6 @@ class TestSkipPolicy:
             (1, (reason,)), (0, ()), (1, (reason,))
         ]
 
-    def test_inflation_below_the_wire_resolution_raises(self, ann, templates):
-        with pytest.raises(ValueError, match="round to 0.00 in the wire format"):
-            build_all(ann, templates, inflation=0.002)
-
 
 class TestBuildAllStages:
     @pytest.mark.parametrize(
@@ -354,11 +350,11 @@ class TestBuildAllStages:
         if record == "above_horizon":
             ann = _above_horizon_record()
         parts = [
-            build_grounding_samples(ann, templates, 1.1),
+            build_grounding_samples(ann, templates),
             build_sqa_samples(ann, templates),
-            build_phase2_samples(ann, templates, aux_format, 1.1),
+            build_phase2_samples(ann, templates, aux_format),
         ]
-        built = build_all(ann, templates, aux_format, 1.1)
+        built = build_all(ann, templates, aux_format)
         assert built.samples == sum((p.samples for p in parts), ())
         assert built.n_skipped == sum(p.n_skipped for p in parts)
         assert built.n_skipped == (3 if record == "above_horizon" else 0)
@@ -454,7 +450,7 @@ class TestSampleRecord:
 
 
 # sha256 of the JSONL `build_all` + `write_samples` give for the README demo
-# scene (`synth --n 6 --seed 7`) at inflation 1.0, per stage set and aux
+# scene (`synth --n 6 --seed 7`), per stage set and aux
 # format. `build-instr` with its defaults writes the ("all", "hbb") file,
 # which CI's no-deps job checks too.
 DEMO_JSONL_SHA256 = {
@@ -490,7 +486,7 @@ def demo_ann(demo_ann_path):
 def test_demo_jsonl_bytes_are_pinned(demo_ann, templates, tmp_path, stage, aux_format):
     stages = STAGES if stage == "all" else (stage,)
     path = tmp_path / "instr.jsonl"
-    write_samples(build_all(demo_ann, templates, aux_format, 1.0, stages).samples, path)
+    write_samples(build_all(demo_ann, templates, aux_format, stages).samples, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == DEMO_JSONL_SHA256[stage, aux_format]
 

@@ -87,17 +87,16 @@ def ref_ground_uv(pt, cam):
     return dot(pt, e_lat), dot(pt, e_lon)
 
 
-def ref_derive_box3d(obb, dims, cam, inflation=1.0):
+def ref_derive_box3d(obb, dims, cam):
     """The vector form of `derive_box3d`'s center and sizes. Its yaw is the
     exact chord's (`oracles.exact_chord_yaw`), which the kernel must match
     within `oracles.yaw_tolerance` rather than bit for bit."""
     _, _, normal = ground_basis(cam)
     center_ground = ref_backproject(PixelPoint(obb.cx, obb.cy), cam)
     yaw = oracles.exact_chord_yaw(obb, cam)
-    height = dims.height * inflation
-    lift = height / 2.0
+    lift = dims.height / 2.0
     center = CameraPoint(*(g + lift * n for g, n in zip(center_ground, normal)))
-    return Box3D(center, dims.length * inflation, dims.width * inflation, height, yaw)
+    return Box3D(center, dims.length, dims.width, dims.height, yaw)
 
 
 def ref_box3d_corners(box, cam):
@@ -245,10 +244,11 @@ def test_derive_box3d_matches_ground_basis_composition(pitch_deg):
         px, py = sample_pixel(rng)
         w = rng.uniform(2.0, 120.0)
         obb = OrientedBox2D.normalized(px, py, w, rng.uniform(1.0, w), rng.uniform(-2.0, 2.0))
-        dims = BoxDims(rng.uniform(3.0, 6.0), rng.uniform(1.4, 2.3), rng.uniform(1.1, 2.2))
-        inflation = rng.choice((1.0, 1.1, 0.85, 1.25))
-        got = outcome(derive_box3d, obb, dims, cam, inflation)
-        want = outcome(ref_derive_box3d, obb, dims, cam, inflation)
+        dims = (rng.uniform(3.0, 6.0), rng.uniform(1.4, 2.3), rng.uniform(1.1, 2.2))
+        scale = rng.choice((1.0, 1.1, 0.85, 1.25))
+        dims = BoxDims(*(v * scale for v in dims))
+        got = outcome(derive_box3d, obb, dims, cam)
+        want = outcome(ref_derive_box3d, obb, dims, cam)
         if not isinstance(want, Box3D):
             assert got == want  # the center misses: the same error and message
             misses += 1
@@ -259,7 +259,7 @@ def test_derive_box3d_matches_ground_basis_composition(pitch_deg):
         assert oracles.yaw_error(got.yaw, want.yaw) <= oracles.yaw_tolerance(obb, cam)
         # The probe construction this replaced, wherever it derived a box.
         try:
-            probes = oracles.derive_box3d_probes(obb, dims, cam, inflation)
+            probes = oracles.derive_box3d_probes(obb, dims, cam)
         except (RayMissesGround, oracles.CoincidentProbes):
             continue
         assert oracles.yaw_error(got.yaw, probes.yaw) <= 1e-11
