@@ -26,7 +26,7 @@ _EXPORTS = {
         "backproject_to_ground", "project_to_pixel", "spatial_measures",
     ),
     "errors": (
-        "Aerial3DError", "BindingMissing", "DegenerateVariance", "DuplicateKey",
+        "Aerial3DError", "BindingMissing", "DuplicateKey",
         "EmptyTable", "IdMismatch", "LengthMismatch", "NonPositiveDepth", "NotFound",
         "ParseError", "PlacementExhausted", "PlanParseError", "RayMissesGround",
         "SchemaError", "ToolError", "UnknownWorkflow",

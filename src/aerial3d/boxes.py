@@ -251,9 +251,18 @@ def derive_box3d(obb: OrientedBox2D, dims: BoxDims, cam: CameraModel) -> Box3D:
     the height along the plane normal. ValueError, before the
     back-projection, unless all three dimensions are positive and finite.
     """
+    return _derive(obb, dims, cam)[1]
+
+
+def _derive(obb: OrientedBox2D, dims: BoxDims, cam: CameraModel) -> tuple[CameraPoint, Box3D]:
+    """`derive_box3d`'s one kernel: the OBB center's ground point and the
+    box over it, for `derive_box3d` and `evaluation.derive_objects` alike."""
     _check_dims(dims)
     center_ground = backproject_to_ground(PixelPoint(obb.cx, obb.cy), cam)
-    return _box_over_center(obb, dims, center_ground, cam)
+    gx, _, gz = center_ground
+    ca, sa = math.cos(obb.angle), math.sin(obb.angle)
+    yaw = math.atan2(-gz * sa, ca * cam.agl - gx * math.cos(cam.pitch) * sa)
+    return center_ground, Box3D.resting_on(center_ground, *dims, wrap_angle_half_pi(yaw), cam)
 
 
 def _check_dims(dims: BoxDims) -> None:
@@ -264,17 +273,6 @@ def _check_dims(dims: BoxDims) -> None:
         raise ValueError(
             f"dimensions must be positive and finite, got {length} x {width} x {height} m"
         )
-
-
-def _box_over_center(
-    obb: OrientedBox2D, dims: BoxDims, center_ground: CameraPoint, cam: CameraModel
-) -> Box3D:
-    """`derive_box3d` after its back-projection: the box of `dims` over the
-    OBB center's ground point, yawed in closed form."""
-    gx, _, gz = center_ground
-    ca, sa = math.cos(obb.angle), math.sin(obb.angle)
-    yaw = math.atan2(-gz * sa, ca * cam.agl - gx * math.cos(cam.pitch) * sa)
-    return Box3D.resting_on(center_ground, *dims, wrap_angle_half_pi(yaw), cam)
 
 
 def box3d_corners(box: Box3D, cam: CameraModel) -> tuple[CameraPoint, ...]:

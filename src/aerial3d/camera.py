@@ -133,7 +133,8 @@ def backproject_to_ground(pt: Point2Like, cam: CameraModel) -> CameraPoint:
     Returns the camera-frame ground point (x_i*t, y_i*t, f*t) with
     t = agl / (y_i*cos(pitch) + f*sin(pitch)). Raises RayMissesGround when
     the denominator is <= HORIZON_EPS, i.e. the pixel sits at or above the
-    horizon, and when a coordinate of the point overflows the float range.
+    horizon, and when the point, or its distance from the camera, overflows
+    the float range.
     """
     px, py = _xy(pt)
     # Metric image-plane coordinates about the principal point.
@@ -148,8 +149,8 @@ def backproject_to_ground(pt: Point2Like, cam: CameraModel) -> CameraPoint:
         )
     t = cam.agl / denom
     x, y, z = ix * t, iy * t, f * t
-    # 0 * v is 0 for a finite v and nan for an infinite or nan one.
-    if x * 0.0 + y * 0.0 + z * 0.0 != 0.0:
+    # hypot is inf or nan for an inf or nan coordinate, and inf past the range.
+    if not math.hypot(x, y, z) < math.inf:
         raise RayMissesGround(
             f"pixel ({px}, {py}) meets the ground beyond the float range at ({x}, {y}, {z})"
         )
@@ -159,4 +160,7 @@ def backproject_to_ground(pt: Point2Like, cam: CameraModel) -> CameraPoint:
 def spatial_measures(pt: Point3Like) -> SpatialMeasures:
     """Depth (z) and straight-line distance from the camera origin."""
     x, y, z = _xyz(pt)
-    return SpatialMeasures(depth=z, distance=math.sqrt(x * x + y * y + z * z))
+    distance = math.sqrt(x * x + y * y + z * z)
+    if distance == math.inf:  # the squares overflow; hypot does not
+        distance = math.hypot(x, y, z)
+    return SpatialMeasures(depth=z, distance=distance)

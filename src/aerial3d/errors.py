@@ -62,10 +62,6 @@ class IdMismatch(Aerial3DError):
     """Annotation and ground-truth object id sets differ."""
 
 
-class DegenerateVariance(Aerial3DError):
-    """Ground-truth values are all equal, so R-squared is undefined."""
-
-
 # -- agent -------------------------------------------------------------------
 
 class PlanParseError(Aerial3DError):

@@ -49,8 +49,7 @@ from .boxes import (
     HorizontalBox2D,
     Location,
     OrientedBox2D,
-    _box_over_center,
-    _check_dims,
+    _derive,
     bev_iou,
     dims_from_mm,
     hbb_iou,
@@ -58,10 +57,9 @@ from .boxes import (
     obb_within_image,
     scan_locations,
 )
-from .camera import CameraModel, CameraPoint, PixelPoint, backproject_to_ground, spatial_measures
+from .camera import CameraModel, CameraPoint, spatial_measures
 from .errors import (
     DegenerateBox,
-    DegenerateVariance,
     IdMismatch,
     LengthMismatch,
     ParseError,
@@ -304,15 +302,13 @@ def within_5pct(pred: float, gt: float) -> bool:
     return abs(pred - gt) <= 0.05 * abs(gt)
 
 
-def eval_regression(
-    preds: Sequence[float], gts: Sequence[float], strict_r2: bool = False
-) -> RegressionMetrics:
+def eval_regression(preds: Sequence[float], gts: Sequence[float]) -> RegressionMetrics:
     """MAE, RMSE, R-squared about the GT mean, and the 5%-rule accuracy.
 
     When every ground-truth value is equal, R-squared has no defined value
     (SStot is zero, or a rounding residue where the rounded mean misses the
-    common value): it is reported as None (or raised as DegenerateVariance
-    with strict_r2=True); the other metrics are still computed.
+    common value): it is reported as None; the other metrics are still
+    computed.
     """
     if len(preds) != len(gts):
         raise LengthMismatch(f"{len(preds)} predictions vs {len(gts)} ground truths")
@@ -328,8 +324,6 @@ def eval_regression(
     g_mean = math.fsum(g) / n
     ss_tot = math.fsum([(gi - g_mean) * (gi - g_mean) for gi in g])
     if ss_tot == 0.0 or min(g) == max(g):
-        if strict_r2:
-            raise DegenerateVariance("all ground-truth values are equal")
         r_squared = None
     else:
         r_squared = 1.0 - ss_res / ss_tot
@@ -447,39 +441,34 @@ def grounding_ground_truth(ann: AnnotationFile) -> dict[str, HorizontalBox2D]:
 
 
 class DerivedObject(NamedTuple):
-    """One object's geometry: `center` and `box3d` with no `error`, or, for
-    a center at or above the horizon or past the float range, neither and
-    the error naming it."""
+    """One object's geometry: `center` and `box3d` with no `error`, or
+    neither and the error naming the object (see derive_objects)."""
 
     obj: AnnotatedObject
     center: CameraPoint | None
     box3d: Box3D | None
-    error: RayMissesGround | None
+    error: RayMissesGround | ValueError | None
 
 
 def derive_objects(ann: AnnotationFile) -> list[DerivedObject]:
     """Each object's ground center (its back-projected OBB center) and `derive_box3d` box.
 
     The one place that decides which objects have geometry. An object has
-    both or neither: a center at or above the horizon, or one whose ground
-    point overflows the float range, gives neither, and `error` then names
-    the object. ValueError from `derive_box3d` (dims that are not positive
-    and finite) propagates. Each center is back-projected once, for the
-    center and the box alike.
+    both or neither. It has neither when its OBB center lies at or above
+    the horizon, when the center's ground point or its distance from the
+    camera is past the float range (RayMissesGround), or when its dims are
+    not positive and finite or are wider than long (ValueError); `error`
+    is then that fault, of the same type, naming the object. Each center
+    is back-projected once, for the center and the box alike.
     """
     derived = []
     for obj in ann.objects:
-        # derive_box3d's steps, in its order: the dims' ValueError comes
-        # before a center that misses the ground.
-        dims = obj.dims_m
-        _check_dims(dims)
         try:
-            center = backproject_to_ground(PixelPoint(obj.obb.cx, obj.obb.cy), ann.camera)
-        except RayMissesGround as exc:
-            error = RayMissesGround(f"object {obj.id!r}: {exc}")
+            center, box3d = _derive(obj.obb, obj.dims_m, ann.camera)
+        except (RayMissesGround, ValueError) as exc:
+            error = type(exc)(f"object {obj.id!r}: {exc}")
             derived.append(DerivedObject(obj, None, None, error))
         else:
-            box3d = _box_over_center(obj.obb, dims, center, ann.camera)
             derived.append(DerivedObject(obj, center, box3d, None))
     return derived
 

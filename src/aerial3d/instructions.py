@@ -26,11 +26,12 @@ byte-identical.
 
 An object a stage cannot use is skipped by that stage and counted once for
 it, never silently dropped: every stage needs the ground center and 3D box
-that `evaluation.derive_objects` gives each object whose center lies below
-the horizon, and grounding and phase 2 also need an annotated box and
-dimensions whose targets `parse_location` reads back (no side that rounds
-to no pixel, no dimension that rounds to 0.00 m). `BuildResult.skipped`
-holds each skipped object's reason once.
+that `evaluation.derive_objects` gives an object (none for a center at or
+above the horizon, a ground point or distance past the float range, or
+dims that are not positive and finite), and grounding and phase 2 also
+need an annotated box and dimensions whose targets `parse_location` reads
+back (no side that rounds to no pixel, no dimension that rounds to 0.00 m).
+`BuildResult.skipped` holds each skipped object's reason once.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from aerial3d.agent import (
     MockPlannerBackend,
     MockSummarizerBackend,
     MockVLMBackend,
+    Plan,
     Toolbox,
     VALID_TOOLS,
     execute,
@@ -136,6 +137,11 @@ class TestPlanParsing:
         with pytest.raises(PlanParseError):
             parse_plan_text(text)
 
+    def test_plan_without_steps_rejected(self):
+        # plan_from_steps rejects an empty array first; Plan itself holds too.
+        with pytest.raises(PlanParseError, match="^plan has no steps$"):
+            Plan(())
+
 
 class TestPlanFunction:
     def test_single_retry_recovers(self):
@@ -149,6 +155,28 @@ class TestPlanFunction:
         backend = ScriptedBackend(["garbage", "more garbage"])
         with pytest.raises(PlanParseError):
             plan("What color is it?", backend)
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            ("{}", "plan must be a non-empty JSON array of steps"),
+            ("[]", "plan must be a non-empty JSON array of steps"),
+            ("[1]", "step 0 is not an object"),
+            ('[{"tool": "summarize", "args": {}}]', "step 0 is missing field 'output_name'"),
+            (
+                '[{"tool": "summarize", "args": [], "output_name": "answer"}]',
+                "step 0: args must be an object",
+            ),
+            ('[{"tool": "summarize", "args": {}, "output_name": "1a"}]', "invalid output name '1a'"),
+        ],
+        ids=["object", "empty", "number-step", "no-output-name", "list-args", "digit-name"],
+    )
+    def test_invalid_plan_names_its_fault(self, reply, message):
+        backend = ScriptedBackend([reply, reply])
+        with pytest.raises(PlanParseError) as raised:
+            plan("What color is it?", backend)
+        assert str(raised.value) == f"planner output unparseable after one retry: {message}"
+        assert len(backend.prompts) == 2
 
 
 class TestGoldenPlans:
@@ -1023,6 +1051,33 @@ class TestRunQuery:
         result = run_query("scene.png", "Write me a poem.", mock_config(ann, table))
         assert result["answer"].startswith("error: planning failed")
         assert result["trace"]["plan"] is None
+
+    def test_undefined_reference_is_an_invalid_plan(self, ann, table):
+        config = mock_config(ann, table)
+        config.planner = ScriptedBackend([
+            '[{"tool": "query_table", "args": {"mode": "match", "length_m": "$dims.length_m",'
+            ' "width_m": 1.8, "height_m": 1.5}, "output_name": "record"},'
+            ' {"tool": "summarize", "args": {}, "output_name": "answer"}]'
+        ])
+        result = run_query("scene.png", "Which vehicle is it?", config)
+        assert result["answer"] == (
+            "error: invalid plan: step 'record' references undefined output $dims"
+        )
+        assert result["trace"]["steps"] == []
+
+    def test_only_tool_step_failing_leaves_no_outputs(self, ann, table):
+        config = mock_config(ann, table)
+        config.planner = ScriptedBackend([
+            '[{"tool": "spatial_understanding", "args": {"mode": "dims"}, "output_name": "dims"},'
+            ' {"tool": "summarize", "args": {}, "output_name": "answer"}]'
+        ])
+        config.vlm = ScriptedBackend(["about four meters"])
+        result = run_query("scene.png", "How big is it?", config)
+        assert result["answer"] == (
+            "error: no tool outputs (step 0 (spatial_understanding): could not read"
+            " three dimensions from 'about four meters')"
+        )
+        assert result["trace"]["summary"] is None
 
     def test_blank_query_is_structured(self, ann, table):
         result = run_query("scene.png", "   ", mock_config(ann, table))

@@ -109,8 +109,9 @@ class TestBackprojection:
             (0.01, 1.7e308, (500.0, 500.0)),  # t overflows: x = 0 * inf is nan
             (0.01, 1.7e308, (600.0, 500.0)),  # t overflows: x is inf
             (1.0, 1e308, (200_500.0, 500.0)),  # t and z finite, x = 2 * 1e308 is not
+            (1.0, 1.7e308, (50_500.0, 500.0)),  # x and z finite, their distance is not
         ],
-        ids=["nan-x", "inf-x", "inf-x-finite-z"],
+        ids=["nan-x", "inf-x", "inf-x-finite-z", "inf-distance"],
     )
     def test_ground_point_past_the_float_range_raises(self, focal_length, agl, pixel):
         cam = CameraModel(focal_length, 1e-5, 1000, 1000, math.pi / 2, agl)
@@ -172,3 +173,8 @@ class TestSpatialMeasures:
         m = spatial_measures((3.0, 4.0, 12.0))
         assert m.depth == 12.0
         assert m.distance == 13.0
+
+    def test_distance_whose_squares_overflow(self):
+        m = spatial_measures((1e200, -1e200, 1e200))
+        assert m.depth == 1e200
+        assert m.distance == math.hypot(1e200, -1e200, 1e200) < math.inf

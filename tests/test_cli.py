@@ -531,6 +531,15 @@ _SEGMENT_ROUNDS_TO_NO_PIXEL = (
 )
 _ROUNDS_TO_ZERO = "dimensions 0.004 x 0.003 x 0.002 m round to 0.00 m"
 _PAST_FLOAT_RANGE = "pixel (540.0, 440.0) meets the ground beyond the float range at (inf, -inf, inf)"
+_SUBNORMAL_DIMS = "dimensions must be positive and finite, got 0.0 x 0.0 x 0.0 m"
+
+
+def _subnormal_dims_dict() -> dict:
+    """The two-car record with car0's dims_mm positive but subnormal: they
+    load, and are 0.0 in meters."""
+    data = make_annotation_dict()
+    data["objects"][0]["dims_mm"] = {"length": 5e-324, "width": 5e-324, "height": 5e-324}
+    return data
 
 
 class TestUnderivableObjects:
@@ -547,8 +556,8 @@ class TestUnderivableObjects:
 
     @pytest.mark.parametrize(
         "record, written, skipped",
-        [(above_horizon_dict, 40, 3), (degenerate_yaw_dict, 5, 2)],
-        ids=["above-horizon", "degenerate-yaw"],
+        [(above_horizon_dict, 40, 3), (degenerate_yaw_dict, 5, 2), (_subnormal_dims_dict, 40, 3)],
+        ids=["above-horizon", "degenerate-yaw", "subnormal-dims"],
     )
     def test_build_instr_counts_skips(self, tmp_path, write, capsys, record, written, skipped):
         out = str(tmp_path / "o.jsonl")
@@ -577,8 +586,12 @@ class TestUnderivableObjects:
 
     @pytest.mark.parametrize(
         "record, reason",
-        [(above_horizon_dict, _ABOVE_HORIZON), (degenerate_yaw_dict, _SEGMENT_ROUNDS_TO_NO_PIXEL)],
-        ids=["above-horizon", "degenerate-yaw"],
+        [
+            (above_horizon_dict, _ABOVE_HORIZON),
+            (degenerate_yaw_dict, _SEGMENT_ROUNDS_TO_NO_PIXEL),
+            (_subnormal_dims_dict, _SUBNORMAL_DIMS),
+        ],
+        ids=["above-horizon", "degenerate-yaw", "subnormal-dims"],
     )
     def test_build_instr_names_each_skipped_object(self, tmp_path, write, capsys, record, reason):
         path = write(record())
@@ -659,6 +672,34 @@ class TestUnderivableObjects:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: object 'car0': {_PAST_FLOAT_RANGE}")
+
+    def test_derive3d_names_subnormal_dims(self, write, capsys):
+        assert run(["derive3d", "--annotations", write(_subnormal_dims_dict())]) == 0
+        captured = capsys.readouterr()
+        assert list(json.loads(captured.out)) == ["car1"]
+        assert captured.err == f"skipped: object 'car0': {_SUBNORMAL_DIMS}\n"
+
+    def test_eval_names_subnormal_dims(self, tmp_path, write, capsys):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("")
+        path = write(_subnormal_dims_dict())
+        assert run(["eval", "--task", "sqa", "--pred", str(preds), "--gt", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: object 'car0': {_SUBNORMAL_DIMS}\n"
+
+    def test_build_instr_writes_no_infinite_distance(self, tmp_path, write, capsys):
+        # Seen from 1e200 m, a center's coordinates are finite but their
+        # squares overflow; its distance is still a number.
+        data = make_annotation_dict()
+        data["camera"]["agl_m"] = 1e200
+        out = tmp_path / "o.jsonl"
+        assert run(["build-instr", "--annotations", write(data), "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["objects_skipped"] == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        sqa = [r["target"] for r in rows if r["kind"] == "SQA"]
+        assert len(sqa) == 10
+        assert not [text for text in sqa if "inf" in text]
 
     def test_derive3d_id_without_box_is_domain_error(self, write, capsys):
         path = write(above_horizon_dict())

@@ -361,13 +361,13 @@ class TestBuildAllStages:
 
     def test_derives_each_box_once(self, ann, templates, monkeypatch):
         calls = []
-        lift = evaluation._box_over_center
+        derive = evaluation._derive
 
         def counting(*args, **kwargs):
             calls.append(args[0])
-            return lift(*args, **kwargs)
+            return derive(*args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "_box_over_center", counting)
+        monkeypatch.setattr(evaluation, "_derive", counting)
         build_all(ann, templates)
         assert calls == [obj.obb for obj in ann.objects]
 
@@ -385,7 +385,6 @@ class TestBuildAllStages:
             calls.append(pixel)
             return backproject_to_ground(pixel, cam)
 
-        monkeypatch.setattr(evaluation, "backproject_to_ground", counting)
         monkeypatch.setattr(boxes, "backproject_to_ground", counting)
         built = build_all(ann, templates)
         assert calls == [PixelPoint(obj.obb.cx, obj.obb.cy) for obj in ann.objects]
