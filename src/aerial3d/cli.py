@@ -177,23 +177,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     ann = load_annotations(args.gt)
     preds = load_predictions(args.pred)
     if args.task == "grounding":
-        thresh = args.thresh if args.thresh is not None else 0.5
-        report = evaluate_grounding_file(ann, preds, thresh).to_dict()
+        report = evaluate_grounding_file(ann, preds).to_dict()
     elif args.task == "retrieval":
-        thresh = args.thresh if args.thresh is not None else 0.25
-        report = evaluate_retrieval_file(ann, preds, thresh).to_dict()
+        report = evaluate_retrieval_file(ann, preds).to_dict()
     elif args.task == "sqa":
         overall, per_task = evaluate_sqa_file(ann, preds)
         report = overall.to_dict()
         report["tasks"] = {name: r.to_dict() for name, r in per_task.items()}
     else:  # attr
-        overall, per_attr = evaluate_attributes_file(ann, preds, args.price_tol)
+        overall, per_attr = evaluate_attributes_file(ann, preds)
         report = overall.to_dict()
         report["attributes"] = {name: r.to_dict() for name, r in per_attr.items()}
     if args.format == "table":
         _emit(render_report_table(report), args.out)
-    else:
-        _emit(json.dumps(report, indent=2), args.out)
+    else:  # a value past the float range is a ValueError, not a bare Infinity
+        _emit(json.dumps(report, indent=2, allow_nan=False), args.out)
     return 0
 
 
@@ -350,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_build_instr)
 
-    p = sub.add_parser("eval", help="score a prediction file")
+    p = sub.add_parser("eval", help="score a prediction file", description="Grounding hits at "
+                       "IoU >= 0.5 and retrieval at BEV IoU > 0.25; numeric attributes, price "
+                       "included, match exactly; a non-finite numeric answer fails to parse.")
     p.add_argument("--task", choices=("grounding", "sqa", "retrieval", "attr"), required=True)
     p.add_argument("--pred", required=True, help="prediction JSONL")
     p.add_argument("--gt", required=True, help="annotation JSON (ground truth)")
-    p.add_argument("--thresh", type=float, help="IoU threshold (default 0.5 / 0.25)")
-    p.add_argument("--price-tol", type=float, help="relative price tolerance for attr")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out", help="write report to this file instead of stdout")
     p.set_defaults(func=_cmd_eval)

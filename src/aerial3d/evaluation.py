@@ -27,9 +27,13 @@ ids pair a prediction with one question about one object:
 
 Scoring policy: a missing or unparseable prediction is a parse failure and
 counts as incorrect; it is never silently excluded from accuracy
-denominators. MAE/RMSE/R-squared are computed over the parseable pairs only
+denominators. A numeric answer whose number is not finite ("1e400") fails
+to parse too. MAE/RMSE/R-squared are computed over the parseable pairs only
 (there is no number to difference otherwise), with the failure count
 reported alongside.
+Thresholds are fixed, as the report fields name them: grounding hits at HBB
+IoU >= 0.5 (`acc_at_05`), retrieval at BEV IoU > 0.25 (`acc_at_bev_025`);
+a numeric attribute, price included, hits on an exact match.
 """
 
 from __future__ import annotations
@@ -258,11 +262,12 @@ def _first_number(answer: str | None) -> re.Match[str] | None:
 def extract_numeric(answer: str | None) -> float | None:
     """First decimal number in the text after stripping thousands separators.
 
-    Returns None when the text contains no digits; callers score that as a
-    parse failure (and incorrect).
+    Returns None when the text contains no digits, or when that number is
+    past the float range; callers score that as a parse failure (and
+    incorrect).
     """
     match = _first_number(answer)
-    return float(match.group()) if match else None
+    return _finite(float(match.group())) if match else None
 
 
 def numeric_in_meters(answer: str | None) -> float | None:
@@ -270,10 +275,14 @@ def numeric_in_meters(answer: str | None) -> float | None:
 
     Answers are meter-denominated unless the word right after the number is
     a millimeter or centimeter unit ("4690 mm", "150cm"); units elsewhere in
-    the text do not apply to it.
+    the text do not apply to it. A number past the float range is None.
     """
     match = _first_number(answer)
-    return None if match is None else _in_meters(match)
+    return None if match is None else _finite(_in_meters(match))
+
+
+def _finite(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def _in_meters(match: re.Match[str]) -> float:
@@ -308,7 +317,8 @@ def eval_regression(preds: Sequence[float], gts: Sequence[float]) -> RegressionM
     When every ground-truth value is equal, R-squared has no defined value
     (SStot is zero, or a rounding residue where the rounded mean misses the
     common value): it is reported as None; the other metrics are still
-    computed.
+    computed. It is None, too, when it is not finite. Where a plain sum
+    overflows, all three are taken over the values divided by the largest.
     """
     if len(preds) != len(gts):
         raise LengthMismatch(f"{len(preds)} predictions vs {len(gts)} ground truths")
@@ -316,6 +326,23 @@ def eval_regression(preds: Sequence[float], gts: Sequence[float]) -> RegressionM
         raise LengthMismatch("cannot evaluate empty prediction/ground-truth lists")
     p = [float(v) for v in preds]
     g = [float(v) for v in gts]
+    try:
+        mae, rmse, r_squared = _error_metrics(p, g)
+    except OverflowError:  # fsum raises where a partial sum overflows
+        mae = rmse = r_squared = math.inf
+    if not math.isfinite(rmse):  # RMSE >= MAE, so it overflows whenever a plain sum does
+        scale = max(abs(v) for v in (*p, *g))
+        if scale < math.inf:  # every input is finite
+            mae, rmse, r_squared = _error_metrics([v / scale for v in p], [v / scale for v in g])
+            mae, rmse = mae * scale, rmse * scale
+    if r_squared is not None and not math.isfinite(r_squared):
+        r_squared = None
+    acc = sum(1 for pi, gi in zip(p, g) if within_5pct(pi, gi)) / len(g)
+    return RegressionMetrics(mae, rmse, r_squared, acc)
+
+
+def _error_metrics(p: list[float], g: list[float]) -> tuple[float, float, float | None]:
+    """MAE, RMSE and R-squared (None when every GT is equal) from plain sums."""
     n = len(g)
     residuals = [pi - gi for pi, gi in zip(p, g)]
     mae = math.fsum([abs(r) for r in residuals]) / n
@@ -324,28 +351,19 @@ def eval_regression(preds: Sequence[float], gts: Sequence[float]) -> RegressionM
     g_mean = math.fsum(g) / n
     ss_tot = math.fsum([(gi - g_mean) * (gi - g_mean) for gi in g])
     if ss_tot == 0.0 or min(g) == max(g):
-        r_squared = None
-    else:
-        r_squared = 1.0 - ss_res / ss_tot
-    acc = sum(1 for pi, gi in zip(p, g) if within_5pct(pi, gi)) / n
-    return RegressionMetrics(mae, rmse, r_squared, acc)
+        return mae, rmse, None
+    return mae, rmse, 1.0 - ss_res / ss_tot
 
 
 def eval_grounding(
-    preds: Sequence[HorizontalBox2D | None],
-    gts: Sequence[HorizontalBox2D],
-    thresh: float = 0.5,
+    preds: Sequence[HorizontalBox2D | None], gts: Sequence[HorizontalBox2D]
 ) -> float:
-    """Fraction of pairs with IoU >= thresh; missing predictions are wrong."""
+    """Fraction of pairs with IoU >= 0.5; missing predictions are wrong."""
     if len(preds) != len(gts):
         raise LengthMismatch(f"{len(preds)} predictions vs {len(gts)} ground truths")
-    if not 0 < thresh < 1:
-        raise ValueError(f"thresh must be in (0, 1), got {thresh}")
     if not gts:
         return 0.0
-    hits = sum(
-        1 for p, g in zip(preds, gts) if p is not None and hbb_iou(p, g) >= thresh
-    )
+    hits = sum(1 for p, g in zip(preds, gts) if p is not None and hbb_iou(p, g) >= 0.5)
     return hits / len(gts)
 
 
@@ -353,9 +371,8 @@ def eval_retrieval(
     preds: Sequence[Box3D | None],
     gts: Sequence[Box3D],
     cams: CameraModel | Sequence[CameraModel],
-    thresh: float = 0.25,
 ) -> float:
-    """Fraction of pairs whose BEV IoU strictly exceeds thresh.
+    """Fraction of pairs whose BEV IoU strictly exceeds 0.25.
 
     `cams` is one camera for all pairs or one per pair (footprints live on
     each camera's own ground plane).
@@ -368,14 +385,12 @@ def eval_retrieval(
         cam_list = cams
         if len(cam_list) != len(gts):
             raise LengthMismatch(f"{len(cam_list)} cameras vs {len(gts)} ground truths")
-    if not 0 < thresh < 1:
-        raise ValueError(f"thresh must be in (0, 1), got {thresh}")
     if not gts:
         return 0.0
     hits = sum(
         1
         for p, g, cam in zip(preds, gts, cam_list)
-        if p is not None and bev_iou(p, g, cam) > thresh
+        if p is not None and bev_iou(p, g, cam) > 0.25
     )
     return hits / len(gts)
 
@@ -385,31 +400,23 @@ def _normalize_text(text: str) -> str:
 
 
 def eval_attributes(
-    preds: Sequence[str | None],
-    gts: Sequence[str],
-    attribute: str = "",
-    price_tol: float | None = None,
+    preds: Sequence[str | None], gts: Sequence[str], attribute: str = ""
 ) -> float:
     """Attribute-recognition accuracy.
 
     Text attributes compare case-insensitively with whitespace normalized.
-    Numeric attributes (price, doors, seats) compare by extracted number;
-    an answer with no digits is a parse failure and incorrect. `price_tol`
-    optionally relaxes price to a relative tolerance (default exact); it
-    must be finite and >= 0.
+    Numeric attributes (price, doors, seats) compare by extracted number,
+    on an exact match; an answer with no finite number is a parse failure
+    and incorrect.
     """
     if len(preds) != len(gts):
         raise LengthMismatch(f"{len(preds)} predictions vs {len(gts)} ground truths")
-    if price_tol is not None and not 0 <= price_tol < math.inf:
-        raise ValueError(f"price_tol must be finite and >= 0, got {price_tol}")
     if not gts:
         return 0.0
-    return _attribute_tally(zip(preds, gts), attribute, price_tol)[0] / len(gts)
+    return _attribute_tally(zip(preds, gts), attribute)[0] / len(gts)
 
 
-def _attribute_tally(
-    pairs: Iterable[tuple[str | None, str]], attribute: str, price_tol: float | None
-) -> tuple[int, int]:
+def _attribute_tally(pairs: Iterable[tuple[str | None, str]], attribute: str) -> tuple[int, int]:
     """(hits, parse failures); a missing answer, or a numeric one with no number, fails."""
     numeric = attribute in NUMERIC_ATTRIBUTES
     hits = failures = 0
@@ -419,10 +426,7 @@ def _attribute_tally(
             failures += p_val is None
             if p_val is None or g_val is None:
                 continue
-            if attribute == "price" and price_tol is not None:
-                hits += abs(p_val - g_val) <= price_tol * abs(g_val)
-            else:
-                hits += p_val == g_val
+            hits += p_val == g_val
         elif pred is None:
             failures += 1
         else:
@@ -576,12 +580,10 @@ def _pred_hbb(pred: dict | None) -> HorizontalBox2D | None:
     return obb_to_hbb(loc) if isinstance(loc, OrientedBox2D) else loc
 
 
-def evaluate_grounding_file(
-    ann: AnnotationFile, preds: dict[str, dict], thresh: float = 0.5
-) -> EvalReport:
+def evaluate_grounding_file(ann: AnnotationFile, preds: dict[str, dict]) -> EvalReport:
     gts = grounding_ground_truth(ann)
     pred_boxes = [_pred_hbb(preds.get(obj_id)) for obj_id in gts]
-    acc = eval_grounding(pred_boxes, list(gts.values()), thresh)
+    acc = eval_grounding(pred_boxes, list(gts.values()))
     return EvalReport(
         task="grounding",
         n_evaluated=len(gts),
@@ -590,14 +592,10 @@ def evaluate_grounding_file(
     )
 
 
-def evaluate_retrieval_file(
-    ann: AnnotationFile,
-    preds: dict[str, dict],
-    thresh: float = 0.25,
-) -> EvalReport:
+def evaluate_retrieval_file(ann: AnnotationFile, preds: dict[str, dict]) -> EvalReport:
     gts = retrieval_ground_truth(ann)
     pred_boxes = [_pred_location(preds.get(obj_id), "box3d", Box3D) for obj_id in gts]
-    acc = eval_retrieval(pred_boxes, list(gts.values()), ann.camera, thresh)
+    acc = eval_retrieval(pred_boxes, list(gts.values()), ann.camera)
     return EvalReport(
         task="retrieval",
         n_evaluated=len(gts),
@@ -653,14 +651,12 @@ def evaluate_sqa_file(
 
 
 def evaluate_attributes_file(
-    ann: AnnotationFile, preds: dict[str, dict], price_tol: float | None = None
+    ann: AnnotationFile, preds: dict[str, dict]
 ) -> tuple[EvalReport, dict[str, EvalReport]]:
     """Overall and per-attribute recognition reports.
 
     Predictions are `{"id": "<object_id>:<attribute>", "answer": <text>}`.
     """
-    if price_tol is not None and not 0 <= price_tol < math.inf:
-        raise ValueError(f"price_tol must be finite and >= 0, got {price_tol}")
     gts = attribute_ground_truth(ann)
     by_attr: dict[str, list[tuple[str | None, str]]] = {}
     for key, gt_value in gts.items():
@@ -671,7 +667,7 @@ def evaluate_attributes_file(
     per_attr: dict[str, EvalReport] = {}
     total_hits = 0
     for attr, pairs in sorted(by_attr.items()):
-        hits, failures = _attribute_tally(pairs, attr, price_tol)
+        hits, failures = _attribute_tally(pairs, attr)
         per_attr[attr] = EvalReport(
             task=attr,
             n_evaluated=len(pairs),

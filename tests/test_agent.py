@@ -1024,6 +1024,17 @@ class TestRunQuery:
         )
         assert result["answer"] == "price: 229000"
 
+    def test_searched_price_past_the_float_range_falls_back_to_table(self, ann, table):
+        # "1e400" is no number, so the table's price answers (it read as inf,
+        # which the summarizer could not render).
+        search = FixtureSearchBackend({"Tesla Model 3 price": "Listed at 1e400 today."})
+        result = run_query(
+            "scene.png",
+            f"What is the price of the vehicle at {CAR0_REGION}?",
+            mock_config(ann, table, search=search),
+        )
+        assert result["answer"] == "price: 231900"
+
     @pytest.mark.parametrize("query, expected", [
         (f"What does the vehicle at {CAR0_REGION} cost?", "price: 229000"),
         (f"What is the cost of the vehicle at {CAR0_REGION}?", "price: 229000"),

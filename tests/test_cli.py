@@ -13,14 +13,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aerial3d
-from aerial3d.boxes import Box3D, derive_box3d, obb_to_hbb, parse_location, serialize_location
+from aerial3d.boxes import (
+    Box3D,
+    bev_iou,
+    derive_box3d,
+    hbb_iou,
+    obb_to_hbb,
+    parse_location,
+    serialize_location,
+)
 from aerial3d.camera import PixelPoint, backproject_to_ground
 from aerial3d.cli import main
 from aerial3d.errors import ParseError, RayMissesGround
 from aerial3d.evaluation import (
     annotation_from_dict,
     attribute_ground_truth,
+    grounding_ground_truth,
     load_annotations,
+    retrieval_ground_truth,
     sqa_ground_truth,
 )
 from aerial3d.instructions import packaged_templates_path
@@ -854,6 +864,11 @@ def _exit_code(argv: list[str]) -> int:
     return code
 
 
+def _reject_constant(name: str):
+    """json.loads' hook for NaN and Infinity, which strict JSON does not have."""
+    raise ValueError(f"not strict JSON: {name}")
+
+
 def _draw_flags(data, flags: dict) -> list[str]:
     """Each flag, or not, with a drawn value."""
     argv = []
@@ -897,12 +912,8 @@ def fuzz_files(tmp_path_factory):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_fuzz_numeric_flags_exit_0_1_or_2(fuzz_files, data):
-    ann, preds = fuzz_files
-    evaluate = ["eval", "--pred", preds, "--gt", ann, "--task"]
+    ann, _ = fuzz_files
     command, flags = data.draw(st.sampled_from([
-        ([*evaluate, "retrieval"], {"--thresh": _values("0.25")}),
-        ([*evaluate, "grounding"], {"--thresh": _values("0.5")}),
-        ([*evaluate, "attr"], {"--price-tol": _values("0.05")}),
         (["match"], {f"--{axis}-mm": _values("1800") for axis in ("length", "width", "height")}),
         (["agent", "run", "--annotations", ann, "--query",
           "What are the brand and model of the vehicle at [462,350,618,530]?"],
@@ -948,26 +959,76 @@ class TestEvalCli:
         assert run(["eval", "--task", "sqa", "--pred", str(pred_path),
                     "--gt", ann_path]) == 1
 
-    @pytest.mark.parametrize(
-        "task, flag, value, message",
-        [
-            ("retrieval", "--thresh", "nan", "thresh must be in (0, 1), got nan"),
-            ("retrieval", "--thresh", "inf", "thresh must be in (0, 1), got inf"),
-            ("retrieval", "--thresh", "-3", "thresh must be in (0, 1), got -3.0"),
-            ("attr", "--price-tol", "nan", "price_tol must be finite and >= 0, got nan"),
-            ("attr", "--price-tol", "-0.05", "price_tol must be finite and >= 0, got -0.05"),
-        ],
-    )
-    def test_out_of_range_option_is_domain_error(
-        self, tmp_path, ann_path, capsys, task, flag, value, message
+    @pytest.mark.parametrize("task, flag, value", [
+        ("grounding", "--thresh", "0.5"),
+        ("retrieval", "--thresh", "0.5"),
+        ("attr", "--price-tol", "0.05"),
+    ])
+    def test_threshold_flags_are_usage_errors(self, fuzz_files, capsys, task, flag, value):
+        # Each metric has one threshold, the one its report field names.
+        ann, preds = fuzz_files
+        with pytest.raises(SystemExit) as exc:
+            run(["eval", "--task", task, "--pred", preds, "--gt", ann, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert "Traceback" not in err
+
+    def test_scores_at_each_fields_threshold(self, tmp_path, capsys):
+        # One 80 x 40 px box at the nadir image center: a 4 x 2 m footprint.
+        # The predictions keep half its height, then half its footprint
+        # sides, so each overlap sits exactly on its task's threshold.
+        data = make_annotation_dict()
+        car = dict(data["objects"][0], obb={"cx": 500.0, "cy": 500.0, "w": 80.0, "h": 40.0,
+                                            "angle_deg": 0.0},
+                   dims_mm={"length": 4000, "width": 2000, "height": 1500})
+        data["objects"] = [car]
+        ann_path = tmp_path / "a.json"
+        ann_path.write_text(json.dumps(data))
+        ann = load_annotations(ann_path)
+        hbb, box3d = "[460,480,540,500]", "<0.00,0.00,49.25,2.00,1.00,1.50,0.00>"
+        assert hbb_iou(parse_location(hbb), grounding_ground_truth(ann)["car0"]) == 0.5
+        gt_box = retrieval_ground_truth(ann)["car0"]
+        assert bev_iou(parse_location(box3d), gt_box, ann.camera) == 0.25
+        pred_path = tmp_path / "p.jsonl"
+        pred_path.write_text(json.dumps({"id": "car0", "hbb": hbb, "box3d": box3d}) + "\n")
+        argv = ["eval", "--pred", str(pred_path), "--gt", str(ann_path), "--task"]
+        assert run([*argv, "grounding"]) == 0
+        assert json.loads(capsys.readouterr().out)["acc_at_05"] == 1.0
+        assert run([*argv, "retrieval"]) == 0
+        assert json.loads(capsys.readouterr().out)["acc_at_bev_025"] == 0.0
+
+    @pytest.mark.parametrize("answers", [
+        ["1e308 m"] * 3,  # fsum overflowed: a traceback
+        ["1e400 m"],  # read as inf: "mae": Infinity
+        ["1e308 m", "9" * 400 + " m"] * 5,
+    ], ids=["three-1e308", "one-1e400", "1e308-and-400-nines"])
+    def test_sqa_report_of_absurd_answers_is_strict_json(
+        self, tmp_path, ann_path, capsys, answers
     ):
-        pred_path = tmp_path / "preds.jsonl"
-        pred_path.write_text("")
-        assert run(["eval", "--task", task, "--pred", str(pred_path), "--gt", ann_path,
-                    flag, value]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
-        assert captured.out == ""
+        keys = sqa_ground_truth(load_annotations(ann_path))
+        pred_path = tmp_path / "p.jsonl"
+        pred_path.write_text("".join(
+            json.dumps({"id": key, "answer": text}) + "\n" for key, text in zip(keys, answers)
+        ))
+        assert run(["eval", "--task", "sqa", "--pred", str(pred_path), "--gt", ann_path]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert report["mae"] == (1e308 if "1e308 m" in answers else None)
+
+    def test_non_finite_report_is_a_domain_error(self, tmp_path, capsys):
+        # From 1e306 m a depth is ~1e306; an answer of -1.7976e308 m is then
+        # farther from it than the float range reaches, even scaled.
+        ann_path = tmp_path / "a.json"
+        ann_path.write_text(json.dumps(make_annotation_dict(agl=1e306)))
+        pred_path = tmp_path / "p.jsonl"
+        pred_path.write_text(json.dumps({"id": "car0:depth", "answer": "-1.7976e308 m"}) + "\n")
+        out_path = tmp_path / "report.json"
+        assert run(["eval", "--task", "sqa", "--pred", str(pred_path), "--gt", str(ann_path),
+                    "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: Out of range float values are not JSON compliant"
+        )
+        assert not out_path.exists()
 
 
 class TestAgentCli:
