@@ -332,7 +332,7 @@ def eval_regression(preds: Sequence[float], gts: Sequence[float]) -> RegressionM
         mae = rmse = r_squared = math.inf
     if not math.isfinite(rmse):  # RMSE >= MAE, so it overflows whenever a plain sum does
         scale = max(abs(v) for v in (*p, *g))
-        if scale < math.inf:  # every input is finite
+        if scale < math.inf:  # no input is infinite
             mae, rmse, r_squared = _error_metrics([v / scale for v in p], [v / scale for v in g])
             mae, rmse = mae * scale, rmse * scale
     if r_squared is not None and not math.isfinite(r_squared):
