@@ -163,14 +163,13 @@ class MockVLMBackend:
                 f"Found it at {serialize_location(box3d)}; "
                 f"image box {serialize_location(obb_to_hbb(obb))}."
             )
-        for attr in ("color", "colour", "type"):
-            if attr in lowered:
-                obj = self._resolve(prompt)
-                key = "color" if attr == "colour" else attr
-                if obj is None or key not in obj.attributes:
-                    return f"I cannot tell the {key}."
-                return f"The {key} of the vehicle is {obj.attributes[key]}."
-        return "I cannot answer that."
+        key = _visual_attribute(lowered)
+        if key is None:
+            return "I cannot answer that."
+        obj = self._resolve(prompt)
+        if obj is None or key not in obj.attributes:
+            return f"I cannot tell the {key}."
+        return f"The {key} of the vehicle is {obj.attributes[key]}."
 
 
 ATTRIBUTE_WORDS = ("brand", "model", "price", "cost", "powertrain", "doors", "seats")
@@ -181,6 +180,15 @@ _QUERY_LINE = re.compile(r"Query:\s*(.+)")
 # What precedes the tool outputs in a summarizer prompt (agent.runtime.summarize).
 _OUTPUTS_HEADER = "\nTool outputs (JSON):\n"
 _JSON = json.JSONDecoder()
+
+
+def _visual_attribute(lowered: str) -> str | None:
+    """The visual attribute a lowered text asks for, the first of
+    VISUAL_WORDS it holds ("colour" asks for the color), or None."""
+    for word in VISUAL_WORDS:
+        if word in lowered:
+            return "color" if word == "colour" else word
+    return None
 
 
 def _asked_fields(lowered: str) -> list[str]:
@@ -276,15 +284,15 @@ class MockPlannerBackend:
                 },
                 summarize,
             ]
-        for word in VISUAL_WORDS:
-            if word in lowered:
-                args: dict = {"attribute": "color" if word == "colour" else word}
-                if region_text:
-                    args["region"] = region_text
-                return [
-                    {"tool": "image_understanding", "args": args, "output_name": "visual"},
-                    summarize,
-                ]
+        visual = _visual_attribute(lowered)
+        if visual is not None:
+            args: dict = {"attribute": visual}
+            if region_text:
+                args["region"] = region_text
+            return [
+                {"tool": "image_understanding", "args": args, "output_name": "visual"},
+                summarize,
+            ]
         asked = _asked_fields(lowered)
         if asked:
             steps = [

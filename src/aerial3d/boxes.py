@@ -31,7 +31,8 @@ yaw is the ground direction of the OBB axis there, in closed form.
 A projected face is a convex quad in cyclic order, so `fit_min_area_obb`
 takes 4 points that turn strictly one way as their own hull, in the
 monotone chain's order (CCW from the lexicographic minimum), and sorts
-only other point sets through the chain.
+only other point sets through the chain. One caliper loop then fits every
+hull: the quad hull skips only the sort.
 
 Wire formats
 ------------
@@ -50,7 +51,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .camera import (
     CameraModel,
@@ -541,12 +542,14 @@ def _check_wire_dims(dims: Sequence[float]) -> None:
         raise ValueError(f"dimensions {length:g} x {width:g} x {height:g} m round to 0.00 m")
 
 
-def fit_min_area_obb(points: Sequence[Sequence[float]]) -> OrientedBox2D:
+def fit_min_area_obb(points: Iterable[Sequence[float]]) -> OrientedBox2D:
     """Minimal-area rotated rectangle enclosing a 2D point set.
 
     Rotating-calipers over the convex hull: the optimal rectangle has one
     side collinear with a hull edge, so trying every hull-edge direction is
-    exact. Raises ValueError on degenerate (collinear) input.
+    exact. One caliper loop serves every hull size; a strictly convex quad
+    only skips the monotone chain's sort. Raises ValueError on degenerate
+    (collinear) input.
     """
     try:
         pts = [(float(x), float(y)) for x, y in points]
@@ -560,26 +563,26 @@ def fit_min_area_obb(points: Sequence[Sequence[float]]) -> OrientedBox2D:
     if len(hull) < 3:
         raise ValueError("points are collinear; no area-minimal rectangle exists")
 
-    if len(hull) == 4:
-        _, cx, cy, w, h, angle = _quad_calipers(hull)
-        return OrientedBox2D.normalized(cx, cy, w, h, angle)
+    atan2, cos, sin = math.atan2, math.cos, math.sin
+    (x, y), rest = hull[0], hull[1:]
     best = None
-    for (x0, y0), (x1, y1) in zip(hull, (*hull[1:], hull[0])):
-        angle = math.atan2(y1 - y0, x1 - x0)
-        ca, sa = math.cos(-angle), math.sin(-angle)
+    for (x0, y0), (x1, y1) in zip(hull, (*rest, hull[0])):
+        angle = atan2(y1 - y0, x1 - x0)
+        ca, sa = cos(-angle), sin(-angle)
         # Hull in the frame rotated by -angle: this edge lies along +x.
-        # min() and max() of each coordinate in one pass, with the builtins'
-        # comparisons from the first vertex on. lo <= hi holds throughout (or
-        # both are nan), so a new minimum is never also a new maximum.
-        x, y = hull[0]
+        # min() and max() of each coordinate in one pass with the builtins'
+        # strict comparisons, seeded from vertex 0, whose own comparisons
+        # could never fire. lo <= hi holds throughout (or both are nan), so a
+        # new minimum is never also a new maximum.
         lo_u = hi_u = x * ca - y * sa
         lo_v = hi_v = x * sa + y * ca
-        for x, y in hull:
-            u, v = x * ca - y * sa, x * sa + y * ca
+        for px, py in rest:
+            u = px * ca - py * sa
             if u < lo_u:
                 lo_u = u
             elif u > hi_u:
                 hi_u = u
+            v = px * sa + py * ca
             if v < lo_v:
                 lo_v = v
             elif v > hi_v:
@@ -592,56 +595,6 @@ def fit_min_area_obb(points: Sequence[Sequence[float]]) -> OrientedBox2D:
 
     _, cx, cy, w, h, angle = best
     return OrientedBox2D.normalized(cx, cy, w, h, angle)
-
-
-def _quad_calipers(hull: list[tuple[float, float]]) -> tuple[float, ...]:
-    """`fit_min_area_obb`'s caliper loop written out for a 4-vertex hull: the
-    same rotations, the same strict updates from the first vertex on, and the
-    same tie rule. Returns the best (area, cx, cy, w, h, angle)."""
-    (ax, ay), (bx, by), (cx, cy), (dx, dy) = hull
-    cos, sin, atan2 = math.cos, math.sin, math.atan2
-    best = None
-    for x0, y0, x1, y1 in ((ax, ay, bx, by), (bx, by, cx, cy), (cx, cy, dx, dy), (dx, dy, ax, ay)):
-        angle = atan2(y1 - y0, x1 - x0)
-        ca, sa = cos(-angle), sin(-angle)
-        lo_u = hi_u = ax * ca - ay * sa
-        lo_v = hi_v = ax * sa + ay * ca
-        u = bx * ca - by * sa
-        if u < lo_u:
-            lo_u = u
-        elif u > hi_u:
-            hi_u = u
-        u = cx * ca - cy * sa
-        if u < lo_u:
-            lo_u = u
-        elif u > hi_u:
-            hi_u = u
-        u = dx * ca - dy * sa
-        if u < lo_u:
-            lo_u = u
-        elif u > hi_u:
-            hi_u = u
-        v = bx * sa + by * ca
-        if v < lo_v:
-            lo_v = v
-        elif v > hi_v:
-            hi_v = v
-        v = cx * sa + cy * ca
-        if v < lo_v:
-            lo_v = v
-        elif v > hi_v:
-            hi_v = v
-        v = dx * sa + dy * ca
-        if v < lo_v:
-            lo_v = v
-        elif v > hi_v:
-            hi_v = v
-        w, h = hi_u - lo_u, hi_v - lo_v
-        area = w * h
-        if best is None or area < best[0] - 1e-12:
-            mu, mv = (lo_u + hi_u) / 2.0, (lo_v + hi_v) / 2.0
-            best = (area, ca * mu + sa * mv, -sa * mu + ca * mv, w, h, angle)
-    return best
 
 
 def _convex_quad_hull(pts: list[tuple[float, float]]) -> list[tuple[float, float]] | None:

@@ -188,10 +188,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         overall, per_attr = evaluate_attributes_file(ann, preds)
         report = overall.to_dict()
         report["attributes"] = {name: r.to_dict() for name, r in per_attr.items()}
-    if args.format == "table":
-        _emit(render_report_table(report), args.out)
-    else:  # a value past the float range is a ValueError, not a bare Infinity
-        _emit(json.dumps(report, indent=2, allow_nan=False), args.out)
+    # A value past the float range is a ValueError, in either format.
+    text = json.dumps(report, indent=2, allow_nan=False)
+    _emit(render_report_table(report) if args.format == "table" else text, args.out)
     return 0
 
 

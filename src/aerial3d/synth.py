@@ -208,7 +208,7 @@ def generate_scene(cfg: SceneConfig, table: VehicleTable) -> Scene:
             if not (0 <= min(xs) < max(xs) <= width and 0 <= min(ys) < max(ys) <= height):
                 continue
             # The annotation: ProjectedBox3D.annotated_obb of the bottom face.
-            obb = fit_min_area_obb(list(zip(xs[:4], ys[:4])))
+            obb = fit_min_area_obb(zip(xs[:4], ys[:4]))
             # The loader's image-bounds rule (`obb_within_image`), and each
             # wire form must parse.
             hull = _obb_hull(obb)

@@ -924,6 +924,41 @@ def test_fuzz_numeric_flags_exit_0_1_or_2(fuzz_files, data):
     assert _exit_code([*command, *_draw_flags(data, flags)]) in (0, 1, 2)
 
 
+# Answers for the eval fuzz: ordinary numbers, the edge of the float range
+# either way, a number past it (400 nines), the non-finite spellings, empty
+# text and text with no number.
+_EVAL_ANSWERS = ("4.5", "50 m", "1.7976e308 m", "-1.7976e308 m", "9" * 400 + " m", "inf", "nan",
+                 "", "white")
+
+
+@pytest.fixture(scope="module")
+def eval_fuzz_dir(tmp_path_factory):
+    """The two-car record seen from 50, 1e200 and 1e306 m, one file each.
+    From the two heights near the float range, an answer at its edge can
+    put an error, or its square, past it."""
+    root = tmp_path_factory.mktemp("eval-fuzz")
+    for agl in (50.0, 1e200, 1e306):
+        (root / f"{agl:g}.json").write_text(json.dumps(make_annotation_dict(agl=agl)))
+    return root
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_fuzz_eval_exits_0_or_1_alike_in_both_formats(eval_fuzz_dir, data):
+    task = data.draw(st.sampled_from(["sqa", "attr"]), label="task")
+    agl = data.draw(st.sampled_from([50.0, 1e200, 1e306]), label="agl_m")
+    ann = eval_fuzz_dir / f"{agl:g}.json"
+    truth = (sqa_ground_truth if task == "sqa" else attribute_ground_truth)(load_annotations(ann))
+    answers = st.sampled_from(_EVAL_ANSWERS)
+    pred = eval_fuzz_dir / "p.jsonl"
+    pred.write_text("".join(
+        json.dumps({"id": key, "answer": data.draw(answers, label=key)}) + "\n" for key in truth
+    ))
+    argv = ["eval", "--task", task, "--pred", str(pred), "--gt", str(ann), "--format"]
+    codes = [_exit_code([*argv, fmt]) for fmt in ("json", "table")]
+    assert codes[0] in (0, 1) and codes[0] == codes[1], codes
+
+
 class TestEvalCli:
     def test_sqa_json_report(self, tmp_path, ann_path, capsys):
         ann = load_annotations(ann_path)
@@ -1029,6 +1064,25 @@ class TestEvalCli:
             "error: Out of range float values are not JSON compliant"
         )
         assert not out_path.exists()
+
+    def test_non_finite_table_report_is_the_same_domain_error(self, tmp_path, capsys):
+        # The record above, with both depth answers past the range: the
+        # table reads the report the JSON format writes, so it fails alike.
+        ann_path = tmp_path / "a.json"
+        ann_path.write_text(json.dumps(make_annotation_dict(agl=1e306)))
+        pred_path = tmp_path / "p.jsonl"
+        pred_path.write_text("".join(
+            json.dumps({"id": f"{car}:depth", "answer": "-1.7976e308 m"}) + "\n"
+            for car in ("car0", "car1")
+        ))
+        argv = ["eval", "--task", "sqa", "--pred", str(pred_path), "--gt", str(ann_path),
+                "--format"]
+        assert run([*argv, "json"]) == 1
+        json_err = capsys.readouterr().err
+        assert json_err.startswith("error: Out of range float values are not JSON compliant")
+        assert run([*argv, "table"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", json_err)
 
 
 class TestAgentCli:

@@ -472,6 +472,25 @@ def _fit_inputs(rng):
             yield "general", [(rng.randint(0, 3) * 1.0, rng.randint(0, 3) * 1.0) for _ in range(n)]
         elif round_ % 4 == 2:
             yield "general", [(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)) for _ in range(n)]
+        elif round_ % 32 == 3:
+            yield "ellipse", _ellipse_points(rng)
+
+
+def _ellipse_points(rng):
+    """12-64 points on a rotated ellipse, each a hull vertex, shuffled; half
+    the time with as many again strictly inside it."""
+    n = rng.randint(12, 64)
+    a, b = rng.uniform(1.0, 400.0), rng.uniform(0.5, 400.0)
+    cx, cy, rot = rng.uniform(-100.0, 1100.0), rng.uniform(-100.0, 1100.0), rng.uniform(-math.pi, math.pi)
+    cr, sr = math.cos(rot), math.sin(rot)
+    scales = [1.0] * n + ([rng.uniform(0.0, 0.9) for _ in range(n)] if rng.random() < 0.5 else [])
+    pts = []
+    for k, r in enumerate(scales):
+        t = 2.0 * math.pi * (k % n + rng.random() * 0.5) / n
+        x, y = r * a * math.cos(t), r * b * math.sin(t)
+        pts.append((cx + x * cr - y * sr, cy + x * sr + y * cr))
+    rng.shuffle(pts)
+    return pts
 
 
 def test_fit_matches_the_caliper_loop_oracle():
@@ -495,6 +514,7 @@ def test_fit_matches_the_caliper_loop_oracle():
     for kind in ("bowtie", "chain", "horizon"):
         assert (kind, 4) in paths, kind
     assert {("general", 3), ("corners", 6), ("general", 5)} <= paths
+    assert {("ellipse", 12), ("ellipse", 64)} <= paths
     assert ("general", 2, False) in hull_sizes  # collinear: ValueError
 
 
