@@ -17,9 +17,8 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .._fsio import DATA_DIR, read_utf8
 from ..errors import PlanParseError
@@ -43,28 +42,31 @@ _RETRY_SUFFIX = (
 )
 
 
-@dataclass(frozen=True)
-class ToolCall:
+class ToolCall(NamedTuple):
     tool: str
     args: dict[str, Any]
     output_name: str
 
 
-@dataclass(frozen=True)
-class Plan:
-    """Validated tool sequence; the last step is always `summarize`."""
-
+# A record with checks, in the form the comment above `boxes.OrientedBox2D` gives.
+class _PlanFields(NamedTuple):
     steps: tuple[ToolCall, ...]
 
-    def __post_init__(self) -> None:
-        if not self.steps:
+
+class Plan(_PlanFields):
+    """Validated tool sequence; the last step is always `summarize`."""
+
+    __slots__ = ()
+
+    def __new__(cls, steps: tuple[ToolCall, ...]) -> "Plan":
+        if not steps:
             raise PlanParseError("plan has no steps")
-        if self.steps[-1].tool != SUMMARIZE:
+        if steps[-1].tool != SUMMARIZE:
             raise PlanParseError(
-                f"plan must end with a {SUMMARIZE} step, ends with {self.steps[-1].tool!r}"
+                f"plan must end with a {SUMMARIZE} step, ends with {steps[-1].tool!r}"
             )
         names: set[str] = set()
-        for step in self.steps:
+        for step in steps:
             if step.tool != SUMMARIZE and step.tool not in VALID_TOOLS:
                 raise PlanParseError(f"unknown tool {step.tool!r}")
             if not _NAME.match(step.output_name):
@@ -72,6 +74,7 @@ class Plan:
             if step.output_name in names:
                 raise PlanParseError(f"duplicate output name {step.output_name!r}")
             names.add(step.output_name)
+        return tuple.__new__(cls, (steps,))
 
     @property
     def tool_steps(self) -> tuple[ToolCall, ...]:

@@ -21,8 +21,7 @@ identical queries produce byte-identical traces
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..errors import BindingMissing, ToolError
 from ..vehicles import VehicleTable
@@ -35,22 +34,46 @@ from .tools import Toolbox
 _VIEW = json.JSONEncoder(sort_keys=True, ensure_ascii=False, default=str)
 
 
-@dataclass
-class StepRecord:
-    index: int
-    tool: str
-    output_name: str
-    args: dict[str, Any]
-    output: Any = None
-    error: str | None = None
-    backend_calls: list[dict] = field(default_factory=list)
+class _Fields:
+    """`repr` and `==` over an instance's attributes, in the order its
+    `__init__` sets them; a class with these is unhashable."""
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+
+class StepRecord(_Fields):
+    """One tool step of an execution; the executor fills it in as it runs."""
+
+    def __init__(
+        self,
+        index: int,
+        tool: str,
+        output_name: str,
+        args: dict[str, Any],
+        output: Any = None,
+        error: str | None = None,
+        backend_calls: list[dict] | None = None,
+    ) -> None:
+        self.index = index
+        self.tool = tool
+        self.output_name = output_name
+        self.args = args
+        self.output = output
+        self.error = error
+        self.backend_calls = [] if backend_calls is None else backend_calls
 
     def to_dict(self) -> dict[str, Any]:
-        return dict(vars(self))  # shallow: asdict would deep-copy every output
+        return dict(vars(self))  # shallow: the trace holds each output, not a copy
 
 
-@dataclass
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
     outputs: dict[str, Any]
     steps: list[StepRecord]
 
@@ -174,13 +197,22 @@ def summarize(
     return answer
 
 
-@dataclass
-class AgentConfig:
-    planner: Backend
-    vlm: Backend
-    summarizer: Backend
-    search: Backend | None = None
-    table: VehicleTable | None = None
+class AgentConfig(_Fields):
+    """The backends and the vehicle table of an agent session."""
+
+    def __init__(
+        self,
+        planner: Backend,
+        vlm: Backend,
+        summarizer: Backend,
+        search: Backend | None = None,
+        table: VehicleTable | None = None,
+    ) -> None:
+        self.planner = planner
+        self.vlm = vlm
+        self.summarizer = summarizer
+        self.search = search
+        self.table = table
 
 
 def run_query(image: str | None, query: str, config: AgentConfig) -> dict[str, Any]:

@@ -149,7 +149,7 @@ class Toolbox:
             record = lookup(self.table, str(args["brand"]), str(args["model"]))
         else:
             raise ValueError(f"unknown query_table mode {mode!r}")
-        return dict(vars(record))  # a record of scalars: asdict's deep copy buys nothing
+        return record._asdict()
 
     def _web_search(
         self, args: dict[str, Any], image: str | None, recorder: BackendCallRecorder

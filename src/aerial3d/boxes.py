@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .camera import (
@@ -72,8 +71,19 @@ def wrap_angle_half_pi(angle: float) -> float:
     return -math.pi / 2.0 if wrapped >= math.pi / 2.0 else wrapped
 
 
-@dataclass(frozen=True)
-class OrientedBox2D:
+# A record with checks is a NamedTuple of its fields plus a subclass whose
+# `__new__` runs the checks: defining one at import costs a fraction of a
+# dataclass. `_make` and `_replace` skip `__new__`, so the package never
+# calls them on such a record.
+class _OrientedBox2DFields(NamedTuple):
+    cx: float
+    cy: float
+    width: float
+    height: float
+    angle: float
+
+
+class OrientedBox2D(_OrientedBox2DFields):
     """Rotated pixel-space rectangle; angle is the long-axis direction.
 
     Convention: width >= height, angle in [-pi/2, pi/2) measured from the
@@ -81,22 +91,21 @@ class OrientedBox2D:
     triples into this convention.
     """
 
-    cx: float
-    cy: float
-    width: float
-    height: float
-    angle: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError(f"box sides must be positive, got {self.width}x{self.height}")
-        if self.width < self.height:
+    def __new__(
+        cls, cx: float, cy: float, width: float, height: float, angle: float
+    ) -> "OrientedBox2D":
+        if not (width > 0 and height > 0):
+            raise ValueError(f"box sides must be positive, got {width}x{height}")
+        if width < height:
             raise ValueError(
-                f"width ({self.width}) must be >= height ({self.height}); "
+                f"width ({width}) must be >= height ({height}); "
                 "use OrientedBox2D.normalized to swap axes"
             )
-        if not -math.pi / 2 <= self.angle < math.pi / 2:
-            raise ValueError(f"angle must be in [-pi/2, pi/2), got {self.angle}")
+        if not -math.pi / 2 <= angle < math.pi / 2:
+            raise ValueError(f"angle must be in [-pi/2, pi/2), got {angle}")
+        return tuple.__new__(cls, (cx, cy, width, height, angle))
 
     @classmethod
     def normalized(
@@ -114,32 +123,35 @@ class OrientedBox2D:
 
     def _xs_ys(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The x and the y coordinates of :meth:`corners`, in its order."""
-        ca, sa = math.cos(self.angle), math.sin(self.angle)
-        hw, hh = self.width / 2.0, self.height / 2.0
+        cx, cy, width, height, angle = self
+        ca, sa = math.cos(angle), math.sin(angle)
+        hw, hh = width / 2.0, height / 2.0
         lx, ly = hw * ca, hw * sa  # half the long axis
         sx, sy = -hh * sa, hh * ca  # half the short axis
-        cx, cy = self.cx, self.cy
         return (
             (cx + lx + sx, cx - lx + sx, cx - lx - sx, cx + lx - sx),
             (cy + ly + sy, cy - ly + sy, cy - ly - sy, cy + ly - sy),
         )
 
 
-@dataclass(frozen=True)
-class HorizontalBox2D:
-    """Axis-aligned pixel rectangle with x1 < x2 and y1 < y2."""
-
+class _HorizontalBox2DFields(NamedTuple):
     x1: float
     y1: float
     x2: float
     y2: float
 
-    def __post_init__(self) -> None:
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
+
+class HorizontalBox2D(_HorizontalBox2DFields):
+    """Axis-aligned pixel rectangle with x1 < x2 and y1 < y2."""
+
+    __slots__ = ()
+
+    def __new__(cls, x1: float, y1: float, x2: float, y2: float) -> "HorizontalBox2D":
+        if not (x1 < x2 and y1 < y2):
             raise DegenerateBox(
-                f"degenerate box [{self.x1},{self.y1},{self.x2},{self.y2}]: "
-                "need x1 < x2 and y1 < y2"
+                f"degenerate box [{x1},{y1},{x2},{y2}]: need x1 < x2 and y1 < y2"
             )
+        return tuple.__new__(cls, (x1, y1, x2, y2))
 
     @property
     def area(self) -> float:
@@ -159,8 +171,15 @@ def dims_from_mm(length_mm: float, width_mm: float, height_mm: float) -> BoxDims
     return BoxDims(length_mm / 1000.0, width_mm / 1000.0, height_mm / 1000.0)
 
 
-@dataclass(frozen=True)
-class Box3D:
+class _Box3DFields(NamedTuple):
+    center: CameraPoint
+    length: float
+    width: float
+    height: float
+    yaw: float
+
+
+class Box3D(_Box3DFields):
     """Ground-resting cuboid in camera coordinates.
 
     `center` is the geometric center of the cuboid (half the height above
@@ -168,19 +187,16 @@ class Box3D:
     from e_lat within the plane.
     """
 
-    center: CameraPoint
-    length: float
-    width: float
-    height: float
-    yaw: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.length >= self.width > 0):
-            raise ValueError(
-                f"need length >= width > 0, got length={self.length} width={self.width}"
-            )
-        if not self.height > 0:
-            raise ValueError(f"height must be positive, got {self.height}")
+    def __new__(
+        cls, center: CameraPoint, length: float, width: float, height: float, yaw: float
+    ) -> "Box3D":
+        if not (length >= width > 0):
+            raise ValueError(f"need length >= width > 0, got length={length} width={width}")
+        if not height > 0:
+            raise ValueError(f"height must be positive, got {height}")
+        return tuple.__new__(cls, (center, length, width, height, yaw))
 
     @classmethod
     def resting_on(

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 from .errors import NonPositiveDepth, RayMissesGround
@@ -70,15 +69,8 @@ def _xyz(pt: Point3Like) -> tuple[float, float, float]:
     return float(x), float(y), float(z)
 
 
-@dataclass(frozen=True)
-class CameraModel:
-    """Intrinsics and single-pitch extrinsics of a downward-looking camera.
-
-    focal_length and pixel_size are in meters; pitch is in radians,
-    measured from the horizontal (pi/2 = nadir); agl is the camera height
-    above the ground plane in meters.
-    """
-
+# A record with checks, in the form the comment above `boxes.OrientedBox2D` gives.
+class _CameraModelFields(NamedTuple):
     focal_length: float
     pixel_size: float
     image_width: int
@@ -86,25 +78,40 @@ class CameraModel:
     pitch: float
     agl: float
 
-    def __post_init__(self) -> None:
-        if not self.focal_length > 0:
-            raise ValueError(f"focal_length must be > 0, got {self.focal_length}")
-        if not self.pixel_size > 0:
-            raise ValueError(f"pixel_size must be > 0, got {self.pixel_size}")
-        if self.image_width < 1 or self.image_height < 1:
-            raise ValueError(
-                f"image size must be >= 1x1, got {self.image_width}x{self.image_height}"
-            )
+
+class CameraModel(_CameraModelFields):
+    """Intrinsics and single-pitch extrinsics of a downward-looking camera.
+
+    focal_length and pixel_size are in meters; pitch is in radians,
+    measured from the horizontal (pi/2 = nadir); agl is the camera height
+    above the ground plane in meters.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, focal_length: float, pixel_size: float, image_width: int, image_height: int,
+        pitch: float, agl: float,
+    ) -> "CameraModel":
+        if not focal_length > 0:
+            raise ValueError(f"focal_length must be > 0, got {focal_length}")
+        if not pixel_size > 0:
+            raise ValueError(f"pixel_size must be > 0, got {pixel_size}")
+        if image_width < 1 or image_height < 1:
+            raise ValueError(f"image size must be >= 1x1, got {image_width}x{image_height}")
         # The frame is measured in floats, which an int past their range breaks.
-        if max(self.image_width, self.image_height) > sys.float_info.max:
+        if max(image_width, image_height) > sys.float_info.max:
             raise ValueError(
                 f"image size must be at most {sys.float_info.max:g} px per side, got "
-                f"{self.image_width}x{self.image_height}"
+                f"{image_width}x{image_height}"
             )
-        if not 0 < self.pitch <= math.pi / 2:
-            raise ValueError(f"pitch must be in (0, pi/2], got {self.pitch}")
-        if not self.agl > 0:
-            raise ValueError(f"agl must be > 0, got {self.agl}")
+        if not 0 < pitch <= math.pi / 2:
+            raise ValueError(f"pitch must be in (0, pi/2], got {pitch}")
+        if not agl > 0:
+            raise ValueError(f"agl must be > 0, got {agl}")
+        return tuple.__new__(
+            cls, (focal_length, pixel_size, image_width, image_height, pitch, agl)
+        )
 
     @property
     def principal_point(self) -> PixelPoint:

@@ -58,14 +58,12 @@ def _load_search_fixtures(path: str) -> dict[str, str]:
 
 
 def _cmd_derive3d(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from .boxes import serialize_location
     from .evaluation import derive_objects, load_annotations
 
     ann = load_annotations(args.annotations)
     if args.id is not None:
-        ann = replace(ann, objects=tuple(o for o in ann.objects if o.id == args.id))
+        ann = ann._replace(objects=tuple(o for o in ann.objects if o.id == args.id))
         if not ann.objects:
             raise NotFound(f"no object with id {args.id!r} in {args.annotations}")
     results = {}
@@ -133,13 +131,11 @@ def _cmd_iou(args: argparse.Namespace) -> int:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
     from .vehicles import match_dimensions
 
     table = _load_table_arg(args.table)
     record = match_dimensions(table, args.length_mm, args.width_mm, args.height_mm)
-    _emit(json.dumps(asdict(record), indent=2), args.out)
+    _emit(json.dumps(record._asdict(), indent=2), args.out)
     return 0
 
 

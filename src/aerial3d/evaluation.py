@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -129,20 +129,18 @@ def validate_annotation(data: dict) -> None:
     annotation_from_dict(data)
 
 
-@dataclass(frozen=True)
-class AnnotatedObject:
+class AnnotatedObject(NamedTuple):
     id: str
     obb: OrientedBox2D
     dims_mm: tuple[float, float, float]
-    attributes: dict[str, Any] = field(default_factory=dict)
+    attributes: dict[str, Any]
 
     @property
     def dims_m(self) -> BoxDims:
         return dims_from_mm(*self.dims_mm)
 
 
-@dataclass(frozen=True)
-class AnnotationFile:
+class AnnotationFile(NamedTuple):
     image: str
     image_width: int
     image_height: int
@@ -532,6 +530,8 @@ def attribute_ground_truth(ann: AnnotationFile) -> dict[str, str]:
 # --------------------------------------------------------------------------
 
 
+# Still a dataclass: the benchmark's output checks call `dataclasses.replace`
+# on a report (ROADMAP item 7).
 @dataclass
 class EvalReport:
     """One task's metric bundle; irrelevant metrics stay None."""

@@ -37,7 +37,6 @@ back (no side that rounds to no pixel, no dimension that rounds to 0.00 m).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -90,15 +89,13 @@ _SAMPLE_FIELDS = InstructionSample._fields
 _NULLABLE_FIELDS = frozenset({"image", "aux", "task"})
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(NamedTuple):
     samples: tuple[InstructionSample, ...]
     n_skipped: int
     skipped: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class TemplateSet:
+class TemplateSet(NamedTuple):
     grounding: dict[str, tuple[str, ...]]
     sqa: dict[str, str]
     phase2: dict[str, tuple[str, ...]]

@@ -16,9 +16,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from ._fsio import DATA_DIR, read_utf8
 from .boxes import BoxDims, dims_from_mm
@@ -39,8 +38,8 @@ _COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class VehicleRecord:
+# A record with checks, in the form the comment above `boxes.OrientedBox2D` gives.
+class _VehicleRecordFields(NamedTuple):
     brand: str
     model: str
     length_mm: float
@@ -51,32 +50,34 @@ class VehicleRecord:
     doors: int
     seats: int
 
-    def __post_init__(self) -> None:
-        if not self.brand.strip() or not self.model.strip():
+
+class VehicleRecord(_VehicleRecordFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, brand: str, model: str, length_mm: float, width_mm: float, height_mm: float,
+        powertrain: str, price: float, doors: int, seats: int,
+    ) -> "VehicleRecord":
+        if not brand.strip() or not model.strip():
             raise ValueError("brand and model must be non-empty")
         if not (
-            0 < self.length_mm < math.inf
-            and 0 < self.width_mm < math.inf
-            and 0 < self.height_mm < math.inf
+            0 < length_mm < math.inf and 0 < width_mm < math.inf and 0 < height_mm < math.inf
         ):
             raise ValueError(
                 f"dimensions must be positive and finite, got "
-                f"({self.length_mm}, {self.width_mm}, {self.height_mm})"
+                f"({length_mm}, {width_mm}, {height_mm})"
             )
-        if self.length_mm < self.width_mm:
-            raise ValueError(
-                f"length_mm ({self.length_mm}) must be >= width_mm ({self.width_mm})"
-            )
-        if self.powertrain not in POWERTRAINS:
-            raise ValueError(
-                f"powertrain must be one of {POWERTRAINS}, got {self.powertrain!r}"
-            )
-        if not 0 <= self.price < math.inf:
-            raise ValueError(f"price must be finite and >= 0, got {self.price}")
-        if self.doors < 1 or self.seats < 1:
-            raise ValueError(
-                f"doors and seats must be >= 1, got {self.doors}/{self.seats}"
-            )
+        if length_mm < width_mm:
+            raise ValueError(f"length_mm ({length_mm}) must be >= width_mm ({width_mm})")
+        if powertrain not in POWERTRAINS:
+            raise ValueError(f"powertrain must be one of {POWERTRAINS}, got {powertrain!r}")
+        if not 0 <= price < math.inf:
+            raise ValueError(f"price must be finite and >= 0, got {price}")
+        if doors < 1 or seats < 1:
+            raise ValueError(f"doors and seats must be >= 1, got {doors}/{seats}")
+        return tuple.__new__(
+            cls, (brand, model, length_mm, width_mm, height_mm, powertrain, price, doors, seats)
+        )
 
     @property
     def dims_mm(self) -> tuple[float, float, float]:
@@ -91,22 +92,37 @@ class VehicleRecord:
         return (self.brand.casefold(), self.model.casefold())
 
 
-@dataclass(frozen=True)
 class VehicleTable:
     """Immutable collection of records, sorted by (brand, model)."""
 
-    records: tuple[VehicleRecord, ...]
-    # Each record by its casefolded key, for `lookup`; the first of a
-    # repeated key wins, as a scan in table order finds it.
-    _by_key: dict[tuple[str, str], VehicleRecord] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("records", "_by_key", "_dims")
 
-    def __post_init__(self) -> None:
+    def __init__(self, records: tuple[VehicleRecord, ...]) -> None:
+        # Each record by its casefolded key, for `lookup`; the first of a
+        # repeated key wins, as a scan in table order finds it.
         by_key: dict[tuple[str, str], VehicleRecord] = {}
-        for record in self.records:
+        for record in records:
             by_key.setdefault(record.key, record)
+        object.__setattr__(self, "records", records)
         object.__setattr__(self, "_by_key", by_key)
+        # Each record behind its dimensions, for `match_dimensions`.
+        object.__setattr__(
+            self, "_dims", tuple((r.length_mm, r.width_mm, r.height_mm, r) for r in records)
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"VehicleTable(records={self.records!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.records == other.records
+
+    def __hash__(self) -> int:
+        return hash(self.records)
 
     @classmethod
     def from_records(cls, records: Iterable[VehicleRecord]) -> "VehicleTable":
@@ -209,19 +225,16 @@ def match_dimensions(
     if not (0 < length_mm < math.inf and 0 < width_mm < math.inf and 0 < height_mm < math.inf):
         raise ValueError(f"query dims must be positive and finite, got {query}")
     best: VehicleRecord | None = None
-    best_d2 = math.inf
-    try:
-        for record in table.records:
-            d2 = (
-                (record.length_mm - length_mm) ** 2
-                + (record.width_mm - width_mm) ** 2
-                + (record.height_mm - height_mm) ** 2
-            )
-            if d2 < best_d2:
-                best, best_d2 = record, d2
-    except OverflowError:
-        best = None
-    if best is None:  # the squared distances overflowed
+    best_d2 = inf = math.inf
+    for length, width, height, record in table._dims:
+        dl, dw, dh = length - length_mm, width - width_mm, height - height_mm
+        d2 = dl * dl + dw * dw + dh * dh
+        if d2 < best_d2:
+            best, best_d2 = record, d2
+        elif d2 == inf:  # a square or the sum overflowed, which `**` would raise
+            best = None
+            break
+    if best is None:
         raise ValueError(f"query dims {query} are too large to compare with the table")
     return best
 

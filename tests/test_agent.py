@@ -3,7 +3,6 @@ import math
 import random
 import re
 import threading
-from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -380,7 +379,7 @@ class TestToolbox:
     def test_query_table_returns_a_fresh_record_dict(self, table, mode):
         args = {"mode": mode, "brand": "Toyota", "model": "Camry",
                 "length_m": 4.885, "width_m": 1.835, "height_m": 1.455}
-        expected = list(asdict(lookup(table, "Toyota", "Camry")).items())
+        expected = list(lookup(table, "Toyota", "Camry")._asdict().items())
         toolbox = Toolbox(table=table)
         first = toolbox.invoke("query_table", args, None, [])
         assert list(first.items()) == expected
@@ -988,14 +987,14 @@ class TestRunQuery:
     def test_retrieval_without_a_location_is_an_error(self, table):
         # A "find" query whose locate step failed leaves only the table
         # record; its brand and model are not an answer to "where".
-        record = dict(vars(lookup(table, "Toyota", "Camry")))
+        record = lookup(table, "Toyota", "Camry")._asdict()
         answer = runtime.summarize(
             "Find the Toyota Camry in the image.", {"record": record}, MockSummarizerBackend()
         )
         assert answer == "error: could not locate the Toyota Camry"
 
     def test_record_without_a_location_still_answers_other_queries(self, table):
-        record = dict(vars(lookup(table, "Toyota", "Camry")))
+        record = lookup(table, "Toyota", "Camry")._asdict()
         summarizer = MockSummarizerBackend()
         for query, expected in [
             ("What are the brand and model of the vehicle at [1,2,3,4]?",

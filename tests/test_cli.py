@@ -118,13 +118,21 @@ def test_boxes_imports_no_evaluation():
     assert _loaded("import aerial3d.boxes", ("aerial3d.evaluation",)) == []
 
 
+def test_geometry_and_table_records_load_no_dataclasses():
+    # Generating a dataclass's methods, and importing `inspect` for it,
+    # costs a cold start more than these modules' own code.
+    code = "import aerial3d.boxes, aerial3d.camera, aerial3d.vehicles"
+    assert _loaded(code, ("dataclasses", "inspect")) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["iou", "--hbb", "[0,0,2,2]", "--hbb", "[1,0,3,2]"],
     ["match", "--length-mm", "4870", "--width-mm", "1950", "--height-mm", "1725"],
 ])
 def test_subcommand_loads_only_its_modules(argv):
     code = f"from aerial3d import cli\nassert cli.main({argv!r}) == 0"
-    modules = ("aerial3d.agent", "aerial3d.synth", "aerial3d.instructions", "tempfile")
+    modules = ("aerial3d.agent", "aerial3d.synth", "aerial3d.instructions", "tempfile",
+               "dataclasses", "inspect")
     assert _loaded(code, modules) == []
 
 

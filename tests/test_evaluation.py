@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import math
 import random
@@ -795,8 +794,8 @@ class TestDeriveObjects:
         data["objects"] = data["objects"][:1]
         ann = annotation_from_dict(data)
         (car0,) = ann.objects
-        bad = dataclasses.replace(car0, dims_mm=(math.inf, 1800, 1500))
-        (derived,) = derive_objects(dataclasses.replace(ann, objects=(bad,)))
+        bad = car0._replace(dims_mm=(math.inf, 1800, 1500))
+        (derived,) = derive_objects(ann._replace(objects=(bad,)))
         assert (derived.center, derived.box3d) == (None, None)
         assert type(derived.error) is ValueError
         assert str(derived.error) == (
@@ -807,6 +806,6 @@ class TestDeriveObjects:
         # The loader rejects such dims_mm, so the record is built in code.
         ann = annotation_from_dict(annotation_dict)
         objects = list(ann.objects)
-        objects[1] = dataclasses.replace(objects[1], dims_mm=(1800, 4500, 1500))
+        objects[1] = objects[1]._replace(dims_mm=(1800, 4500, 1500))
         with pytest.raises(ValueError, match="need length >= width > 0"):
-            sqa_ground_truth(dataclasses.replace(ann, objects=tuple(objects)))
+            sqa_ground_truth(ann._replace(objects=tuple(objects)))

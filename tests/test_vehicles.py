@@ -195,6 +195,15 @@ class TestMatchDimensions:
         with pytest.raises(ValueError, match=message):
             match_dimensions(table, *dims)
 
+    @pytest.mark.parametrize("far_brand", ["Aaa", "Zzz"])  # the far record first, then last
+    def test_a_record_too_far_to_compare_fails_an_ordinary_query(self, far_brand):
+        # Its squared distance overflows although the other record's does not.
+        tbl = VehicleTable.from_records(
+            [record("Mid", "X", 4500, 1800, 1500), record(far_brand, "Far", 1e200, 1800, 1500)]
+        )
+        with pytest.raises(ValueError, match="too large to compare"):
+            match_dimensions(tbl, 4500, 1800, 1500)
+
     @given(
         index=st.integers(0, 30),
         direction=st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)),
